@@ -9,6 +9,7 @@
 
 use acic::Metrics;
 use acic_bench::cart_ref::{acic_like_dataset, reference_build_tree, RowMajor};
+use acic_bench::stats::median;
 use acic_cart::{
     build_tree, build_tree_view_resorted, BuildParams, Dataset, Forest, ForestParams,
 };
@@ -47,11 +48,6 @@ fn time_samples<R>(runs: usize, mut f: impl FnMut() -> R) -> (f64, f64) {
         .collect();
     samples.sort_by(f64::total_cmp);
     (samples[samples.len() / 2], samples[0])
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
 }
 
 fn main() {
@@ -100,9 +96,9 @@ fn main() {
         }
     }
     metrics.incr("bench.samples", 2 * pairs as u64);
-    let reference_s = median(reference_samples);
-    let presorted_s = median(presorted_samples);
-    let speedup = median(ratios.clone());
+    let reference_s = median(&reference_samples);
+    let presorted_s = median(&presorted_samples);
+    let speedup = median(&ratios);
     let speedup_min = ratios.iter().copied().fold(f64::INFINITY, f64::min);
 
     // Forest fit: 25 bootstrap trees.  The fix under test is the bagging
@@ -148,9 +144,9 @@ fn main() {
     std::env::remove_var("RAYON_NUM_THREADS");
     drop(forest_span);
     metrics.incr("bench.samples", 2 * forest_pairs as u64 + 3);
-    let forest_resorted_s = median(resorted_samples);
-    let forest_nt_s = median(derived_samples);
-    let forest_speedup = median(forest_ratios.clone());
+    let forest_resorted_s = median(&resorted_samples);
+    let forest_nt_s = median(&derived_samples);
+    let forest_speedup = median(&forest_ratios);
     let forest_speedup_min = forest_ratios.iter().copied().fold(f64::INFINITY, f64::min);
     let forest_scaling = forest_1t_s / forest_nt_s;
 

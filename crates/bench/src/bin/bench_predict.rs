@@ -18,6 +18,7 @@
 
 use acic::space::SpacePoint;
 use acic::{AppPoint, EngineKind, Metrics, Objective, Predictor, Trainer};
+use acic_bench::stats::median;
 use acic_cloudsim::instance::InstanceType;
 use acic_cloudsim::units::{kib, mib};
 use std::hint::black_box;
@@ -51,11 +52,6 @@ fn query_grid() -> Vec<(AppPoint, Objective, InstanceType)> {
         }
     }
     out
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
 }
 
 fn main() {
@@ -137,9 +133,9 @@ fn main() {
         }
     }
     metrics.incr("bench.samples", 2 * pairs as u64);
-    let interpreted_s = median(interpreted_samples);
-    let compiled_s = median(compiled_samples);
-    let speedup = median(ratios.clone());
+    let interpreted_s = median(&interpreted_samples);
+    let compiled_s = median(&compiled_samples);
+    let speedup = median(&ratios);
     let speedup_min = ratios.iter().copied().fold(f64::INFINITY, f64::min);
     let per_query_us = compiled_s / grid.len() as f64 * 1e6;
 
@@ -170,14 +166,13 @@ fn main() {
             let c = t.elapsed().as_secs_f64();
             rs.push(i / c);
         }
-        median(rs)
+        median(&rs)
     };
 
     // Fused cross-request sweeps: the serve plane's `top_k_many` scores
     // every query sharing (objective, instance type) in one candidate-
-    // major `predict_batch` over the arenas — f64 and the opt-in f32 SoA
-    // variant.  Correctness first (bit-exact against the per-query
-    // interpreted oracle), then back-to-back pair timing.
+    // major sweep over the arenas.  Correctness first (bit-exact against
+    // the per-query interpreted oracle), then back-to-back pair timing.
     let fused_groups: Vec<(Objective, InstanceType, Vec<(AppPoint, usize)>)> = {
         let mut groups: Vec<(Objective, InstanceType, Vec<(AppPoint, usize)>)> = Vec::new();
         for (app, objective, instance_type) in &grid {
@@ -190,36 +185,34 @@ fn main() {
         }
         groups
     };
-    let (fused_mismatches, fused_f32_mismatches) = {
+    let fused_mismatches = {
         let _span = metrics.span("phase.equivalence.fused");
-        let mut m64 = 0usize;
-        let mut m32 = 0usize;
+        let mut mismatches = 0usize;
         for (objective, instance_type, queries) in &fused_groups {
-            for (engine, counter) in
-                [(EngineKind::Compiled, &mut m64), (EngineKind::F32, &mut m32)]
-            {
-                let fused = predictor.top_k_many_on(engine, queries, *objective, *instance_type);
-                for ((app, _), got) in queries.iter().zip(&fused) {
-                    let oracle =
-                        predictor.rank_candidates_interpreted(app, *objective, *instance_type);
-                    let exact = got.len() == oracle.len()
-                        && got
-                            .iter()
-                            .zip(&oracle)
-                            .all(|(g, w)| g.0 == w.0 && g.1.to_bits() == w.1.to_bits());
-                    if !exact {
-                        *counter += 1;
-                    }
+            let fused = predictor.top_k_many_on(
+                EngineKind::Compiled,
+                queries,
+                *objective,
+                *instance_type,
+            );
+            for ((app, _), got) in queries.iter().zip(&fused) {
+                let oracle = predictor.rank_candidates_interpreted(app, *objective, *instance_type);
+                let exact = got.len() == oracle.len()
+                    && got
+                        .iter()
+                        .zip(&oracle)
+                        .all(|(g, w)| g.0 == w.0 && g.1.to_bits() == w.1.to_bits());
+                if !exact {
+                    mismatches += 1;
                 }
             }
         }
-        (m64, m32)
+        mismatches
     };
-    assert_eq!(fused_mismatches, 0, "fused f64 sweep diverged from the interpreted oracle");
-    assert_eq!(fused_f32_mismatches, 0, "fused f32 sweep diverged from the interpreted oracle");
+    assert_eq!(fused_mismatches, 0, "fused sweep diverged from the interpreted oracle");
 
     eprintln!("timing fused top_k_many over {} queries in {} sweeps ...", grid.len(), fused_groups.len());
-    let (fused_speedup, fused_f32_speedup, fused_s, fused_f32_s) = {
+    let (fused_speedup, fused_s) = {
         let _span = metrics.span("phase.time.fused");
         let reps = 10;
         for _ in 0..2 {
@@ -229,14 +222,9 @@ fn main() {
                         .top_k_many_on(EngineKind::Compiled, queries, *objective, *instance_type)
                         .len(),
                 );
-                black_box(
-                    predictor
-                        .top_k_many_on(EngineKind::F32, queries, *objective, *instance_type)
-                        .len(),
-                );
             }
         }
-        let (mut r64, mut r32, mut s64, mut s32) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let (mut ratios, mut samples) = (Vec::new(), Vec::new());
         for _ in 0..pairs {
             let t = Instant::now();
             for _ in 0..reps {
@@ -259,31 +247,17 @@ fn main() {
                     );
                 }
             }
-            let c64 = t.elapsed().as_secs_f64() / reps as f64;
-            let t = Instant::now();
-            for _ in 0..reps {
-                for (objective, instance_type, queries) in &fused_groups {
-                    black_box(
-                        predictor
-                            .top_k_many_on(EngineKind::F32, queries, *objective, *instance_type)
-                            .len(),
-                    );
-                }
-            }
-            let c32 = t.elapsed().as_secs_f64() / reps as f64;
-            r64.push(i / c64);
-            r32.push(i / c32);
-            s64.push(c64);
-            s32.push(c32);
+            let c = t.elapsed().as_secs_f64() / reps as f64;
+            ratios.push(i / c);
+            samples.push(c);
         }
-        (median(r64), median(r32), median(s64), median(s32))
+        (median(&ratios), median(&samples))
     };
-    let fused_best = fused_speedup.max(fused_f32_speedup);
-    let fused_floor_15x = fused_best >= 15.0;
-    let fused_per_query_us = fused_s.min(fused_f32_s) / grid.len() as f64 * 1e6;
+    let fused_floor_3x = fused_speedup >= 3.0;
+    let fused_per_query_us = fused_s / grid.len() as f64 * 1e6;
 
     let json = format!(
-        "{{\n  \"bench\": \"predict_plane\",\n  \"training\": {{ \"dims\": 5, \"rows\": {dbrows} }},\n  \"queries\": {nq},\n  \"rank_candidates\": {{\n    \"interpreted_s\": {interpreted_s:.6},\n    \"compiled_s\": {compiled_s:.6},\n    \"compiled_per_query_us\": {per_query_us:.1},\n    \"speedup\": {speedup:.2},\n    \"speedup_min\": {speedup_min:.2},\n    \"topk5_speedup\": {topk_speedup:.2},\n    \"mismatches\": {mismatches}\n  }},\n  \"fused_rank\": {{\n    \"fused_s\": {fused_s:.6},\n    \"fused_f32_s\": {fused_f32_s:.6},\n    \"fused_per_query_us\": {fused_per_query_us:.2},\n    \"speedup\": {fused_speedup:.2},\n    \"f32_speedup\": {fused_f32_speedup:.2},\n    \"mismatches\": {fused_mismatches},\n    \"f32_mismatches\": {fused_f32_mismatches},\n    \"fused_speedup_floor_15x\": {fused_floor_15x}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"predict_plane\",\n  \"training\": {{ \"dims\": 5, \"rows\": {dbrows} }},\n  \"queries\": {nq},\n  \"rank_candidates\": {{\n    \"interpreted_s\": {interpreted_s:.6},\n    \"compiled_s\": {compiled_s:.6},\n    \"compiled_per_query_us\": {per_query_us:.1},\n    \"speedup\": {speedup:.2},\n    \"speedup_min\": {speedup_min:.2},\n    \"topk5_speedup\": {topk_speedup:.2},\n    \"mismatches\": {mismatches}\n  }},\n  \"fused_rank\": {{\n    \"fused_s\": {fused_s:.6},\n    \"fused_per_query_us\": {fused_per_query_us:.2},\n    \"speedup\": {fused_speedup:.2},\n    \"mismatches\": {fused_mismatches},\n    \"fused_speedup_floor_3x\": {fused_floor_3x}\n  }}\n}}\n",
         dbrows = db.len(),
         nq = grid.len(),
     );
@@ -307,14 +281,13 @@ fn main() {
          (got median pair ratio {speedup:.2}x, min {speedup_min:.2}x)"
     );
     // Gate: the fused cross-request sweep must rank the full query grid at
-    // >= 15x the per-query interpreted oracle on its best engine.  The
-    // fused plane amortizes per-call scratch, row encoding, and arena
-    // traversal across every query sharing an objective; losing that
-    // amortization (e.g. falling back to per-query dispatch) reads near
-    // the plain compiled ratio and fails cleanly.
+    // >= 3x the per-query interpreted oracle — the same floor as the
+    // compiled lane above, with the same margin below the idle-box reading
+    // (~14x).  A fused sweep that stopped scoring through the compiled
+    // arenas reads near 1x and fails cleanly.
     assert!(
-        fused_best >= 15.0,
-        "fused top_k_many must rank the full grid >= 15x the interpreted oracle \
-         (got f64 {fused_speedup:.2}x, f32 {fused_f32_speedup:.2}x)"
+        fused_floor_3x,
+        "fused top_k_many must rank the full grid >= 3x the interpreted oracle \
+         (got median pair ratio {fused_speedup:.2}x)"
     );
 }

@@ -241,60 +241,52 @@ fn hotswap_run(
     (publishes, mismatches, regressions, versions_seen.len(), final_version)
 }
 
-/// Scenario 4: the fused cross-request scoring plane.  One worker, cold
-/// cache, the whole working set submitted fire-and-forget so the drain
-/// sweeps multi-request batches through `Predictor::top_k_many`; the same
-/// burst against `fused: false` must produce byte-identical payloads.
-/// Returns (fused req/s, sequential req/s, batches, max batch, sweep
-/// groups, payload mismatches).
+/// Scenario 4: the fused cross-request drain.  One worker, cold cache, the
+/// whole working set submitted fire-and-forget so the drain sweeps
+/// multi-request batches through `Predictor::top_k_many`; every payload
+/// must equal the direct `Predictor::top_k` answer.  Returns (req/s,
+/// batches, max batch, sweep groups, payload mismatches).
 fn fused_run(
     predictor: &Predictor,
     db_points: usize,
     reqs: &[Request],
     expected: &[Vec<(SystemConfig, f64)>],
-) -> (f64, f64, u64, u64, u64, usize) {
+) -> (f64, u64, u64, u64, usize) {
     let rounds = 8usize;
-    let mut rps = [0.0f64; 2];
     let mut mismatches = 0usize;
     let mut batches = 0u64;
     let mut max_batch = 0u64;
     let mut groups = 0u64;
-    for (slot, fused) in [(0usize, true), (1, false)] {
-        let mut best_wall = f64::INFINITY;
-        for _ in 0..rounds {
-            // Fresh server per round = cold cache: every request is a miss,
-            // so the drain genuinely scores (not just probes) the batch.
-            let metrics = Metrics::new();
-            let cfg = ServeConfig {
-                workers: 1,
-                queue_depth: 256,
-                batch: 32,
-                fused,
-                service_stall: Duration::ZERO,
-                ..Default::default()
-            };
-            let server = Server::start(predictor.clone(), db_points, cfg, metrics.clone())
-                .expect("bench config is valid");
-            let h = server.handle();
-            let t0 = Instant::now();
-            let pending: Vec<_> =
-                reqs.iter().map(|r| h.submit_blocking(*r).expect("queue fits burst")).collect();
-            for (idx, p) in pending.into_iter().enumerate() {
-                if *p.wait().unwrap().top != expected[idx] {
-                    mismatches += 1;
-                }
+    let mut best_wall = f64::INFINITY;
+    for _ in 0..rounds {
+        // Fresh server per round = cold cache: every request is a miss, so
+        // the drain genuinely scores (not just probes) the batch.
+        let metrics = Metrics::new();
+        let cfg = ServeConfig {
+            workers: 1,
+            queue_depth: 256,
+            batch: 32,
+            service_stall: Duration::ZERO,
+            ..Default::default()
+        };
+        let server = Server::start(predictor.clone(), db_points, cfg, metrics.clone())
+            .expect("bench config is valid");
+        let h = server.handle();
+        let t0 = Instant::now();
+        let pending: Vec<_> =
+            reqs.iter().map(|r| h.submit_blocking(*r).expect("queue fits burst")).collect();
+        for (idx, p) in pending.into_iter().enumerate() {
+            if *p.wait().unwrap().top != expected[idx] {
+                mismatches += 1;
             }
-            best_wall = best_wall.min(t0.elapsed().as_secs_f64());
-            if fused {
-                batches = metrics.counter("serve.fused_batch.batches");
-                max_batch = max_batch.max(metrics.counter("serve.fused_batch.max_requests"));
-                groups = metrics.counter("serve.fused_batch.groups");
-            }
-            server.shutdown();
         }
-        rps[slot] = reqs.len() as f64 / best_wall;
+        best_wall = best_wall.min(t0.elapsed().as_secs_f64());
+        batches = metrics.counter("serve.fused_batch.batches");
+        max_batch = max_batch.max(metrics.counter("serve.fused_batch.max_requests"));
+        groups = metrics.counter("serve.fused_batch.groups");
+        server.shutdown();
     }
-    (rps[0], rps[1], batches, max_batch, groups, mismatches)
+    (reqs.len() as f64 / best_wall, batches, max_batch, groups, mismatches)
 }
 
 fn us(secs: f64) -> f64 {
@@ -347,16 +339,15 @@ fn main() {
     eprintln!("  {publishes} publishes, {versions_seen} versions observed, {swap_miss} mismatches");
 
     // --- scenario 4: fused cross-request scoring --------------------------
-    eprintln!("fused plane: cold-cache burst, fused vs per-request scoring ...");
-    let (fused_rps, seq_rps, fused_batches, fused_max_batch, fused_groups, fused_miss) =
+    eprintln!("fused plane: cold-cache burst ...");
+    let (fused_rps, fused_batches, fused_max_batch, fused_groups, fused_miss) =
         fused_run(&predictor, db.len(), &reqs, &expected);
     eprintln!(
-        "  fused {fused_rps:.0} req/s vs sequential {seq_rps:.0} req/s \
-         ({fused_batches} batches, max {fused_max_batch} reqs/sweep)"
+        "  fused {fused_rps:.0} req/s ({fused_batches} batches, max {fused_max_batch} reqs/sweep)"
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"model\": {{ \"dims\": {dims}, \"db_points\": {db_points}, \"seed\": {seed} }},\n  \"scaling\": {{\n    \"stall_us\": {stall_us:.0},\n    \"working_set\": {ws},\n    \"workers_1_rps\": {rps_1:.0},\n    \"workers_8_rps\": {rps_8:.0},\n    \"speedup\": {speedup:.2},\n    \"payload_mismatches\": {total_miss}\n  }},\n  \"cache\": {{ \"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {hit_rate:.3} }},\n  \"latency_us\": {{\n    \"queue_wait\": {{ \"p50\": {qw50:.0}, \"p95\": {qw95:.0}, \"p99\": {qw99:.0} }},\n    \"cache_hit\": {{ \"p50\": {ch50:.1}, \"p95\": {ch95:.1}, \"p99\": {ch99:.1} }},\n    \"client_e2e\": {{ \"p50\": {ce50:.0}, \"p95\": {ce95:.0}, \"p99\": {ce99:.0} }}\n  }},\n  \"admission\": {{\n    \"burst\": 64,\n    \"queue_depth\": 4,\n    \"admitted\": {admitted},\n    \"shed\": {shed},\n    \"shed_counter\": {shed_counter},\n    \"payload_mismatches\": {shed_miss}\n  }},\n  \"hotswap\": {{\n    \"publishes\": {publishes},\n    \"final_version\": {final_version},\n    \"versions_observed\": {versions_seen},\n    \"payload_mismatches\": {swap_miss},\n    \"version_regressions\": {regressions}\n  }},\n  \"fused\": {{\n    \"burst\": {ws},\n    \"fused_rps\": {fused_rps:.0},\n    \"sequential_rps\": {seq_rps:.0},\n    \"batches\": {fused_batches},\n    \"max_requests_per_sweep\": {fused_max_batch},\n    \"sweep_groups\": {fused_groups},\n    \"payload_mismatches\": {fused_miss}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"serve\",\n  \"model\": {{ \"dims\": {dims}, \"db_points\": {db_points}, \"seed\": {seed} }},\n  \"scaling\": {{\n    \"stall_us\": {stall_us:.0},\n    \"working_set\": {ws},\n    \"workers_1_rps\": {rps_1:.0},\n    \"workers_8_rps\": {rps_8:.0},\n    \"speedup\": {speedup:.2},\n    \"payload_mismatches\": {total_miss}\n  }},\n  \"cache\": {{ \"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {hit_rate:.3} }},\n  \"latency_us\": {{\n    \"queue_wait\": {{ \"p50\": {qw50:.0}, \"p95\": {qw95:.0}, \"p99\": {qw99:.0} }},\n    \"cache_hit\": {{ \"p50\": {ch50:.1}, \"p95\": {ch95:.1}, \"p99\": {ch99:.1} }},\n    \"client_e2e\": {{ \"p50\": {ce50:.0}, \"p95\": {ce95:.0}, \"p99\": {ce99:.0} }}\n  }},\n  \"admission\": {{\n    \"burst\": 64,\n    \"queue_depth\": 4,\n    \"admitted\": {admitted},\n    \"shed\": {shed},\n    \"shed_counter\": {shed_counter},\n    \"payload_mismatches\": {shed_miss}\n  }},\n  \"hotswap\": {{\n    \"publishes\": {publishes},\n    \"final_version\": {final_version},\n    \"versions_observed\": {versions_seen},\n    \"payload_mismatches\": {swap_miss},\n    \"version_regressions\": {regressions}\n  }},\n  \"fused\": {{\n    \"burst\": {ws},\n    \"fused_rps\": {fused_rps:.0},\n    \"batches\": {fused_batches},\n    \"max_requests_per_sweep\": {fused_max_batch},\n    \"sweep_groups\": {fused_groups},\n    \"payload_mismatches\": {fused_miss}\n  }}\n}}\n",
         db_points = db.len(),
         ws = reqs.len(),
         total_miss = miss_1 + miss_8,

@@ -18,6 +18,7 @@
 //! gates on the median pair ratio.  Runs in seconds; wired into
 //! `scripts/tier1.sh`.
 
+use acic_bench::stats::median;
 use acic_cloudsim::{FlowSpec, ResourceId, SimArena, SimEngine, Simulation};
 use acic_fsim::{
     Access, Executor, FsConfig, IoApi, IoOp, IoPhase, IoSystem, Phase, SimScratch, Workload,
@@ -154,12 +155,7 @@ fn time_training_point(engine: SimEngine) -> f64 {
         }
         samples.push(t.elapsed().as_secs_f64() / n as f64 * 1e6);
     }
-    median(samples)
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
+    median(&samples)
 }
 
 fn main() {
@@ -206,9 +202,9 @@ fn main() {
         evt_samples.push(e);
         ratios.push(r / e);
     }
-    let reference_s = median(ref_samples);
-    let event_s = median(evt_samples);
-    let speedup = median(ratios.clone());
+    let reference_s = median(&ref_samples);
+    let event_s = median(&evt_samples);
+    let speedup = median(&ratios);
     let speedup_min = ratios.iter().copied().fold(f64::INFINITY, f64::min);
     let ref_events_per_s = events_per_run as f64 / reference_s;
     let evt_events_per_s = events_per_run as f64 / event_s;

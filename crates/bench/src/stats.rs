@@ -63,6 +63,19 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     Some(sorted[rank - 1])
 }
 
+/// The median of a sample as its ⌊n/2⌋-th smallest observation (the
+/// upper median for an even count) — the estimator the `bench_*` gates
+/// apply to per-pair ratios and timing samples.
+///
+/// # Panics
+/// Panics on an empty sample.
+pub fn median(xs: &[f64]) -> f64 {
+    assert!(!xs.is_empty(), "median of an empty sample");
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,6 +100,13 @@ mod tests {
         assert_eq!(quantile(&xs, 0.95), Some(5.0));
         assert_eq!(quantile(&xs, 1.0), Some(5.0));
         assert_eq!(quantile(&[], 0.5), None);
+    }
+
+    #[test]
+    fn median_is_the_upper_middle_observation() {
+        assert_eq!(median(&[5.0, 1.0, 3.0]), 3.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 3.0);
+        assert_eq!(median(&[7.0]), 7.0);
     }
 
     #[test]

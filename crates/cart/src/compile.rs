@@ -51,17 +51,6 @@
 //!   whole mask — instead of one root-to-leaf walk per row.  The masks fold
 //!   the per-row comparisons verbatim, so leaves (and payload bits) are
 //!   unchanged.
-//! * **f32 SoA arenas** — [`CompiledModelF32`] re-lowers a compiled
-//!   tree/forest with `f32` routing thresholds (rounded toward −∞, see
-//!   [`CompiledTreeF32::lower`]) and a separate `u64` bitmask side-array,
-//!   halving the row and threshold traffic for SIMD-friendly scoring.
-//!   Leaf payloads stay `f64` and are shared semantics with the f64 plane,
-//!   so for queries whose feature values are exactly representable in
-//!   `f32` (every value the Table 1 domain encoding produces) the routing
-//!   — and therefore the ranking *and the reported payload bits* — are
-//!   identical to the interpreted oracle.  k-NN has no f32 arena (distance
-//!   folds are not rank-stable under narrowing); callers fall back to the
-//!   f64 kernel.
 
 use crate::dataset::FeatureKind;
 use crate::forest::Forest;
@@ -351,233 +340,6 @@ impl CompiledTree {
     }
 }
 
-/// One regression tree re-lowered for `f32` row traffic: routing state
-/// (`feature`/`threshold`/children) is half the width of the f64 arena, the
-/// categorical bitmask moves to a `u64` side-array (it no longer fits the
-/// threshold word), and leaf payloads stay `f64` copied from the f64 plane
-/// so a query that routes identically *reports bit-identical payloads*.
-///
-/// Thresholds are rounded **toward −∞** ([`f32_down`]): for any feature
-/// value `x` exactly representable in `f32`, `x <= t64 ⟺ x <= down(t64)`
-/// (if `x ≤ t64` then `x`, being an f32 at or below `t64`, is at most the
-/// largest such f32; if `x > t64 ≥ down(t64)` it stays right).  Every value
-/// the Table 1 domain encoding produces is f32-exact, so ranking under this
-/// arena is identical to the interpreted oracle for the entire serving
-/// feature space; arbitrary (non-f32) query values may flip inside the
-/// one-ULP interval `(down(t64), t64]` and are outside the contract.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledTreeF32 {
-    /// Feature index tested at each node ([`CATEGORICAL_BIT`] tags subset
-    /// rules); 0 for leaves.
-    feature: Vec<u16>,
-    /// Numeric threshold rounded toward −∞ (`x <= t` routes left); 0 for
-    /// categorical nodes and leaves.
-    threshold: Vec<f32>,
-    /// Subset bitmask per node; 0 for numeric nodes and leaves.
-    mask: Vec<u64>,
-    /// Left child per node; [`LEAF`] marks a leaf.
-    left: Vec<u32>,
-    /// Right child per node; [`LEAF`] marks a leaf.
-    right: Vec<u32>,
-    /// Node mean, kept in `f64` — payload bits match the f64 plane.
-    value: Vec<f64>,
-    /// Node target standard deviation, kept in `f64`.
-    std: Vec<f64>,
-    /// Training rows reaching the node.
-    support: Vec<u32>,
-}
-
-/// Largest `f32` less than or equal to `t` (round toward −∞).  `as f32`
-/// rounds to nearest, so when the cast lands above `t` we step one ULP down.
-fn f32_down(t: f64) -> f32 {
-    let c = t as f32;
-    if c.is_nan() || f64::from(c) <= t {
-        return c;
-    }
-    // Step toward −∞: shrink positive magnitudes, grow negative ones, and
-    // cross +0 into the negative subnormals.
-    let bits = c.to_bits();
-    if c == 0.0 {
-        f32::from_bits(0x8000_0001)
-    } else if bits >> 31 == 0 {
-        f32::from_bits(bits - 1)
-    } else {
-        f32::from_bits(bits + 1)
-    }
-}
-
-impl CompiledTreeF32 {
-    /// Re-lower an f64 arena into f32 routing form (same depth-first node
-    /// numbering, same children, payloads copied verbatim).
-    pub fn lower(tree: &CompiledTree) -> Self {
-        let n = tree.feature.len();
-        let mut threshold = Vec::with_capacity(n);
-        let mut mask = Vec::with_capacity(n);
-        for at in 0..n {
-            if tree.left[at] == LEAF {
-                threshold.push(0.0);
-                mask.push(0);
-            } else if tree.feature[at] & CATEGORICAL_BIT != 0 {
-                threshold.push(0.0);
-                mask.push(tree.threshold[at].to_bits());
-            } else {
-                threshold.push(f32_down(tree.threshold[at]));
-                mask.push(0);
-            }
-        }
-        CompiledTreeF32 {
-            feature: tree.feature.clone(),
-            threshold,
-            mask,
-            left: tree.left.clone(),
-            right: tree.right.clone(),
-            value: tree.value.clone(),
-            std: tree.std.clone(),
-            support: tree.support.clone(),
-        }
-    }
-
-    /// Arena slot of the leaf `row` routes to — the f32 image of
-    /// [`CompiledTree::leaf_of`].
-    #[inline]
-    fn leaf_of(&self, row: &[f32]) -> u32 {
-        let mut at = 0usize;
-        loop {
-            let l = self.left[at];
-            if l == LEAF {
-                return at as u32;
-            }
-            let tag = self.feature[at];
-            let x = row[(tag & !CATEGORICAL_BIT) as usize];
-            let goes_left = if tag & CATEGORICAL_BIT != 0 {
-                let code = x as u32;
-                code < 64 && (self.mask[at] >> code) & 1 == 1
-            } else {
-                x <= self.threshold[at]
-            };
-            at = if goes_left { l as usize } else { self.right[at] as usize };
-        }
-    }
-
-    /// Predict one encoded f32 row.
-    pub fn predict(&self, row: &[f32]) -> Prediction {
-        let at = self.leaf_of(row) as usize;
-        Prediction { value: self.value[at], std: self.std[at], support: self.support[at] as usize }
-    }
-
-    /// The level-synchronous block kernel over f32 rows — the same sweep as
-    /// [`CompiledTree::leaves_for_block`] with half the row/threshold
-    /// traffic.
-    fn leaves_for_block(&self, block: &[f32], width: usize, out: &mut [u32]) {
-        debug_assert_eq!(block.len(), width * out.len());
-        for slot in out.iter_mut() {
-            *slot = 0;
-        }
-        loop {
-            let mut advanced = false;
-            for (ri, cur) in out.iter_mut().enumerate() {
-                let at = *cur as usize;
-                let l = self.left[at];
-                if l == LEAF {
-                    continue;
-                }
-                let tag = self.feature[at];
-                let x = block[ri * width + (tag & !CATEGORICAL_BIT) as usize];
-                let goes_left = if tag & CATEGORICAL_BIT != 0 {
-                    let code = x as u32;
-                    code < 64 && (self.mask[at] >> code) & 1 == 1
-                } else {
-                    x <= self.threshold[at]
-                };
-                *cur = if goes_left { l } else { self.right[at] };
-                advanced = true;
-            }
-            if !advanced {
-                return;
-            }
-        }
-    }
-
-    /// Precompute a [`GridPlan`] over an f32 `grid` — the f32 image of
-    /// [`CompiledTree::plan_grid`], folding this arena's rounded thresholds
-    /// and side-array masks so the plan matches this plane's routing.
-    pub fn plan_grid(&self, grid: &[f32], prefix_width: usize) -> GridPlan {
-        assert!(prefix_width > 0 && grid.len() % prefix_width == 0, "grid is not whole rows");
-        let rows = grid.len() / prefix_width;
-        assert!(rows <= 64, "grid plans carry at most 64 rows (got {rows})");
-        let mut left_rows = vec![0u64; self.feature.len()];
-        for at in 0..self.feature.len() {
-            if self.left[at] == LEAF {
-                continue;
-            }
-            let tag = self.feature[at];
-            let f = (tag & !CATEGORICAL_BIT) as usize;
-            if f >= prefix_width {
-                continue;
-            }
-            let mut m = 0u64;
-            for (r, row) in grid.chunks_exact(prefix_width).enumerate() {
-                let x = row[f];
-                let goes_left = if tag & CATEGORICAL_BIT != 0 {
-                    let code = x as u32;
-                    code < 64 && (self.mask[at] >> code) & 1 == 1
-                } else {
-                    x <= self.threshold[at]
-                };
-                if goes_left {
-                    m |= 1 << r;
-                }
-            }
-            left_rows[at] = m;
-        }
-        GridPlan { left_rows, prefix_width, rows }
-    }
-
-    /// The f32 image of [`CompiledTree::leaves_for_grid`].
-    pub fn leaves_for_grid(&self, plan: &GridPlan, suffix: &[f32], active: u64, out: &mut [u32]) {
-        debug_assert_eq!(out.len(), plan.rows);
-        debug_assert_eq!(plan.left_rows.len(), self.feature.len(), "plan is for another tree");
-        self.grid_walk(plan, suffix, 0, active, out);
-    }
-
-    fn grid_walk(&self, plan: &GridPlan, suffix: &[f32], mut at: usize, mut active: u64, out: &mut [u32]) {
-        while active != 0 {
-            let l = self.left[at];
-            if l == LEAF {
-                while active != 0 {
-                    out[active.trailing_zeros() as usize] = at as u32;
-                    active &= active - 1;
-                }
-                return;
-            }
-            let tag = self.feature[at];
-            let f = (tag & !CATEGORICAL_BIT) as usize;
-            if f < plan.prefix_width {
-                let lm = plan.left_rows[at] & active;
-                let rm = active & !lm;
-                if rm == 0 {
-                    at = l as usize;
-                } else if lm == 0 {
-                    at = self.right[at] as usize;
-                } else {
-                    self.grid_walk(plan, suffix, l as usize, lm, out);
-                    at = self.right[at] as usize;
-                    active = rm;
-                }
-            } else {
-                let x = suffix[f - plan.prefix_width];
-                let goes_left = if tag & CATEGORICAL_BIT != 0 {
-                    let code = x as u32;
-                    code < 64 && (self.mask[at] >> code) & 1 == 1
-                } else {
-                    x <= self.threshold[at]
-                };
-                at = if goes_left { l as usize } else { self.right[at] as usize };
-            }
-        }
-    }
-}
-
 /// A fitted model lowered for batched, allocation-free scoring.
 #[derive(Debug, Clone)]
 pub enum CompiledModel {
@@ -786,131 +548,9 @@ impl CompiledModel {
     }
 }
 
-/// The f32 image of a compiled tree/forest — half the routing traffic, f64
-/// payloads.  Built from (never instead of) the f64 plane; see
-/// [`CompiledTreeF32`] for the rank-equivalence contract.  k-NN does not
-/// lower ([`Self::try_from_compiled`] returns `None`): its distance folds
-/// are not rank-stable under narrowing, so callers keep the f64 kernel.
-#[derive(Debug, Clone)]
-pub enum CompiledModelF32 {
-    /// Single pruned tree.
-    Tree {
-        /// Row width (feature count) the model scores.
-        width: usize,
-        /// The f32-routing tree.
-        tree: CompiledTreeF32,
-    },
-    /// Bagged ensemble.
-    Forest {
-        /// Row width (feature count) the model scores.
-        width: usize,
-        /// The f32-routing member trees, in training order.
-        trees: Vec<CompiledTreeF32>,
-    },
-}
-
-impl CompiledModelF32 {
-    /// Re-lower a compiled model's tree arenas; `None` for k-NN.
-    pub fn try_from_compiled(model: &CompiledModel) -> Option<Self> {
-        match model {
-            CompiledModel::Tree { width, tree } => Some(CompiledModelF32::Tree {
-                width: *width,
-                tree: CompiledTreeF32::lower(tree),
-            }),
-            CompiledModel::Forest { width, trees } => Some(CompiledModelF32::Forest {
-                width: *width,
-                trees: trees.iter().map(CompiledTreeF32::lower).collect(),
-            }),
-            CompiledModel::Knn { .. } => None,
-        }
-    }
-
-    /// The feature-row width the model was trained on.
-    pub fn width(&self) -> usize {
-        match self {
-            CompiledModelF32::Tree { width, .. } | CompiledModelF32::Forest { width, .. } => *width,
-        }
-    }
-
-    /// Predict one encoded f32 row.
-    pub fn predict(&self, row: &[f32]) -> Prediction {
-        let mut out = [Prediction { value: 0.0, std: 0.0, support: 0 }];
-        self.predict_rows(row, &mut out);
-        out[0]
-    }
-
-    /// Score a batch of encoded f32 rows — the same contract as
-    /// [`CompiledModel::predict_batch`] (whole rows asserted, empty batch
-    /// valid, stale `out` entries discarded).  For rows whose cells are all
-    /// f32-exact the output is bit-identical to the f64 plane.
-    pub fn predict_batch(&self, rows: &[f32], out: &mut Vec<Prediction>) {
-        let width = self.width();
-        assert!(width > 0 && rows.len() % width == 0, "batch is not whole rows");
-        let n = rows.len() / width;
-        out.clear();
-        out.resize(n, Prediction { value: 0.0, std: 0.0, support: 0 });
-        self.predict_rows(rows, out);
-    }
-
-    fn predict_rows(&self, rows: &[f32], out: &mut [Prediction]) {
-        let width = self.width();
-        match self {
-            CompiledModelF32::Tree { tree, .. } => {
-                let mut leaves = [0u32; BLOCK];
-                for (block, slots) in rows.chunks(width * BLOCK).zip(out.chunks_mut(BLOCK)) {
-                    let b = block.len() / width;
-                    tree.leaves_for_block(block, width, &mut leaves[..b]);
-                    for (slot, &leaf) in slots.iter_mut().zip(&leaves[..b]) {
-                        let at = leaf as usize;
-                        *slot = Prediction {
-                            value: tree.value[at],
-                            std: tree.std[at],
-                            support: tree.support[at] as usize,
-                        };
-                    }
-                }
-            }
-            CompiledModelF32::Forest { trees, .. } => FOREST_LEAVES.with(|scratch| {
-                let mut leaves = scratch.borrow_mut();
-                let t = trees.len();
-                // Same tree-major blocking and training-order reduction as
-                // the f64 plane: payloads are f64 copies, so when routing
-                // agrees the folded mean/variance bits agree too.
-                for (block, slots) in rows.chunks(width * BLOCK).zip(out.chunks_mut(BLOCK)) {
-                    let b = block.len() / width;
-                    leaves.clear();
-                    leaves.resize(t * b, 0);
-                    for (ti, tree) in trees.iter().enumerate() {
-                        tree.leaves_for_block(block, width, &mut leaves[ti * b..][..b]);
-                    }
-                    for (ri, slot) in slots.iter_mut().enumerate() {
-                        let n = t as f64;
-                        let mut sum = 0.0;
-                        for ti in 0..t {
-                            sum += trees[ti].value[leaves[ti * b + ri] as usize];
-                        }
-                        let mean = sum / n;
-                        let mut var = 0.0;
-                        let mut support = 0usize;
-                        for ti in 0..t {
-                            let leaf = leaves[ti * b + ri] as usize;
-                            let d = trees[ti].value[leaf] - mean;
-                            var += d * d;
-                            support += trees[ti].support[leaf] as usize;
-                        }
-                        var /= n;
-                        *slot = Prediction { value: mean, std: var.sqrt(), support: support / t };
-                    }
-                }
-            }),
-        }
-    }
-}
-
 /// A model × grid routing plan: one [`GridPlan`] per member tree, matched
-/// against the model it was planned from at predict time.  Built per
-/// scoring plane — an f32 arena's plan folds *its* rounded thresholds, so a
-/// plan is only valid for the exact model that produced it.
+/// against the model it was planned from at predict time, so a plan is
+/// only valid for the exact model that produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompiledGrid {
     /// Plan for a single compiled tree.
@@ -932,49 +572,24 @@ impl CompiledGrid {
 /// Fold one grid row's per-tree leaves exactly as the forest block kernel
 /// folds them (same training-order accumulation, same division order).
 #[inline]
-fn forest_fold(trees: &[impl AsForestTree], leaves: &[u32], rows: usize, r: usize) -> Prediction {
+fn forest_fold(trees: &[CompiledTree], leaves: &[u32], rows: usize, r: usize) -> Prediction {
     let t = trees.len();
     let n = t as f64;
     let mut sum = 0.0;
     for (ti, tree) in trees.iter().enumerate() {
-        sum += tree.leaf_value(leaves[ti * rows + r] as usize);
+        sum += tree.value[leaves[ti * rows + r] as usize];
     }
     let mean = sum / n;
     let mut var = 0.0;
     let mut support = 0usize;
     for (ti, tree) in trees.iter().enumerate() {
         let leaf = leaves[ti * rows + r] as usize;
-        let d = tree.leaf_value(leaf) - mean;
+        let d = tree.value[leaf] - mean;
         var += d * d;
-        support += tree.leaf_support(leaf);
+        support += tree.support[leaf] as usize;
     }
     var /= n;
     Prediction { value: mean, std: var.sqrt(), support: support / t }
-}
-
-/// Leaf-payload access shared by the two tree planes so the grid fold is
-/// written once (payloads are `f64` in both arenas).
-trait AsForestTree {
-    fn leaf_value(&self, at: usize) -> f64;
-    fn leaf_support(&self, at: usize) -> usize;
-}
-
-impl AsForestTree for CompiledTree {
-    fn leaf_value(&self, at: usize) -> f64 {
-        self.value[at]
-    }
-    fn leaf_support(&self, at: usize) -> usize {
-        self.support[at] as usize
-    }
-}
-
-impl AsForestTree for CompiledTreeF32 {
-    fn leaf_value(&self, at: usize) -> f64 {
-        self.value[at]
-    }
-    fn leaf_support(&self, at: usize) -> usize {
-        self.support[at] as usize
-    }
 }
 
 impl CompiledModel {
@@ -1029,74 +644,6 @@ impl CompiledModel {
                 }
             }
             (CompiledModel::Forest { trees, .. }, CompiledGrid::Forest(plans)) => {
-                assert_eq!(trees.len(), plans.len(), "grid plan is for another forest");
-                FOREST_LEAVES.with(|scratch| {
-                    let leaves = &mut *scratch.borrow_mut();
-                    leaves.clear();
-                    leaves.resize(trees.len() * rows, 0);
-                    for (ti, (tree, p)) in trees.iter().zip(plans).enumerate() {
-                        tree.leaves_for_grid(p, suffix, active, &mut leaves[ti * rows..][..rows]);
-                    }
-                    let mut m = active;
-                    while m != 0 {
-                        let r = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        out[r] = forest_fold(trees, leaves, rows, r);
-                    }
-                });
-            }
-            _ => panic!("grid plan kind does not match the model"),
-        }
-    }
-}
-
-impl CompiledModelF32 {
-    /// The f32 image of [`CompiledModel::plan_grid`] (always succeeds —
-    /// only tree shapes lower to f32 arenas).
-    pub fn plan_grid(&self, grid: &[f32], prefix_width: usize) -> CompiledGrid {
-        match self {
-            CompiledModelF32::Tree { tree, .. } => {
-                CompiledGrid::Tree(tree.plan_grid(grid, prefix_width))
-            }
-            CompiledModelF32::Forest { trees, .. } => CompiledGrid::Forest(
-                trees.iter().map(|t| t.plan_grid(grid, prefix_width)).collect(),
-            ),
-        }
-    }
-
-    /// The f32 image of [`CompiledModel::predict_grid`] — same contract,
-    /// bit-identical to this plane's [`Self::predict_batch`].
-    ///
-    /// # Panics
-    /// Panics when `plan` was not produced by [`Self::plan_grid`] on this
-    /// model shape.
-    pub fn predict_grid(
-        &self,
-        plan: &CompiledGrid,
-        suffix: &[f32],
-        active: u64,
-        out: &mut Vec<Prediction>,
-    ) {
-        let rows = plan.rows();
-        out.clear();
-        out.resize(rows, Prediction { value: 0.0, std: 0.0, support: 0 });
-        match (self, plan) {
-            (CompiledModelF32::Tree { tree, .. }, CompiledGrid::Tree(p)) => {
-                let mut leaves = [0u32; 64];
-                tree.leaves_for_grid(p, suffix, active, &mut leaves[..rows]);
-                let mut m = active;
-                while m != 0 {
-                    let r = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let at = leaves[r] as usize;
-                    out[r] = Prediction {
-                        value: tree.value[at],
-                        std: tree.std[at],
-                        support: tree.support[at] as usize,
-                    };
-                }
-            }
-            (CompiledModelF32::Forest { trees, .. }, CompiledGrid::Forest(plans)) => {
                 assert_eq!(trees.len(), plans.len(), "grid plan is for another forest");
                 FOREST_LEAVES.with(|scratch| {
                     let leaves = &mut *scratch.borrow_mut();
@@ -1233,7 +780,6 @@ mod tests {
         for kind in [ModelKind::Cart, ModelKind::Forest { n_trees: 5 }, ModelKind::Knn { k: 3 }] {
             let m = Model::fit(&d, kind, 3);
             let c = CompiledModel::compile(&m);
-            let c32 = CompiledModelF32::try_from_compiled(&c);
             for n in [0usize, 1, BLOCK - 1, BLOCK, BLOCK + 1] {
                 let mut flat = Vec::new();
                 for i in 0..n {
@@ -1245,95 +791,6 @@ mod tests {
                 for (i, got) in out.iter().enumerate() {
                     assert_bit_identical(got, &m.predict(&d.row(i % d.len())));
                 }
-                if let Some(c32) = &c32 {
-                    // The mixed() feature values are f32-exact by
-                    // construction (rounded ints, small codes) except z;
-                    // cast the rows through f32 so the contract holds.
-                    let flat32: Vec<f32> = flat.iter().map(|&x| x as f32).collect();
-                    let flat_rt: Vec<f64> = flat32.iter().map(|&x| f64::from(x)).collect();
-                    let mut want = vec![stale; 3];
-                    c.predict_batch(&flat_rt, &mut want);
-                    let mut got32 = vec![stale; BLOCK + 7];
-                    c32.predict_batch(&flat32, &mut got32);
-                    assert_eq!(got32.len(), n);
-                    for (g, w) in got32.iter().zip(&want) {
-                        assert_bit_identical(g, w);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn f32_lowering_rounds_thresholds_toward_neg_inf() {
-        for t in [
-            0.0,
-            -0.0,
-            1.0,
-            0.1,
-            -0.1,
-            1e-45,
-            -1e-45,
-            1e40,
-            -1e40,
-            f64::MAX,
-            f64::MIN,
-            3.5e38,  // above f32::MAX: nearest-cast saturates to +inf, must step down
-            1.0000000000000002,
-        ] {
-            let down = f32_down(t);
-            assert!(f64::from(down) <= t, "down({t}) = {down} is above t");
-            // And it is the *largest* such f32: one ULP up must exceed t
-            // (unless down is already the top of the f32 range).
-            let bits = down.to_bits();
-            let up = if down == f32::NEG_INFINITY {
-                f32::MIN
-            } else if down == 0.0 {
-                f32::from_bits(1)
-            } else if bits >> 31 == 0 {
-                f32::from_bits(bits + 1)
-            } else if bits == 0x8000_0001 {
-                0.0
-            } else {
-                f32::from_bits(bits - 1)
-            };
-            if up.is_finite() || up == f32::INFINITY {
-                assert!(
-                    f64::from(up) > t || down == f32::INFINITY,
-                    "down({t}) = {down} is not the largest f32 <= t (up = {up})"
-                );
-            }
-        }
-        assert!(f32_down(f64::NAN).is_nan());
-    }
-
-    #[test]
-    fn f32_plane_matches_f64_plane_on_f32_exact_rows() {
-        let d = mixed(250, 23);
-        for kind in [ModelKind::Cart, ModelKind::Forest { n_trees: 9 }] {
-            let m = Model::fit(&d, kind, 3);
-            let c = CompiledModel::compile(&m);
-            let c32 = CompiledModelF32::try_from_compiled(&c).expect("trees lower");
-            assert_eq!(c32.width(), c.width());
-            let mut flat32 = Vec::new();
-            let mut flat64 = Vec::new();
-            for i in 0..d.len() {
-                for &x in &d.row(i) {
-                    let x32 = x as f32; // f32-exact image of the row
-                    flat32.push(x32);
-                    flat64.push(f64::from(x32));
-                }
-            }
-            let mut want = Vec::new();
-            c.predict_batch(&flat64, &mut want);
-            let mut got = Vec::new();
-            c32.predict_batch(&flat32, &mut got);
-            assert_eq!(got.len(), want.len());
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_bit_identical(g, w);
-                let row32: Vec<f32> =
-                    flat32[i * 3..(i + 1) * 3].to_vec();
-                assert_bit_identical(&c32.predict(&row32), w);
             }
         }
     }
@@ -1341,7 +798,7 @@ mod tests {
     #[test]
     fn grid_routing_matches_packed_batches_bit_for_bit() {
         // The grid plan factors the same comparisons the packed kernels
-        // make, so for every (model kind, plane, active mask) the grid
+        // make, so for every (model kind, active mask) the grid
         // answers must equal predict_batch of the equivalent packed rows.
         let d = mixed(200, 31);
         // Grid rows supply (x, c); the query supplies z.
@@ -1352,7 +809,6 @@ mod tests {
             let row = d.row(i);
             grid64.extend_from_slice(&row[..prefix]);
         }
-        let grid32: Vec<f32> = grid64.iter().map(|&x| x as f32).collect();
         let suffixes = [[-4.25f64], [0.0], [3.5], [19.0]];
         let masks = [u64::MAX >> (64 - rows), 1, 0b1010_1101, (1 << rows) - 2, 0];
         for kind in [ModelKind::Cart, ModelKind::Forest { n_trees: 5 }] {
@@ -1360,25 +816,18 @@ mod tests {
             let c = CompiledModel::compile(&m);
             let plan = c.plan_grid(&grid64, prefix).expect("trees plan");
             assert_eq!(plan.rows(), rows);
-            let c32 = CompiledModelF32::try_from_compiled(&c).expect("trees lower");
-            let plan32 = c32.plan_grid(&grid32, prefix);
             for suffix in suffixes {
                 for &mask in &masks {
                     let mask = mask & (u64::MAX >> (64 - rows));
                     let mut got = Vec::new();
                     c.predict_grid(&plan, &suffix, mask, &mut got);
                     assert_eq!(got.len(), rows);
-                    let suffix32 = [suffix[0] as f32];
-                    let mut got32 = Vec::new();
-                    c32.predict_grid(&plan32, &suffix32, mask, &mut got32);
                     for r in 0..rows {
                         if mask >> r & 1 == 0 {
                             continue;
                         }
                         let row = [grid64[r * prefix], grid64[r * prefix + 1], suffix[0]];
                         assert_bit_identical(&got[r], &c.predict(&row));
-                        let row32 = [grid32[r * prefix], grid32[r * prefix + 1], suffix32[0]];
-                        assert_bit_identical(&got32[r], &c32.predict(&row32));
                     }
                 }
             }
@@ -1396,12 +845,5 @@ mod tests {
         let forest = CompiledModel::compile(&Model::fit(&d, ModelKind::Forest { n_trees: 3 }, 1));
         let plan = forest.plan_grid(&[1.0, 0.0], 2).unwrap();
         tree.predict_grid(&plan, &[0.0], 1, &mut Vec::new());
-    }
-
-    #[test]
-    fn knn_has_no_f32_arena() {
-        let d = mixed(60, 29);
-        let c = CompiledModel::compile(&Model::fit(&d, ModelKind::Knn { k: 3 }, 1));
-        assert!(CompiledModelF32::try_from_compiled(&c).is_none());
     }
 }

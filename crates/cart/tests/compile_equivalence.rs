@@ -8,8 +8,8 @@
 
 use acic_cart::tree::Prediction;
 use acic_cart::{
-    build_tree, BuildParams, CompiledModel, CompiledModelF32, Dataset, Feature, Forest,
-    ForestParams, Knn, Model, ModelKind,
+    build_tree, BuildParams, CompiledModel, Dataset, Feature, Forest, ForestParams, Knn, Model,
+    ModelKind,
 };
 use proptest::prelude::*;
 
@@ -76,40 +76,6 @@ fn check_model(model: &Model, rows: &[Vec<f64>]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// The f32 arena's contract: for query rows whose every cell is exactly
-/// representable in `f32`, scalar and batch scoring are **bit-identical**
-/// to the interpreted oracle — same routing, and (payloads being shared
-/// `f64` arrays) the very same output bits, not merely the same rank order.
-fn check_model_f32(model: &Model, rows: &[Vec<f64>]) -> Result<(), TestCaseError> {
-    let compiled = CompiledModel::compile(model);
-    let Some(compiled32) = CompiledModelF32::try_from_compiled(&compiled) else {
-        return Ok(()); // k-NN: no f32 arena by design
-    };
-    // Project the queries onto the f32-exact grid; the oracle answers the
-    // f64 round-trip of the same values, so both planes see one query.
-    let mut flat32 = Vec::new();
-    let mut exact: Vec<Vec<f64>> = Vec::new();
-    for r in rows {
-        let r32: Vec<f32> = r.iter().map(|&x| x as f32).collect();
-        exact.push(r32.iter().map(|&x| f64::from(x)).collect());
-        flat32.extend_from_slice(&r32);
-    }
-    let mut batch = Vec::new();
-    compiled32.predict_batch(&flat32, &mut batch);
-    prop_assert_eq!(batch.len(), rows.len());
-    for ((row64, out), row_start) in exact.iter().zip(&batch).zip((0..).step_by(row64_width(rows)))
-    {
-        let oracle = model.predict(row64);
-        assert_identical(oracle, compiled32.predict(&flat32[row_start..row_start + row64.len()]))?;
-        assert_identical(oracle, *out)?;
-    }
-    Ok(())
-}
-
-fn row64_width(rows: &[Vec<f64>]) -> usize {
-    rows.first().map_or(1, Vec::len)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -164,30 +130,5 @@ proptest! {
             let model = Model::fit(&d, kind, seed);
             check_model(&model, &rows)?;
         }
-    }
-
-    /// f32 arena, single tree: bit-for-rank (and, on f32-exact queries,
-    /// bit-for-bit) against the interpreted oracle.
-    #[test]
-    fn f32_tree_matches_interpreted_on_f32_exact_queries(
-        d in mixed_dataset(),
-        rows in query_rows(),
-        overgrow in prop::bool::ANY,
-    ) {
-        let params = if overgrow { BuildParams::overgrow() } else { BuildParams::default() };
-        let tree = build_tree(&d, &params);
-        check_model_f32(&Model::Tree(tree), &rows)?;
-    }
-
-    /// f32 arena, bagged forest: the reduction replays training order over
-    /// shared f64 payloads, so agreement is exact, not approximate.
-    #[test]
-    fn f32_forest_matches_interpreted_on_f32_exact_queries(
-        d in mixed_dataset(),
-        rows in query_rows(),
-    ) {
-        let params = ForestParams { n_trees: 7, ..ForestParams::default() };
-        let forest = Forest::fit(&d, &params);
-        check_model_f32(&Model::Forest(forest), &rows)?;
     }
 }

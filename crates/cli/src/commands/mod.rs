@@ -82,15 +82,14 @@ USAGE:
   acic serve      [--db FILE | --snapshot FILE | --store DIR | --dims N]
                   [--seed N] [--workers N] [--queue N] [--batch N] [--cache N]
                   [--replay FILE] [--swap-at N] [--watch] [--report]
-                  [--engine interpreted|compiled|f32] [--no-fused] [--pin]
+                  [--engine interpreted|compiled]
         Run the concurrent recommendation service over a replay file (or
         stdin) of `<app> <procs> <goal> <k>` request lines.  Requests are
         pipelined through a sharded worker pool with result caching and
-        admission control; answers print in request order, bit-identical
-        at any --workers count, any --engine, and with or without the
-        fused cross-request scoring plane (--no-fused falls back to
-        per-request scoring; --pin pins workers to cores on Linux).
-        --swap-at N hot-swaps a freshly retrained
+        admission control; workers drain up to --batch queued requests
+        into one fused scoring sweep.  Answers print in request order,
+        bit-identical at any --workers count, any --batch size, and
+        either --engine.  --swap-at N hot-swaps a freshly retrained
         model snapshot after N submissions, while requests are in flight;
         --watch (with --snapshot) re-reads the snapshot file between
         submissions and hot-swaps whenever `acic publish` replaced it.

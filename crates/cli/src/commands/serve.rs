@@ -53,19 +53,14 @@ pub fn run(args: &Args) -> Result<(), String> {
         "db", "dims", "snapshot", "store", "seed", "workers", "queue", "batch", "cache", "replay",
         "swap-at", "watch", "report", "nodes", "trace", "trace-out", "trace-len", "trace-seed",
         "trace-pool", "replay-out", "window", "kill-node", "kill-at", "rejoin-at", "engine",
-        "no-fused", "pin",
     ])?;
-    // `--engine interpreted|compiled|f32` pins the scoring plane process-
-    // wide (the env knob is read once, before any predictor runs); the
-    // tier-1 gate replays the same trace under all three and byte-diffs.
+    // `--engine interpreted|compiled` pins the scoring plane process-wide
+    // (the env knob is read once, before any predictor runs); the tier-1
+    // gate replays the same trace under both and byte-diffs.
     if let Some(engine) = args.get("engine") {
         match engine {
-            "interpreted" | "compiled" | "f32" => std::env::set_var("ACIC_ENGINE", engine),
-            other => {
-                return Err(format!(
-                    "bad --engine {other:?}: want interpreted, compiled, or f32"
-                ))
-            }
+            "interpreted" | "compiled" => std::env::set_var("ACIC_ENGINE", engine),
+            other => return Err(format!("bad --engine {other:?}: want interpreted or compiled")),
         }
     }
     let metrics = Metrics::new();
@@ -123,8 +118,6 @@ pub fn run(args: &Args) -> Result<(), String> {
         queue_depth: args.parse_or("queue", 128)?,
         batch: args.parse_or("batch", 8)?,
         cache_capacity: args.parse_or("cache", 4096)?,
-        fused: !args.flag("no-fused"),
-        pin_workers: args.flag("pin"),
         ..Default::default()
     };
     let server = Server::from_acic(&acic, cfg, metrics.clone()).map_err(|e| e.to_string())?;
@@ -237,8 +230,6 @@ fn run_cluster(
             queue_depth: args.parse_or("queue", 128)?,
             batch: args.parse_or("batch", 8)?,
             cache_capacity: args.parse_or("cache", 4096)?,
-            fused: !args.flag("no-fused"),
-            pin_workers: args.flag("pin"),
             ..Default::default()
         },
     };

@@ -48,9 +48,6 @@ pub struct CandidateMatrix {
     /// integer compare instead of a byte-wise one on the hot path.
     notation_ranks: Vec<u32>,
     system_rows: Vec<[f64; N_SYSTEM_FEATURES]>,
-    /// The same rows narrowed to `f32` for the f32 arena engine; every
-    /// system-half encoding is f32-exact, so these are lossless images.
-    system_rows_f32: Vec<[f32; N_SYSTEM_FEATURES]>,
     /// Deployability masks keyed by `nprocs`, built on demand.  The space
     /// samples four scales (Table 1), so this stays tiny.
     validity: Mutex<BTreeMap<usize, Arc<[bool]>>>,
@@ -84,14 +81,12 @@ impl CandidateMatrix {
         }
         let system_rows: Vec<[f64; N_SYSTEM_FEATURES]> =
             configs.iter().map(encode_system_half).collect();
-        let system_rows_f32 = system_rows.iter().map(|r| r.map(|x| x as f32)).collect();
         assert!(configs.len() <= 64, "candidate universe must fit a u64 validity word");
         CandidateMatrix {
             configs,
             notations,
             notation_ranks,
             system_rows,
-            system_rows_f32,
             validity: Mutex::new(BTreeMap::new()),
             validity_bits: Mutex::new(BTreeMap::new()),
         }
@@ -118,12 +113,6 @@ impl CandidateMatrix {
     /// [`Self::configs`].
     pub fn system_rows(&self) -> &[[f64; N_SYSTEM_FEATURES]] {
         &self.system_rows
-    }
-
-    /// The f32 images of [`Self::system_rows`] (lossless — every system
-    /// encoding is f32-exact), aligned with [`Self::configs`].
-    pub fn system_rows_f32(&self) -> &[[f32; N_SYSTEM_FEATURES]] {
-        &self.system_rows_f32
     }
 
     /// Number of candidates.
@@ -241,10 +230,6 @@ mod tests {
         for (i, c) in m.configs().iter().enumerate() {
             assert_eq!(m.system_rows()[i], encode_system_half(c));
             assert_eq!(m.notation(i), c.notation());
-            for (j, &x) in m.system_rows()[i].iter().enumerate() {
-                let narrowed = m.system_rows_f32()[i][j];
-                assert_eq!(f64::from(narrowed), x, "system encoding must be f32-exact");
-            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! The CART-backed black-box predictor and top-k recommender (paper §4.2).
 //!
-//! Three scoring engines back the same API ([`EngineKind`], selected once
-//! per process via `ACIC_ENGINE=interpreted|compiled|f32`).  The
+//! Two scoring engines back the same API ([`EngineKind`], selected once
+//! per process via `ACIC_ENGINE=interpreted|compiled`).  The
 //! **interpreted** engine walks the fitted [`Model`] enum per row — it is
 //! the reference oracle, preserved verbatim as
 //! [`Predictor::rank_candidates_interpreted`].  The **compiled** engine
@@ -9,18 +9,14 @@
 //! arenas at train time and scores the whole candidate grid per query in
 //! one `predict_batch` pass over pre-encoded rows from the cached
 //! [`CandidateMatrix`] — bit-identical results, no per-candidate
-//! allocation.  The **f32** engine scores through the halved-traffic
-//! [`CompiledModelF32`] arenas; every serving feature encoding is
-//! f32-exact, so its rankings (and payload bits) are identical too, with
-//! k-NN models transparently falling back to the f64 kernel.  Tier-1
-//! byte-diffs all three planes end to end.
+//! allocation.  Tier-1 byte-diffs both engines end to end.
 //!
 //! On top of per-query ranking, [`Predictor::top_k_many`] fuses *many*
 //! queries into one candidate-major sweep — the serve worker drains its
 //! whole request batch through a single pass over the model arenas — with
 //! per-query answers bit-identical to [`Predictor::top_k`].
 //!
-//! On tree-shaped models both compiled planes route through precomputed
+//! On tree-shaped models the compiled engine routes through precomputed
 //! **candidate-grid plans** (`CompiledModel::plan_grid`, built once at
 //! train time per objective × instance type): every tree node testing a
 //! *system* feature knows, as a bitmask, which candidates go left, so one
@@ -36,49 +32,44 @@ use crate::space::{AppPoint, SystemConfig};
 use crate::training::TrainingDb;
 use acic_cart::render::render_with;
 use acic_cart::tree::Prediction;
-use acic_cart::{CompiledGrid, CompiledModel, CompiledModelF32, Model, ModelKind, Tree};
+use acic_cart::{CompiledGrid, CompiledModel, Model, ModelKind, Tree};
 use acic_cloudsim::instance::InstanceType;
 use acic_cloudsim::units::mib;
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
-/// Which scoring plane answers queries.  All three are result-identical on
-/// the serving feature space; the non-default planes exist for differential
-/// testing (tier-1 byte-diffs) and for explicit benchmarking via the
-/// `*_on` entry points.
+/// Which scoring plane answers queries.  Both are result-identical; the
+/// interpreted plane exists for differential testing (tier-1 byte-diffs)
+/// and for explicit benchmarking via the `*_on` entry points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// Walk the fitted `Model` enum per row — the reference oracle.
     Interpreted,
     /// Flat f64 SoA arenas, blocked `predict_batch` (the default).
     Compiled,
-    /// f32 SoA arenas (half the routing traffic); k-NN models fall back
-    /// to the f64 kernel (no f32 arena exists for them).
-    F32,
 }
 
 impl EngineKind {
     /// The process-wide engine, from `ACIC_ENGINE`
-    /// (`interpreted|compiled|f32`, read once; anything else or unset means
-    /// the compiled default).
+    /// (`interpreted|compiled`, read once; anything else or unset means the
+    /// compiled default).
     pub fn from_env() -> EngineKind {
         static ENGINE: OnceLock<EngineKind> = OnceLock::new();
         *ENGINE.get_or_init(|| match std::env::var("ACIC_ENGINE").as_deref() {
             Ok("interpreted") => EngineKind::Interpreted,
-            Ok("f32") => EngineKind::F32,
             _ => EngineKind::Compiled,
         })
     }
 }
 
 thread_local! {
-    /// Batched-scoring scratch: (encoded f64 rows, encoded f32 rows,
-    /// predictions, batch-row → candidate index map, packed ranking keys).
-    /// Reused across queries on the same thread, so steady-state scoring
-    /// allocates only the returned `Vec`.
+    /// Batched-scoring scratch: (encoded rows, predictions, batch-row →
+    /// candidate index map, packed ranking keys).  Reused across queries on
+    /// the same thread, so steady-state scoring allocates only the returned
+    /// `Vec`.
     #[allow(clippy::type_complexity)]
-    static SCORE_SCRATCH: RefCell<(Vec<f64>, Vec<f32>, Vec<Prediction>, Vec<u32>, Vec<u128>)> =
-        const { RefCell::new((Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new())) };
+    static SCORE_SCRATCH: RefCell<(Vec<f64>, Vec<Prediction>, Vec<u32>, Vec<u128>)> =
+        const { RefCell::new((Vec::new(), Vec::new(), Vec::new(), Vec::new())) };
 }
 
 /// A trained predictor: one regression model per objective, both
@@ -97,16 +88,11 @@ pub struct Predictor {
     model_cost: Model,
     compiled_perf: CompiledModel,
     compiled_cost: CompiledModel,
-    /// The f32 arena images (None for k-NN, which has no f32 lowering).
-    compiled_perf_f32: Option<CompiledModelF32>,
-    compiled_cost_f32: Option<CompiledModelF32>,
-    /// Candidate-grid routing plans per `[objective][instance_type]` and
-    /// plane, over the base [`CandidateMatrix`] system rows (None for
-    /// k-NN).  A query then routes the whole candidate grid in one
-    /// reachable-subtree walk instead of packing and scoring one row per
-    /// candidate.
+    /// Candidate-grid routing plans per `[objective][instance_type]`, over
+    /// the base [`CandidateMatrix`] system rows (None for k-NN).  A query
+    /// then routes the whole candidate grid in one reachable-subtree walk
+    /// instead of packing and scoring one row per candidate.
     grids: [[Option<CompiledGrid>; 2]; 2],
-    grids_f32: [[Option<CompiledGrid>; 2]; 2],
 }
 
 impl Predictor {
@@ -125,8 +111,6 @@ impl Predictor {
         let model_cost = Model::fit(&db.to_dataset(Objective::Cost), kind, seed ^ 1);
         let compiled_perf = CompiledModel::compile(&model_perf);
         let compiled_cost = CompiledModel::compile(&model_cost);
-        let compiled_perf_f32 = CompiledModelF32::try_from_compiled(&compiled_perf);
-        let compiled_cost_f32 = CompiledModelF32::try_from_compiled(&compiled_cost);
         let plan = |m: &CompiledModel| {
             InstanceType::ALL.map(|it| {
                 let matrix = CandidateMatrix::of(it);
@@ -135,26 +119,8 @@ impl Predictor {
                 m.plan_grid(&grid, N_SYSTEM_FEATURES)
             })
         };
-        let plan32 = |m: &Option<CompiledModelF32>| {
-            InstanceType::ALL.map(|it| {
-                let matrix = CandidateMatrix::of(it);
-                let grid: Vec<f32> =
-                    matrix.system_rows_f32().iter().flat_map(|r| r.iter().copied()).collect();
-                m.as_ref().map(|m32| m32.plan_grid(&grid, N_SYSTEM_FEATURES))
-            })
-        };
         let grids = [plan(&compiled_perf), plan(&compiled_cost)];
-        let grids_f32 = [plan32(&compiled_perf_f32), plan32(&compiled_cost_f32)];
-        Ok(Self {
-            model_perf,
-            model_cost,
-            compiled_perf,
-            compiled_cost,
-            compiled_perf_f32,
-            compiled_cost_f32,
-            grids,
-            grids_f32,
-        })
+        Ok(Self { model_perf, model_cost, compiled_perf, compiled_cost, grids })
     }
 
     /// The model backing an objective.
@@ -170,15 +136,6 @@ impl Predictor {
         match objective {
             Objective::Performance => &self.compiled_perf,
             Objective::Cost => &self.compiled_cost,
-        }
-    }
-
-    /// The f32 arena for an objective, if the model kind lowers to one
-    /// (trees and forests do; k-NN does not).
-    pub fn compiled_f32(&self, objective: Objective) -> Option<&CompiledModelF32> {
-        match objective {
-            Objective::Performance => self.compiled_perf_f32.as_ref(),
-            Objective::Cost => self.compiled_cost_f32.as_ref(),
         }
     }
 
@@ -204,16 +161,6 @@ impl Predictor {
         match EngineKind::from_env() {
             EngineKind::Interpreted => {
                 self.model(objective).predict(&encode(system, app)).value
-            }
-            EngineKind::F32 => {
-                let row = encode(system, app);
-                match self.compiled_f32(objective) {
-                    Some(m32) => {
-                        let row32: Vec<f32> = row.iter().map(|&x| x as f32).collect();
-                        m32.predict(&row32).value
-                    }
-                    None => self.compiled(objective).predict(&row).value,
-                }
             }
             EngineKind::Compiled => self.compiled(objective).predict(&encode(system, app)).value,
         }
@@ -245,7 +192,7 @@ impl Predictor {
                 self.rank_candidates_interpreted(app, objective, instance_type)
             }
             // Full ranking = top-k with k past the end.
-            engine => self.ranked_on(engine, app, objective, instance_type, usize::MAX),
+            EngineKind::Compiled => self.ranked(app, objective, instance_type, usize::MAX),
         }
     }
 
@@ -307,40 +254,32 @@ impl Predictor {
                 r.truncate(k);
                 r
             }
-            engine => self.ranked_on(engine, app, objective, instance_type, k),
+            EngineKind::Compiled => self.ranked(app, objective, instance_type, k),
         }
     }
 
-    /// Rank one query's deployable candidates on a compiled plane: through
-    /// the plane's candidate-grid plan (one reachable-subtree walk, no row
-    /// packing) when it has one, else through the packed
+    /// Rank one query's deployable candidates on the compiled plane:
+    /// through the candidate-grid plan (one reachable-subtree walk, no row
+    /// packing) when the model has one, else through the packed
     /// [`Self::score_deployable`] batch (k-NN).  The shared tail of
     /// [`Self::rank_candidates`] and [`Self::top_k`].
-    fn ranked_on(
+    fn ranked(
         &self,
-        engine: EngineKind,
         app: &AppPoint,
         objective: Objective,
         instance_type: InstanceType,
         k: usize,
     ) -> Vec<(SystemConfig, f64)> {
         let matrix = CandidateMatrix::of(instance_type);
-        let (plane, grid) = self.plane_with_grid(engine, objective, instance_type);
-        if let Some(grid) = grid {
+        if let Some(grid) = self.grid(objective, instance_type) {
             return SCORE_SCRATCH.with(|scratch| {
-                let (_, _, preds, _, keys) = &mut *scratch.borrow_mut();
+                let (_, preds, _, keys) = &mut *scratch.borrow_mut();
                 let active = matrix.validity_bits(app.nprocs);
-                match plane {
-                    Plane::F32(m32) => {
-                        let suffix = encode_app_half(app).map(|x| x as f32);
-                        m32.predict_grid(grid, &suffix, active, preds);
-                    }
-                    Plane::F64(m) => m.predict_grid(grid, &encode_app_half(app), active, preds),
-                }
+                self.compiled(objective).predict_grid(grid, &encode_app_half(app), active, preds);
                 select_ranked_masked(matrix, preds, active, k, keys)
             });
         }
-        self.score_deployable(engine, app, objective, matrix, |preds, order| {
+        self.score_deployable(app, objective, matrix, |preds, order| {
             select_ranked(matrix, preds, order, k)
         })
     }
@@ -388,69 +327,43 @@ impl Predictor {
                 .collect();
         }
         let matrix = CandidateMatrix::of(instance_type);
-        let (plane, grid) = self.plane_with_grid(engine, objective, instance_type);
-        if let Some(grid) = grid {
+        let model = self.compiled(objective);
+        if let Some(grid) = self.grid(objective, instance_type) {
             // Grid fast path: each query routes the whole candidate grid in
             // one reachable-subtree walk — no row packing at all.  The
             // queries still share one scratch borrow and one arena residency.
             return SCORE_SCRATCH.with(|scratch| {
-                let (_, _, preds, _, keys) = &mut *scratch.borrow_mut();
+                let (_, preds, _, keys) = &mut *scratch.borrow_mut();
                 queries
                     .iter()
                     .map(|(app, k)| {
                         let active = matrix.validity_bits(app.nprocs);
-                        match plane {
-                            Plane::F32(m32) => {
-                                let suffix = encode_app_half(app).map(|x| x as f32);
-                                m32.predict_grid(grid, &suffix, active, preds);
-                            }
-                            Plane::F64(m) => {
-                                m.predict_grid(grid, &encode_app_half(app), active, preds);
-                            }
-                        }
+                        model.predict_grid(grid, &encode_app_half(app), active, preds);
                         select_ranked_masked(matrix, preds, active, (*k).max(1), keys)
                     })
                     .collect()
             });
         }
         SCORE_SCRATCH.with(|scratch| {
-            let (rows, rows32, preds, order, _) = &mut *scratch.borrow_mut();
+            let (rows, preds, order, _) = &mut *scratch.borrow_mut();
             rows.clear();
-            rows32.clear();
             order.clear();
             // (start, len, k) of each query's segment in the fused buffer.
             let mut segments = Vec::with_capacity(queries.len());
             for (app, k) in queries {
                 let mask = matrix.validity_mask(app.nprocs);
                 let start = order.len();
-                match plane {
-                    Plane::F32(_) => {
-                        let app_half = encode_app_half(app).map(|x| x as f32);
-                        for (i, sys_row) in matrix.system_rows_f32().iter().enumerate() {
-                            if mask[i] {
-                                rows32.extend_from_slice(sys_row);
-                                rows32.extend_from_slice(&app_half);
-                                order.push(i as u32);
-                            }
-                        }
-                    }
-                    Plane::F64(_) => {
-                        let app_half = encode_app_half(app);
-                        for (i, sys_row) in matrix.system_rows().iter().enumerate() {
-                            if mask[i] {
-                                rows.extend_from_slice(sys_row);
-                                rows.extend_from_slice(&app_half);
-                                order.push(i as u32);
-                            }
-                        }
+                let app_half = encode_app_half(app);
+                for (i, sys_row) in matrix.system_rows().iter().enumerate() {
+                    if mask[i] {
+                        rows.extend_from_slice(sys_row);
+                        rows.extend_from_slice(&app_half);
+                        order.push(i as u32);
                     }
                 }
                 segments.push((start, order.len() - start, (*k).max(1)));
             }
-            match plane {
-                Plane::F32(m32) => m32.predict_batch(rows32, preds),
-                Plane::F64(m) => m.predict_batch(rows, preds),
-            }
+            model.predict_batch(rows, preds);
             segments
                 .iter()
                 .map(|&(start, len, k)| {
@@ -460,27 +373,10 @@ impl Predictor {
         })
     }
 
-    /// The batched plane answering for `engine` — the f32 arena when asked
-    /// for and available, otherwise the f64 arena (k-NN under
-    /// `ACIC_ENGINE=f32` falls back here).
-    fn plane(&self, engine: EngineKind, objective: Objective) -> Plane<'_> {
-        if engine == EngineKind::F32 {
-            if let Some(m32) = self.compiled_f32(objective) {
-                return Plane::F32(m32);
-            }
-        }
-        Plane::F64(self.compiled(objective))
-    }
-
-    /// [`Self::plane`] plus that plane's candidate-grid plan for
-    /// `instance_type` (None for k-NN — no tree to plan over — in which
-    /// case callers fall back to the packed row path).
-    fn plane_with_grid(
-        &self,
-        engine: EngineKind,
-        objective: Objective,
-        instance_type: InstanceType,
-    ) -> (Plane<'_>, Option<&CompiledGrid>) {
+    /// The candidate-grid plan for `objective` on `instance_type` (None for
+    /// k-NN — no tree to plan over — in which case callers fall back to
+    /// the packed row path).
+    fn grid(&self, objective: Objective, instance_type: InstanceType) -> Option<&CompiledGrid> {
         let oi = match objective {
             Objective::Performance => 0,
             Objective::Cost => 1,
@@ -489,12 +385,7 @@ impl Predictor {
             InstanceType::Cc1_4xlarge => 0,
             InstanceType::Cc2_8xlarge => 1,
         };
-        if engine == EngineKind::F32 {
-            if let Some(m32) = self.compiled_f32(objective) {
-                return (Plane::F32(m32), self.grids_f32[oi][ii].as_ref());
-            }
-        }
-        (Plane::F64(self.compiled(objective)), self.grids[oi][ii].as_ref())
+        self.grids[oi][ii].as_ref()
     }
 
     /// Score every deployable candidate of `matrix` for `app` in one
@@ -502,43 +393,25 @@ impl Predictor {
     /// to `finish`.  All intermediate buffers are thread-local scratch.
     fn score_deployable<R>(
         &self,
-        engine: EngineKind,
         app: &AppPoint,
         objective: Objective,
         matrix: &CandidateMatrix,
         finish: impl FnOnce(&[Prediction], &[u32]) -> R,
     ) -> R {
         let mask = matrix.validity_mask(app.nprocs);
-        let plane = self.plane(engine, objective);
         SCORE_SCRATCH.with(|scratch| {
-            let (rows, rows32, preds, order, _) = &mut *scratch.borrow_mut();
+            let (rows, preds, order, _) = &mut *scratch.borrow_mut();
+            rows.clear();
             order.clear();
-            match plane {
-                Plane::F32(m32) => {
-                    rows32.clear();
-                    let app_half = encode_app_half(app).map(|x| x as f32);
-                    for (i, sys_row) in matrix.system_rows_f32().iter().enumerate() {
-                        if mask[i] {
-                            rows32.extend_from_slice(sys_row);
-                            rows32.extend_from_slice(&app_half);
-                            order.push(i as u32);
-                        }
-                    }
-                    m32.predict_batch(rows32, preds);
-                }
-                Plane::F64(m) => {
-                    rows.clear();
-                    let app_half = encode_app_half(app);
-                    for (i, sys_row) in matrix.system_rows().iter().enumerate() {
-                        if mask[i] {
-                            rows.extend_from_slice(sys_row);
-                            rows.extend_from_slice(&app_half);
-                            order.push(i as u32);
-                        }
-                    }
-                    m.predict_batch(rows, preds);
+            let app_half = encode_app_half(app);
+            for (i, sys_row) in matrix.system_rows().iter().enumerate() {
+                if mask[i] {
+                    rows.extend_from_slice(sys_row);
+                    rows.extend_from_slice(&app_half);
+                    order.push(i as u32);
                 }
             }
+            self.compiled(objective).predict_batch(rows, preds);
             finish(preds, order)
         })
     }
@@ -567,12 +440,6 @@ impl Predictor {
             }
         })
     }
-}
-
-/// A borrowed batched scoring plane (see [`Predictor::plane`]).
-enum Plane<'a> {
-    F64(&'a CompiledModel),
-    F32(&'a CompiledModelF32),
 }
 
 /// Select and sort the top `k` of one scored segment — the shared tail of
@@ -875,7 +742,7 @@ mod tests {
         for kind in [
             acic_cart::ModelKind::Cart,
             acic_cart::ModelKind::Forest { n_trees: 7 },
-            acic_cart::ModelKind::Knn { k: 5 }, // f32 engine must fall back
+            acic_cart::ModelKind::Knn { k: 5 },
         ] {
             let p = Predictor::train_with(&db, 3, kind).unwrap();
             for objective in [Objective::Performance, Objective::Cost] {
@@ -894,9 +761,7 @@ mod tests {
                             r
                         })
                         .collect();
-                    for engine in
-                        [EngineKind::Interpreted, EngineKind::Compiled, EngineKind::F32]
-                    {
+                    for engine in [EngineKind::Interpreted, EngineKind::Compiled] {
                         let got = p.top_k_many_on(engine, &queries, objective, it);
                         assert_eq!(got.len(), oracle.len());
                         for (qi, (g, o)) in got.iter().zip(&oracle).enumerate() {
@@ -915,16 +780,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn f32_arena_exists_exactly_for_tree_backed_models() {
-        let db = small_db();
-        let p = Predictor::train(&db, 1).unwrap();
-        assert!(p.compiled_f32(Objective::Performance).is_some());
-        assert!(p.compiled_f32(Objective::Cost).is_some());
-        let p = Predictor::train_with(&db, 1, acic_cart::ModelKind::Knn { k: 3 }).unwrap();
-        assert!(p.compiled_f32(Objective::Performance).is_none());
     }
 
     #[test]

@@ -3,14 +3,15 @@
 //! (kill → rejoin) equivalence, replication verification, and global shed
 //! accounting.
 
-use acic::{AcicError, Metrics, PublishedSnapshot, Trainer};
+use acic::{AcicError, Metrics, Predictor, PublishedSnapshot, Trainer};
 use acic_cart::ModelKind;
 use acic_cloudsim::instance::InstanceType;
-use acic_serve::cluster::harness::{replay, KillPlan, ReplayOptions, Trace};
+use acic_serve::cluster::harness::{render_payload, replay, KillPlan, ReplayOptions, Trace};
 use acic_serve::cluster::{Cluster, ClusterConfig, ClusterError, NodeId, Ring};
-use acic_serve::{Request, ServeConfig};
+use acic_serve::{Request, Response, ServeConfig, SnapshotStore};
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The shared model artifact: a small deterministic training campaign
@@ -234,28 +235,52 @@ fn replay_is_bit_identical_across_one_two_and_four_nodes() {
     assert_eq!(digests[0], digests[2], "1-node vs 4-node");
 }
 
-/// Tentpole: the fused cross-request plane is a batching strategy, not a
-/// semantic.  Replaying the same trace (with a mid-replay generation
-/// turnover) with fused scoring on and off produces bit-identical digests
-/// at every cluster size.
+/// The fused drain is a batching strategy, not a semantic.  Replaying the
+/// same trace (with a mid-replay generation turnover) at batch 1 (one job
+/// per drain) and at batch 16 produces identical payloads and per-node
+/// cache accounting at every cluster size, and every payload is the
+/// snapshot's direct answer.
 #[test]
-fn fused_and_sequential_replays_are_bit_identical_across_node_counts() {
+fn batch_1_and_batch_16_replays_are_bit_identical_across_node_counts() {
     let len = 400;
     let trace = Trace::with_pool(91, len, 64);
-    let opts = ReplayOptions { republish_at: Some(len / 2), ..Default::default() };
+    let opts = ReplayOptions {
+        republish_at: Some(len / 2),
+        collect_responses: true,
+        ..Default::default()
+    };
+    let art = artifact();
+    let db = art.to_training_db();
+    let predictor = Predictor::train_with(&db, art.seed, art.model).unwrap();
+    let oracle = SnapshotStore::new(predictor, InstanceType::Cc2_8xlarge, db.len()).load();
     for nodes in [1usize, 2, 4] {
-        let mut digests = Vec::new();
-        for fused in [true, false] {
-            let node = ServeConfig { batch: 16, fused, ..Default::default() };
+        let mut runs = Vec::new();
+        for batch in [1usize, 16] {
+            let node = ServeConfig { batch, ..Default::default() };
             let mut c =
-                Cluster::start(artifact(), ClusterConfig { nodes, node }, Metrics::new()).unwrap();
+                Cluster::start(art.clone(), ClusterConfig { nodes, node }, Metrics::new()).unwrap();
             let out = replay(&mut c, len, |i| trace.request(i), &opts).unwrap();
-            assert_eq!(out.answered, len, "{nodes} nodes fused={fused}");
-            assert!(out.shed.is_empty(), "{nodes} nodes fused={fused}");
-            digests.push(out.digest);
+            assert_eq!(out.answered, len, "{nodes} nodes batch {batch}");
+            assert!(out.shed.is_empty(), "{nodes} nodes batch {batch}");
+            let cache: Vec<(u64, u64)> = c
+                .ring()
+                .members()
+                .iter()
+                .map(|&n| {
+                    let (hits, misses, _) = c.node_cache_stats(n).unwrap();
+                    (hits, misses)
+                })
+                .collect();
+            runs.push((out.digest, out.responses, cache));
             c.shutdown();
         }
-        assert_eq!(digests[0], digests[1], "{nodes} nodes: fused vs per-request digests diverged");
+        assert_eq!(runs[0], runs[1], "{nodes} nodes: batch 1 vs batch 16 diverged");
+        for (i, payload) in &runs[0].1 {
+            let key = trace.request(*i).key(InstanceType::Cc2_8xlarge);
+            let direct =
+                Response { top: Arc::new(oracle.answer(&key)), snapshot_version: 0, cache_hit: false };
+            assert_eq!(*payload, render_payload(&direct), "{nodes} nodes request {i}");
+        }
     }
 }
 

@@ -175,7 +175,6 @@ fn fused_batch_spanning_a_publish_answers_each_request_from_its_admitted_generat
         workers: 1,
         batch: 8,
         service_stall: Duration::from_millis(25),
-        fused: true,
         ..Default::default()
     };
     let server = Server::start(p1.clone(), 0, cfg, Metrics::new()).unwrap();
