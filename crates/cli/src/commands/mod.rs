@@ -26,8 +26,7 @@ USAGE:
   acic train      [--dims N] [--seed N] [--out FILE] [--ranking paper|screen]
                   [--faults none|paper-rate|PROB[,PENALTY[,ABORT]]]
                   [--retries N] [--resume JOURNAL] [--report] [--allow-skips]
-                  [--store DIR [--compact]] [--sim-engine event|reference]
-                  [--commit-batch N]
+                  [--store DIR [--compact]] [--commit-batch N]
                   [--search pb|random|bandit|halving [--budget N] [--batch N]
                    [--plateau N] [--goal perf|cost] [--warm-start DIR]
                    [--plan-out FILE]]
@@ -74,10 +73,7 @@ USAGE:
         PB-guided greedy space walk (no training database needed).
 
   acic sweep      --app NAME --procs N [--goal perf|cost] [--seed N] [--report]
-                  [--sim-engine event|reference]
         Exhaustively measure every candidate configuration (ground truth).
-        --sim-engine (or the ACIC_SIM env var) selects the event-driven
-        simulator core or the progressive-filling reference oracle.
 
   acic serve      [--db FILE | --snapshot FILE | --store DIR | --dims N]
                   [--seed N] [--workers N] [--queue N] [--batch N] [--cache N]
@@ -110,25 +106,6 @@ USAGE:
 
 Applications: btio, flashio, mpiblast, madbench2 (paper configurations).
 ";
-
-/// Parse `--sim-engine event|reference` and install the process-wide
-/// simulator-core override.  The `ACIC_SIM` environment variable covers
-/// the same choice without a flag; the explicit flag wins.
-pub fn apply_sim_engine(args: &Args) -> Result<(), String> {
-    use acic_cloudsim::{set_engine_override, SimEngine};
-    match args.get("sim-engine") {
-        None => Ok(()),
-        Some("event") => {
-            set_engine_override(Some(SimEngine::Event));
-            Ok(())
-        }
-        Some("reference") | Some("oracle") => {
-            set_engine_override(Some(SimEngine::Reference));
-            Ok(())
-        }
-        Some(other) => Err(format!("invalid --sim-engine {other:?} (event or reference)")),
-    }
-}
 
 /// Parse one goal word (`perf`/`cost` and their aliases).
 pub fn parse_goal(word: &str) -> Result<Objective, String> {

@@ -8,8 +8,7 @@ use acic::{Metrics, Objective};
 use acic_cloudsim::instance::InstanceType;
 
 pub fn run(args: &Args) -> Result<(), String> {
-    args.reject_unknown(&["app", "procs", "goal", "seed", "report", "sim-engine"])?;
-    crate::commands::apply_sim_engine(args)?;
+    args.reject_unknown(&["app", "procs", "goal", "seed", "report"])?;
     let app_name = args.get("app").ok_or("--app is required")?;
     let procs: usize = args.parse_or("procs", 64)?;
     let seed: u64 = args.parse_or("seed", 20131117)?;

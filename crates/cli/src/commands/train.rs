@@ -23,7 +23,6 @@ pub fn run(args: &Args) -> Result<(), String> {
         "allow-skips",
         "store",
         "compact",
-        "sim-engine",
         "search",
         "budget",
         "batch",
@@ -33,7 +32,6 @@ pub fn run(args: &Args) -> Result<(), String> {
         "plan-out",
         "commit-batch",
     ])?;
-    crate::commands::apply_sim_engine(args)?;
     if args.flag("compact") && args.get("store").is_none() {
         return Err("--compact requires --store".into());
     }

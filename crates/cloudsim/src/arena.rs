@@ -1,12 +1,12 @@
 //! Reusable per-run simulation state.
 //!
 //! A [`SimArena`] owns every vector a simulation run needs — construction
-//! pools (resource/flow storage, recycled name `String`s and path `Vec`s),
-//! engine scratch for both cores, and the run outputs (finish times,
-//! served bytes).  Campaign loops keep one arena per worker thread and
-//! cycle it through build → run → reclaim, so a full training sweep does
-//! zero steady-state allocation: after the first point warms the pools,
-//! every subsequent point reuses the same heap blocks.
+//! pools (resource/flow storage and recycled path `Vec`s), engine scratch,
+//! and the run outputs (finish times, served bytes).  Campaign loops keep
+//! one arena per worker thread and cycle it through build → run →
+//! reclaim, so a full training sweep does zero steady-state allocation:
+//! after the first point warms the pools, every subsequent point reuses
+//! the same heap blocks.
 //!
 //! The module-level [`stats`] counters make that property observable
 //! (`train --report` surfaces them): `runs` counts engine invocations,
@@ -17,10 +17,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::engine::Simulation;
-use crate::events::{Activation, Group};
 use crate::flow::FlowSpec;
 use crate::resource::{Resource, ResourceId};
-use crate::sharing::ClassState;
+use crate::sharing::Fill;
 
 static RUNS: AtomicU64 = AtomicU64::new(0);
 static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
@@ -32,7 +31,7 @@ pub(crate) fn count_run() {
 /// Process-wide arena counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Total simulation runs (both engines, pooled or not).
+    /// Total simulation runs (pooled or not).
     pub runs: u64,
     /// Allocations forced by an empty pool in a pooled simulation; flat in
     /// steady state.
@@ -53,27 +52,15 @@ pub struct SimArena {
     // Construction pools handed to pooled simulations.
     pub(crate) resources: Vec<Resource>,
     pub(crate) flows: Vec<FlowSpec>,
-    pub(crate) names: Vec<String>,
     pub(crate) paths: Vec<Vec<ResourceId>>,
     // Run outputs.
     pub(crate) finish: Vec<f64>,
     pub(crate) served: Vec<f64>,
-    // Reference-engine scratch.
+    // Event-loop scratch.
     pub(crate) pending: Vec<usize>,
     pub(crate) active: Vec<usize>,
     pub(crate) remaining: Vec<f64>,
-    pub(crate) rates: Vec<f64>,
-    pub(crate) frozen: Vec<bool>,
-    pub(crate) unfrozen_count: Vec<usize>,
-    pub(crate) res_remaining: Vec<f64>,
-    // Event-engine scratch.
-    pub(crate) order: Vec<usize>,
-    pub(crate) groups: Vec<Group>,
-    pub(crate) classes: Vec<ClassState>,
-    pub(crate) class_order: Vec<usize>,
-    pub(crate) active_groups: Vec<usize>,
-    pub(crate) active_classes: Vec<usize>,
-    pub(crate) heap: Vec<Activation>,
+    pub(crate) fill: Fill,
     // Pool misses reclaimed from simulations built out of this arena.
     misses: u64,
 }
@@ -86,8 +73,8 @@ impl SimArena {
 
     /// Hand out an empty pooled simulation backed by this arena's vectors.
     ///
-    /// The simulation skips label recording (campaign runs never read
-    /// labels, and formatting them would allocate); use
+    /// The simulation records no flow labels or resource names (campaign
+    /// runs never read them, and formatting them would allocate); use
     /// [`Simulation::new`] when labels matter.  Pass the simulation back
     /// via [`Self::reclaim`] when done — dropping it instead leaks the
     /// pooled storage back to the allocator.
@@ -95,17 +82,15 @@ impl SimArena {
         Simulation::pooled(
             std::mem::take(&mut self.resources),
             std::mem::take(&mut self.flows),
-            std::mem::take(&mut self.names),
             std::mem::take(&mut self.paths),
         )
     }
 
     /// Take a finished (or failed) simulation's storage back into the pools.
     pub fn reclaim(&mut self, sim: Simulation) {
-        let (resources, flows, names, paths, misses) = sim.into_pools();
+        let (resources, flows, paths, misses) = sim.into_pools();
         self.resources = resources;
         self.flows = flows;
-        self.names = names;
         self.paths = paths;
         self.misses += misses;
         if misses > 0 {
@@ -148,12 +133,12 @@ mod tests {
             sim.push_flow(500.0, &[a]);
             let stats = sim.run_makespan_in(&mut arena).unwrap();
             assert!(stats.makespan > 0.0);
+            assert!(sim.resources.iter().all(|r| r.name.is_empty()), "pooled names formatted");
             arena.reclaim(sim);
-            // Cold start (cycle 0) allocates 2 names + 2 paths; steady
-            // state reuses them, so the miss count never moves again.
-            assert_eq!(arena.pool_misses(), 4, "cycle {cycle} allocated");
+            // Cold start (cycle 0) allocates 2 paths; steady state reuses
+            // them, so the miss count never moves again.
+            assert_eq!(arena.pool_misses(), 2, "cycle {cycle} allocated");
         }
-        assert_eq!(arena.names.len(), 2);
         assert_eq!(arena.paths.len(), 2);
     }
 

@@ -11,93 +11,30 @@
 //! than packet simulation, which is what lets the ACIC harness exhaustively
 //! sweep hundreds of configurations per figure.
 //!
-//! Two engines implement that model:
-//!
-//! * [`SimEngine::Event`] (default) — the event-driven core in
-//!   [`crate::events`]: a binary-heap activation queue over groups of
-//!   identical flows with class-level fair sharing.  Per-event cost is
-//!   independent of the raw flow count.
-//! * [`SimEngine::Reference`] — the original per-flow progressive-filling
-//!   loop, kept verbatim as the oracle the event core is gated against
-//!   (bit-identical finish times and makespan; served bytes ≤1e-9
-//!   relative).  Select it end-to-end with `ACIC_SIM=reference`.
+//! One core runs every simulation: the per-flow event loop below, whose
+//! fill step freezes flows through a per-resource index of the run's flows
+//! ([`crate::sharing`]).  The original loop is kept verbatim as the oracle
+//! in `crate::oracle` (tests, and the `oracle` cargo feature); the two
+//! agree bit for bit on finish times, makespans, event counts and served
+//! bytes.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::arena::SimArena;
 use crate::error::CloudSimError;
 use crate::flow::{FlowId, FlowSpec};
 use crate::resource::{Resource, ResourceId};
-use crate::sharing::{self, EPS};
-
-/// Which simulator core executes a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimEngine {
-    /// Event-driven core: grouped flows, class-level filling, activation
-    /// heap (the fast path and the default).
-    Event,
-    /// The original per-flow progressive-filling loop, kept as the oracle.
-    Reference,
-}
-
-/// Process-wide engine override; takes precedence over `ACIC_SIM` but not
-/// over a per-simulation [`Simulation::set_engine`] choice.
-/// 0 = none, 1 = event, 2 = reference.
-static ENGINE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Force every simulation in this process onto one engine (or clear the
-/// override with `None`).  Used by campaign tooling and tests that need to
-/// flip engines without re-spawning or racing on the environment.
-pub fn set_engine_override(engine: Option<SimEngine>) {
-    let v = match engine {
-        None => 0,
-        Some(SimEngine::Event) => 1,
-        Some(SimEngine::Reference) => 2,
-    };
-    ENGINE_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-impl SimEngine {
-    /// Engine selected by the `ACIC_SIM` environment variable:
-    /// `reference` / `oracle` (case-insensitive) pick the oracle; anything
-    /// else, or unset, the event core.
-    pub fn from_env() -> SimEngine {
-        match std::env::var("ACIC_SIM") {
-            Ok(v) if v.eq_ignore_ascii_case("reference") || v.eq_ignore_ascii_case("oracle") => {
-                SimEngine::Reference
-            }
-            _ => SimEngine::Event,
-        }
-    }
-}
-
-/// Resolve the engine for one run: per-simulation choice, then process
-/// override, then environment.
-fn resolve_engine(pref: Option<SimEngine>) -> SimEngine {
-    if let Some(e) = pref {
-        return e;
-    }
-    match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => SimEngine::Event,
-        2 => SimEngine::Reference,
-        _ => SimEngine::from_env(),
-    }
-}
+use crate::sharing::EPS;
 
 /// A simulation under construction: resources plus flow specs.
 #[derive(Debug)]
 pub struct Simulation {
     pub(crate) resources: Vec<Resource>,
     pub(crate) flows: Vec<FlowSpec>,
-    /// Per-simulation engine choice; `None` defers to the process override
-    /// and then `ACIC_SIM`.
-    engine: Option<SimEngine>,
-    /// Whether [`Self::label_flow`] materialises labels; pooled campaign
-    /// simulations skip them to stay allocation-free.
-    record_labels: bool,
-    /// Recycled name/label strings (pooled mode).
-    name_pool: Vec<String>,
+    /// Whether [`Self::label_flow`] materialises labels and
+    /// [`Self::add_resource_fmt`] formats names; pooled campaign
+    /// simulations skip both, since nothing reads them.
+    record_names: bool,
     /// Recycled path vectors (pooled mode).
     path_pool: Vec<Vec<ResourceId>>,
     /// Allocations forced by an empty pool; harvested by
@@ -110,9 +47,7 @@ impl Default for Simulation {
         Simulation {
             resources: Vec::new(),
             flows: Vec::new(),
-            engine: None,
-            record_labels: true,
-            name_pool: Vec::new(),
+            record_names: true,
             path_pool: Vec::new(),
             misses: 0,
         }
@@ -125,10 +60,7 @@ impl Default for Simulation {
 pub struct RunStats {
     /// Completion time of the last flow (0.0 for an empty run).
     pub makespan: f64,
-    /// Number of rate-recomputation epochs the engine stepped through;
-    /// identical across engines for the same workload (the trajectory is
-    /// bit-identical), so `events / elapsed` compares engine throughput on
-    /// equal footing.
+    /// Number of rate-recomputation epochs the engine stepped through.
     pub events: u64,
 }
 
@@ -179,57 +111,27 @@ impl Simulation {
     }
 
     /// An empty simulation backed by recycled storage (see
-    /// [`SimArena::simulation`]); skips label recording.
+    /// [`SimArena::simulation`]); records no names or labels.
     pub(crate) fn pooled(
         resources: Vec<Resource>,
         flows: Vec<FlowSpec>,
-        name_pool: Vec<String>,
         path_pool: Vec<Vec<ResourceId>>,
     ) -> Self {
         debug_assert!(resources.is_empty() && flows.is_empty());
-        Simulation {
-            resources,
-            flows,
-            engine: None,
-            record_labels: false,
-            name_pool,
-            path_pool,
-            misses: 0,
-        }
+        Simulation { resources, flows, record_names: false, path_pool, misses: 0 }
     }
 
-    /// Dismantle the simulation into its pools, recycling every name,
-    /// label, and path allocation.
+    /// Dismantle the simulation into its pools, recycling every path.
     pub(crate) fn into_pools(
         mut self,
-    ) -> (Vec<Resource>, Vec<FlowSpec>, Vec<String>, Vec<Vec<ResourceId>>, u64) {
-        for r in self.resources.drain(..) {
-            let mut name = r.name;
-            name.clear();
-            self.name_pool.push(name);
-        }
+    ) -> (Vec<Resource>, Vec<FlowSpec>, Vec<Vec<ResourceId>>, u64) {
+        self.resources.clear();
         for f in self.flows.drain(..) {
             let mut path = f.path;
             path.clear();
             self.path_pool.push(path);
-            if let Some(mut label) = f.label {
-                label.clear();
-                self.name_pool.push(label);
-            }
         }
-        (self.resources, self.flows, self.name_pool, self.path_pool, self.misses)
-    }
-
-    /// Pin this simulation to one engine (`None` restores the default
-    /// resolution: process override, then `ACIC_SIM`, then the event core).
-    pub fn set_engine(&mut self, engine: Option<SimEngine>) {
-        self.engine = engine;
-    }
-
-    /// Builder form of [`Self::set_engine`].
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.engine = Some(engine);
-        self
+        (self.resources, self.flows, self.path_pool, self.misses)
     }
 
     /// Add a resource with the given capacity (bytes/second).
@@ -244,16 +146,11 @@ impl Simulation {
         ResourceId(self.resources.len() - 1)
     }
 
-    /// Like [`Self::add_resource`] but formats the name into a recycled
-    /// string, so pooled campaign runs never allocate for names.
+    /// Like [`Self::add_resource`] but formats the name only when this
+    /// simulation records names; pooled campaign runs leave it empty, so
+    /// they neither format nor allocate.
     pub fn add_resource_fmt(&mut self, args: fmt::Arguments<'_>, capacity: f64) -> ResourceId {
-        use fmt::Write as _;
-        let mut name = self.name_pool.pop().unwrap_or_else(|| {
-            self.misses += 1;
-            String::new()
-        });
-        name.clear();
-        name.write_fmt(args).expect("writing to a String cannot fail");
+        let name = if self.record_names { fmt::format(args) } else { String::new() };
         let r = Resource::new(name, capacity).expect("invalid resource capacity");
         self.resources.push(r);
         ResourceId(self.resources.len() - 1)
@@ -298,7 +195,7 @@ impl Simulation {
     /// simulation records labels; pooled campaign runs skip the formatting
     /// (and its allocation) entirely.
     pub fn label_flow(&mut self, f: FlowId, label: impl FnOnce() -> String) {
-        if self.record_labels {
+        if self.record_names {
             self.flows[f.0].label = Some(label());
         }
     }
@@ -314,7 +211,7 @@ impl Simulation {
     }
 
     /// Validate all flows against the declared resources.
-    fn validate(&self) -> Result<(), CloudSimError> {
+    pub(crate) fn validate(&self) -> Result<(), CloudSimError> {
         for (i, f) in self.flows.iter().enumerate() {
             if !(f.bytes.is_finite() && f.bytes > 0.0) {
                 return Err(CloudSimError::InvalidFlowSize { bytes: f.bytes });
@@ -360,37 +257,30 @@ impl Simulation {
     /// [`SimArena::finish`] / [`SimArena::served`]).
     ///
     /// Taking `&self` lets campaigns and benchmarks re-run one topology
-    /// many times — under different engines — without rebuilding it.
+    /// many times without rebuilding it.
     pub fn run_makespan_in(&self, arena: &mut SimArena) -> Result<RunStats, CloudSimError> {
         self.validate()?;
         crate::arena::count_run();
-        match resolve_engine(self.engine) {
-            SimEngine::Event => crate::events::run_event(self, arena),
-            SimEngine::Reference => run_reference(self, arena),
+        #[cfg(feature = "oracle")]
+        if let Some(stats) = crate::oracle::run_overridden(self, arena) {
+            return stats;
         }
+        run_events(self, arena)
     }
 }
 
-/// The oracle: per-flow progressive filling advanced event by event.  This
-/// is the original engine loop, unchanged except that its state lives in
-/// the arena; the event core in [`crate::events`] is gated against it.
-fn run_reference(sim: &Simulation, arena: &mut SimArena) -> Result<RunStats, CloudSimError> {
+/// Progressive filling advanced event by event: activate the flows that
+/// are due, fill rates, jump to the next completion or activation, drain,
+/// retire.  Flows must already be validated.
+pub(crate) fn run_events(
+    sim: &Simulation,
+    arena: &mut SimArena,
+) -> Result<RunStats, CloudSimError> {
     let flows = &sim.flows;
     let resources = &sim.resources;
     let n = flows.len();
 
-    let SimArena {
-        finish,
-        served,
-        pending,
-        active,
-        remaining,
-        rates,
-        frozen,
-        unfrozen_count,
-        res_remaining,
-        ..
-    } = arena;
+    let SimArena { finish, served, pending, active, remaining, fill, .. } = arena;
 
     finish.clear();
     finish.resize(n, f64::INFINITY);
@@ -405,16 +295,7 @@ fn run_reference(sim: &Simulation, arena: &mut SimArena) -> Result<RunStats, Clo
     pending.extend(0..n);
     pending.sort_by(|&a, &b| flows[b].activation_time().total_cmp(&flows[a].activation_time()));
     active.clear();
-
-    // Scratch buffers reused across events (hot loop).
-    rates.clear();
-    rates.resize(n, 0.0);
-    frozen.clear();
-    frozen.resize(n, false);
-    unfrozen_count.clear();
-    unfrozen_count.resize(resources.len(), 0);
-    res_remaining.clear();
-    res_remaining.resize(resources.len(), 0.0);
+    fill.reset(flows, resources.len());
 
     let mut t = 0.0f64;
     let mut makespan = 0.0f64;
@@ -444,15 +325,8 @@ fn run_reference(sim: &Simulation, arena: &mut SimArena) -> Result<RunStats, Clo
 
         events += 1;
 
-        sharing::max_min_flow_rates(
-            resources,
-            flows,
-            active,
-            rates,
-            frozen,
-            unfrozen_count,
-            res_remaining,
-        );
+        fill.rates(resources, active);
+        let rates = &fill.rates;
 
         // Time to the next completion among active flows.
         let mut dt_complete = f64::INFINITY;
@@ -471,18 +345,15 @@ fn run_reference(sim: &Simulation, arena: &mut SimArena) -> Result<RunStats, Clo
         }
         let dt = dt.max(0.0);
 
-        // Advance: drain bytes and account served volume per resource.
-        for &i in active.iter() {
+        // Advance in one pass over the active flows, in order: drain bytes,
+        // account served volume per resource, retire completed flows.
+        t += dt;
+        active.retain(|&i| {
             let moved = rates[i] * dt;
             remaining[i] -= moved;
-            for r in &flows[i].path {
-                served[r.0] += moved;
+            for &r in fill.path(i) {
+                served[r] += moved;
             }
-        }
-        t += dt;
-
-        // Retire completed flows.
-        active.retain(|&i| {
             if remaining[i] <= EPS * flows[i].bytes.max(1.0) {
                 finish[i] = t;
                 makespan = makespan.max(t);
@@ -689,35 +560,21 @@ mod tests {
         }
     }
 
-    /// Build one topology under both engines and demand a bit-identical
-    /// trajectory: finish times, makespan, event count.
+    /// Build one topology and demand that the production core and the
+    /// oracle agree bit for bit: finish times, makespan, event count, and
+    /// served bytes.
     fn assert_engines_agree(build: impl Fn(&mut Simulation)) {
-        let mut reference = Simulation::new().with_engine(SimEngine::Reference);
-        build(&mut reference);
-        let mut event = Simulation::new().with_engine(SimEngine::Event);
-        build(&mut event);
-        let n = reference.flow_count();
-        let nr = reference.resource_count();
-        let ref_rep = reference.run().unwrap();
-        let evt_rep = event.run().unwrap();
-        assert_eq!(ref_rep.makespan().to_bits(), evt_rep.makespan().to_bits());
-        assert_eq!(ref_rep.events(), evt_rep.events());
-        for i in 0..n {
-            let f = FlowId(i);
-            assert_eq!(
-                ref_rep.finish_time(f).map(f64::to_bits),
-                evt_rep.finish_time(f).map(f64::to_bits),
-                "flow {i} finish times diverge"
-            );
-        }
-        for r in 0..nr {
-            let a = ref_rep.resource_served(ResourceId(r));
-            let b = evt_rep.resource_served(ResourceId(r));
-            assert!(
-                (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                "resource {r} served bytes diverge: {a} vs {b}"
-            );
-        }
+        let mut sim = Simulation::new();
+        build(&mut sim);
+        let mut arena = SimArena::new();
+        let oracle = sim.run_oracle_in(&mut arena).unwrap();
+        let (finish, served) = (arena.finish().to_vec(), arena.served().to_vec());
+        let production = sim.run_makespan_in(&mut arena).unwrap();
+        assert_eq!(oracle.makespan.to_bits(), production.makespan.to_bits());
+        assert_eq!(oracle.events, production.events);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&finish), bits(arena.finish()), "finish times diverge");
+        assert_eq!(bits(&served), bits(arena.served()), "served bytes diverge");
     }
 
     #[test]
@@ -764,11 +621,9 @@ mod tests {
     }
 
     #[test]
-    fn event_engine_groups_identical_flows() {
-        // 64 clones + 1 straggler: the event core should step through the
-        // exact trajectory of the reference engine while holding only two
-        // groups internally.  The observable check is the bit-identical
-        // report; the grouping itself is covered by the event count.
+    fn engines_agree_on_identical_flow_populations() {
+        // 64 clones + 1 straggler: many flows freeze at one level through
+        // one resource's index slice.
         assert_engines_agree(|sim| {
             let r = sim.add_resource("link", 1000.0);
             for _ in 0..64 {
@@ -779,13 +634,16 @@ mod tests {
     }
 
     #[test]
-    fn engine_override_controls_resolution() {
-        set_engine_override(Some(SimEngine::Reference));
-        // A per-simulation choice still wins over the override.
-        let mut sim = Simulation::new().with_engine(SimEngine::Event);
-        let r = sim.add_resource("link", 100.0);
-        sim.add_flow(FlowSpec::new(100.0).through(r));
-        assert!(sim.run().is_ok());
-        set_engine_override(None);
+    fn engines_agree_when_a_path_repeats_a_resource() {
+        // The index lists such a flow once per repeat, and the fill counts
+        // it once per repeat against the resource.
+        assert_engines_agree(|sim| {
+            let a = sim.add_resource("a", 90.0);
+            let b = sim.add_resource("b", 40.0);
+            sim.add_flow(FlowSpec::new(120.0).through(a).through(a));
+            sim.add_flow(FlowSpec::new(60.0).through(a).through(b).through(a));
+            sim.add_flow(FlowSpec::new(30.0).through(b).through(b).released_at(0.5));
+            sim.add_flow(FlowSpec::new(75.0).through(a));
+        });
     }
 }

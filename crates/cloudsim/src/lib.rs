@@ -21,11 +21,10 @@
 //!   instance plus an intra-instance memory bus for loopback traffic.
 //! * **Flows** ([`flow`], [`engine`]): data transfers that traverse a path
 //!   of capacity-limited resources.  Concurrent flows share resources with
-//!   *max-min fairness* (progressive filling), and the engine advances time
-//!   from one flow completion/activation to the next.  Two cores implement
-//!   the model: the default event-driven core ([`events`], [`sharing`]) and
-//!   the reference per-flow oracle it is gated bit-identically against
-//!   (`ACIC_SIM=reference`); per-run state lives in a reusable
+//!   *max-min fairness* (progressive filling, [`sharing`]), and the engine
+//!   advances time from one flow completion/activation to the next.  Tests
+//!   gate it bit for bit against the original loop, kept as the oracle in
+//!   `oracle` (cargo feature `oracle`); per-run state lives in a reusable
 //!   [`arena::SimArena`] so campaign sweeps allocate nothing in steady
 //!   state.
 //! * **Pricing** ([`pricing`]): the paper's equation (1)
@@ -57,10 +56,11 @@ pub mod cluster;
 pub mod device;
 pub mod engine;
 pub mod error;
-pub mod events;
 pub mod flow;
 pub mod instance;
 pub mod network;
+#[cfg(feature = "oracle")]
+pub mod oracle;
 pub mod pricing;
 pub mod raid;
 pub mod resource;
@@ -71,10 +71,12 @@ pub mod units;
 pub use arena::{ArenaStats, SimArena};
 pub use cluster::{Cluster, ClusterPool, ClusterSpec, NodeRole, Placement};
 pub use device::{DeviceKind, DeviceProfile};
-pub use engine::{set_engine_override, RunReport, RunStats, SimEngine, Simulation};
+pub use engine::{RunReport, RunStats, Simulation};
 pub use error::CloudSimError;
 pub use flow::{FlowId, FlowSpec};
 pub use instance::InstanceType;
+#[cfg(feature = "oracle")]
+pub use oracle::{set_engine_override, SimEngine};
 pub use pricing::{CostModel, PriceSheet};
 pub use resource::ResourceId;
 pub use rng::SplitMix64;

@@ -1,18 +1,20 @@
 //! Fair-sharing rate computation: progressive filling (Bertsekas &
-//! Gallager) over individual flows, and its weighted class-level
-//! counterpart used by the event-driven core.
+//! Gallager) over individual flows.
 //!
-//! Both functions implement the *same* algorithm: raise every unfrozen
-//! flow's rate uniformly until some resource saturates, freeze the flows
-//! through it at the current level, repeat.  The class variant collapses
-//! flows that share one exact resource path into a single entry whose
-//! integer weight is its member count.  Because the per-resource unfrozen
-//! counts it produces are the same integers the per-flow variant would
-//! compute, every floating-point operation — the `remaining / count`
-//! saturation levels, the `delta * count` subtractions, the `0..R` scan
-//! order — is identical, and the resulting rates are bit-for-bit equal.
-//! That invariant is what lets the event engine be gated bit-identically
-//! against the reference engine (see DESIGN.md §14).
+//! Raise every unfrozen flow's rate uniformly until some resource
+//! saturates, freeze the flows through it at the current level, repeat.
+//! The saturation scan and the capacity update touch only resources that
+//! still carry unfrozen flows, in ascending index order; the freeze step
+//! walks a per-resource index of the run's flows (built once per run,
+//! with every flow outside the active set kept frozen) instead of
+//! re-testing every active flow's path on every level.
+//!
+//! Within one level the freeze set — the unfrozen flows whose path
+//! touches a saturated resource — does not depend on the order flows are
+//! visited in, and freezing only assigns the level and decrements integer
+//! counts.  So this performs exactly the floating-point operations of the
+//! original loop (kept as the oracle in [`crate::oracle`]), in the same
+//! order, and the rates are bit-for-bit equal (see DESIGN.md §14).
 
 use crate::flow::FlowSpec;
 use crate::resource::Resource;
@@ -21,286 +23,160 @@ use crate::resource::Resource;
 /// has saturated; keeps the event loop robust against floating-point drift.
 pub(crate) const EPS: f64 = 1e-9;
 
-/// One equivalence class of flows sharing an exact resource path.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ClassState {
-    /// Index of a representative flow whose path defines the class.
-    pub(crate) rep: usize,
-    /// Number of active member flows (the class weight); 0 while inactive.
-    pub(crate) weight: usize,
-    /// Scratch: frozen at the current fill level.
-    pub(crate) frozen: bool,
-    /// Output: the max-min fair rate of every member flow.
-    pub(crate) rate: f64,
+/// Fill state for one run, pooled in [`crate::SimArena`]: the run's
+/// flow paths flattened, a per-resource index of the flows through each
+/// resource, and the per-level scratch.
+#[derive(Debug, Default)]
+pub(crate) struct Fill {
+    /// Output: the max-min fair rate of each active flow, by flow index.
+    pub(crate) rates: Vec<f64>,
+    /// Every flow outside the active set stays frozen, so the freeze walk
+    /// skips pending and retired flows with the same test.
+    pub(crate) frozen: Vec<bool>,
+    /// Unfrozen flows through each resource; a path that repeats a
+    /// resource counts once per repeat.
+    pub(crate) unfrozen: Vec<usize>,
+    /// Capacity each resource has left at the current fill level.
+    pub(crate) left: Vec<f64>,
+    /// Flow `i`'s path is `paths[path_start[i]..path_start[i + 1]]`.
+    path_start: Vec<usize>,
+    paths: Vec<usize>,
+    /// The index: flows through resource `r` are
+    /// `members[start[r]..start[r + 1]]`, once per visit.
+    start: Vec<usize>,
+    members: Vec<usize>,
+    /// Resources with unfrozen flows, ascending.
+    loaded: Vec<usize>,
+    /// Resources saturated at the current level.
+    saturated: Vec<usize>,
 }
 
-/// Progressive filling over individual flows.  Writes the max-min fair rate
-/// of every flow in `active` into `rates`.
-pub(crate) fn max_min_flow_rates(
-    resources: &[Resource],
-    flows: &[FlowSpec],
-    active: &[usize],
-    rates: &mut [f64],
-    frozen: &mut [bool],
-    unfrozen_count: &mut [usize],
-    res_remaining: &mut [f64],
-) {
-    for r in 0..resources.len() {
-        unfrozen_count[r] = 0;
-        res_remaining[r] = resources[r].capacity;
-    }
-    for &i in active {
-        frozen[i] = false;
-        rates[i] = 0.0;
-        for r in &flows[i].path {
-            unfrozen_count[r.0] += 1;
-        }
-    }
-
-    let mut level = 0.0f64;
-    let mut left = active.len();
-    while left > 0 {
-        // The resource that saturates first as the fill level rises.
-        let mut best_r = usize::MAX;
-        let mut best_level = f64::INFINITY;
-        for r in 0..resources.len() {
-            if unfrozen_count[r] > 0 {
-                let sat = level + res_remaining[r] / unfrozen_count[r] as f64;
-                if sat < best_level {
-                    best_level = sat;
-                    best_r = r;
-                }
-            }
-        }
-        debug_assert!(best_r != usize::MAX, "active flows but no loaded resource");
-
-        let delta = best_level - level;
-        for r in 0..resources.len() {
-            if unfrozen_count[r] > 0 {
-                res_remaining[r] -= delta * unfrozen_count[r] as f64;
-            }
-        }
-        level = best_level;
-
-        // Freeze every unfrozen flow through a saturated resource.  The
-        // chosen resource is saturated by construction; floating-point
-        // drift can saturate others in the same step, handle them too.
-        for &i in active {
-            if frozen[i] {
-                continue;
-            }
-            let hits_saturated = flows[i]
-                .path
-                .iter()
-                .any(|r| r.0 == best_r || res_remaining[r.0] <= EPS * resources[r.0].capacity);
-            if hits_saturated {
-                frozen[i] = true;
-                rates[i] = level;
-                left -= 1;
-                for r in &flows[i].path {
-                    unfrozen_count[r.0] -= 1;
-                }
-            }
-        }
-    }
-}
-
-/// Progressive filling over flow classes.  `active` lists indices into
-/// `classes` whose `weight` has been set to the live member count; on
-/// return each listed class's `rate` is the max-min fair rate of each of
-/// its members.
-///
-/// The freeze condition depends only on a class's path, so within one fill
-/// level every member of a class freezes together — which is why a single
-/// weighted entry is exact, not an approximation.
-pub(crate) fn fill_class_rates(
-    resources: &[Resource],
-    flows: &[FlowSpec],
-    classes: &mut [ClassState],
-    active: &[usize],
-    unfrozen_count: &mut [usize],
-    res_remaining: &mut [f64],
-) {
-    for r in 0..resources.len() {
-        unfrozen_count[r] = 0;
-        res_remaining[r] = resources[r].capacity;
-    }
-    for &c in active {
-        let cls = &mut classes[c];
-        cls.frozen = false;
-        cls.rate = 0.0;
-        for r in &flows[cls.rep].path {
-            unfrozen_count[r.0] += cls.weight;
-        }
-    }
-
-    let mut level = 0.0f64;
-    let mut left = active.len();
-    while left > 0 {
-        let mut best_r = usize::MAX;
-        let mut best_level = f64::INFINITY;
-        for r in 0..resources.len() {
-            if unfrozen_count[r] > 0 {
-                let sat = level + res_remaining[r] / unfrozen_count[r] as f64;
-                if sat < best_level {
-                    best_level = sat;
-                    best_r = r;
-                }
-            }
-        }
-        debug_assert!(best_r != usize::MAX, "active classes but no loaded resource");
-
-        let delta = best_level - level;
-        for r in 0..resources.len() {
-            if unfrozen_count[r] > 0 {
-                res_remaining[r] -= delta * unfrozen_count[r] as f64;
-            }
-        }
-        level = best_level;
-
-        for &c in active {
-            if classes[c].frozen {
-                continue;
-            }
-            let hits_saturated = flows[classes[c].rep]
-                .path
-                .iter()
-                .any(|r| r.0 == best_r || res_remaining[r.0] <= EPS * resources[r.0].capacity);
-            if hits_saturated {
-                let cls = &mut classes[c];
-                cls.frozen = true;
-                cls.rate = level;
-                left -= 1;
-                for r in &flows[cls.rep].path {
-                    unfrozen_count[r.0] -= cls.weight;
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::resource::ResourceId;
-    use crate::rng::SplitMix64;
-
-    fn resources(caps: &[f64]) -> Vec<Resource> {
-        caps.iter()
-            .enumerate()
-            .map(|(i, &c)| Resource::new(format!("r{i}"), c).unwrap())
-            .collect()
-    }
-
-    fn flow(path: &[usize]) -> FlowSpec {
-        let mut f = FlowSpec::new(1.0);
-        for &r in path {
-            f = f.through(ResourceId(r));
-        }
-        f
-    }
-
-    /// Run both variants (flows as singleton classes) and demand bit-equal
-    /// rates.
-    fn assert_variants_agree(res: &[Resource], flows: &[FlowSpec]) {
+impl Fill {
+    /// Index one run's flows and size the scratch; every flow starts
+    /// frozen (inactive).
+    pub(crate) fn reset(&mut self, flows: &[FlowSpec], resources: usize) {
         let n = flows.len();
-        let active: Vec<usize> = (0..n).collect();
-        let mut rates = vec![0.0; n];
-        let mut frozen = vec![false; n];
-        let mut uc = vec![0usize; res.len()];
-        let mut rem = vec![0.0; res.len()];
-        max_min_flow_rates(res, flows, &active, &mut rates, &mut frozen, &mut uc, &mut rem);
+        self.rates.clear();
+        self.rates.resize(n, 0.0);
+        self.frozen.clear();
+        self.frozen.resize(n, true);
+        self.unfrozen.clear();
+        self.unfrozen.resize(resources, 0);
+        self.left.clear();
+        self.left.resize(resources, 0.0);
 
-        let mut classes: Vec<ClassState> = (0..n)
-            .map(|i| ClassState { rep: i, weight: 1, frozen: false, rate: 0.0 })
-            .collect();
-        fill_class_rates(res, flows, &mut classes, &active, &mut uc, &mut rem);
-
+        self.path_start.clear();
+        self.paths.clear();
+        self.start.clear();
+        self.start.resize(resources + 1, 0);
+        self.path_start.push(0);
+        for f in flows {
+            for r in &f.path {
+                self.paths.push(r.0);
+                self.start[r.0 + 1] += 1;
+            }
+            self.path_start.push(self.paths.len());
+        }
+        // Counting sort of (resource, flow) pairs: `start[r + 1]` holds
+        // `r`'s count, then its end; placing a flow counts it back down
+        // to `r`'s start.
+        for r in 0..resources {
+            self.start[r + 1] += self.start[r];
+        }
+        self.members.clear();
+        self.members.resize(self.paths.len(), 0);
         for i in 0..n {
-            assert_eq!(
-                rates[i].to_bits(),
-                classes[i].rate.to_bits(),
-                "flow {i}: per-flow rate {} vs class rate {}",
-                rates[i],
-                classes[i].rate
-            );
+            for &r in &self.paths[self.path_start[i]..self.path_start[i + 1]] {
+                self.start[r + 1] -= 1;
+                self.members[self.start[r + 1]] = i;
+            }
         }
+        // Slot `r + 1` now holds `r`'s start, which is `r - 1`'s end.
+        self.start.copy_within(1.., 0);
+        self.start[resources] = self.paths.len();
     }
 
-    #[test]
-    fn singleton_classes_match_flows_on_bottleneck_example() {
-        let res = resources(&[100.0, 50.0]);
-        let flows = vec![flow(&[0]), flow(&[1]), flow(&[0, 1])];
-        assert_variants_agree(&res, &flows);
+    /// Flow `i`'s path as resource indices.
+    pub(crate) fn path(&self, i: usize) -> &[usize] {
+        &self.paths[self.path_start[i]..self.path_start[i + 1]]
     }
 
-    #[test]
-    fn singleton_classes_match_flows_on_equal_rate_ties() {
-        // Two identical-capacity resources: the best-level scan ties and the
-        // lowest-index resource must win in both variants.
-        let res = resources(&[10.0, 10.0]);
-        let flows = vec![flow(&[0]), flow(&[1]), flow(&[0]), flow(&[1])];
-        assert_variants_agree(&res, &flows);
-    }
+    /// Write the max-min fair rate of every flow in `active` into
+    /// [`Self::rates`], leaving every flow frozen.
+    pub(crate) fn rates(&mut self, resources: &[Resource], active: &[usize]) {
+        let Fill {
+            rates,
+            frozen,
+            unfrozen,
+            left,
+            path_start,
+            paths,
+            start,
+            members,
+            loaded,
+            saturated,
+        } = self;
+        let path = |i: usize| &paths[path_start[i]..path_start[i + 1]];
 
-    #[test]
-    fn singleton_classes_match_flows_near_saturation() {
-        // Capacities chosen so `remaining / count` leaves residuals within a
-        // few ulps of the EPS freeze threshold.
-        let res = resources(&[1.0, 1.0 / 3.0, 1e-9]);
-        let flows = vec![flow(&[0, 1]), flow(&[0, 1]), flow(&[0, 2]), flow(&[1])];
-        assert_variants_agree(&res, &flows);
-    }
-
-    #[test]
-    fn singleton_classes_match_flows_on_random_topologies() {
-        let mut rng = SplitMix64::new(0xC0FFEE);
-        for _ in 0..50 {
-            let nr = 1 + (rng.next_u64() % 5) as usize;
-            let caps: Vec<f64> = (0..nr)
-                .map(|_| 1.0 + (rng.next_u64() % 1000) as f64 / 7.0)
-                .collect();
-            let res = resources(&caps);
-            let nf = 1 + (rng.next_u64() % 12) as usize;
-            let flows: Vec<FlowSpec> = (0..nf)
-                .map(|_| {
-                    let hops = 1 + (rng.next_u64() % nr as u64) as usize;
-                    let path: Vec<usize> =
-                        (0..hops).map(|_| (rng.next_u64() % nr as u64) as usize).collect();
-                    flow(&path)
-                })
-                .collect();
-            assert_variants_agree(&res, &flows);
+        for (r, res) in resources.iter().enumerate() {
+            unfrozen[r] = 0;
+            left[r] = res.capacity;
         }
-    }
-
-    #[test]
-    fn weighted_class_equals_duplicated_flows() {
-        let res = resources(&[100.0, 60.0]);
-        // Five clones of path [0,1] and two of path [0].
-        let mut dup_flows = Vec::new();
-        for _ in 0..5 {
-            dup_flows.push(flow(&[0, 1]));
+        for &i in active {
+            frozen[i] = false;
+            for &r in path(i) {
+                unfrozen[r] += 1;
+            }
         }
-        for _ in 0..2 {
-            dup_flows.push(flow(&[0]));
+        loaded.clear();
+        loaded.extend((0..resources.len()).filter(|&r| unfrozen[r] > 0));
+
+        let mut level = 0.0f64;
+        let mut unfrozen_flows = active.len();
+        while unfrozen_flows > 0 {
+            // The resource that saturates first as the fill level rises
+            // (lowest index on ties); drop resources with no unfrozen flow.
+            let mut best_r = usize::MAX;
+            let mut best_level = f64::INFINITY;
+            loaded.retain(|&r| {
+                if unfrozen[r] == 0 {
+                    return false;
+                }
+                let sat = level + left[r] / unfrozen[r] as f64;
+                if sat < best_level {
+                    best_level = sat;
+                    best_r = r;
+                }
+                true
+            });
+            debug_assert!(best_r != usize::MAX, "active flows but no loaded resource");
+
+            // Raise the level.  The chosen resource is saturated by
+            // construction; floating-point drift can saturate others in
+            // the same step, freeze through them too.
+            let delta = best_level - level;
+            saturated.clear();
+            for &r in loaded.iter() {
+                left[r] -= delta * unfrozen[r] as f64;
+                if r == best_r || left[r] <= EPS * resources[r].capacity {
+                    saturated.push(r);
+                }
+            }
+            level = best_level;
+
+            for &s in saturated.iter() {
+                for &i in &members[start[s]..start[s + 1]] {
+                    if frozen[i] {
+                        continue;
+                    }
+                    frozen[i] = true;
+                    rates[i] = level;
+                    unfrozen_flows -= 1;
+                    for &r in path(i) {
+                        unfrozen[r] -= 1;
+                    }
+                }
+            }
         }
-        let active: Vec<usize> = (0..dup_flows.len()).collect();
-        let mut rates = vec![0.0; dup_flows.len()];
-        let mut frozen = vec![false; dup_flows.len()];
-        let mut uc = vec![0usize; res.len()];
-        let mut rem = vec![0.0; res.len()];
-        max_min_flow_rates(&res, &dup_flows, &active, &mut rates, &mut frozen, &mut uc, &mut rem);
-
-        // The same workload as two weighted classes over representative flows.
-        let reps = vec![flow(&[0, 1]), flow(&[0])];
-        let mut classes = vec![
-            ClassState { rep: 0, weight: 5, frozen: false, rate: 0.0 },
-            ClassState { rep: 1, weight: 2, frozen: false, rate: 0.0 },
-        ];
-        fill_class_rates(&res, &reps, &mut classes, &[0, 1], &mut uc, &mut rem);
-
-        assert_eq!(rates[0].to_bits(), classes[0].rate.to_bits());
-        assert_eq!(rates[6].to_bits(), classes[1].rate.to_bits());
     }
 }

@@ -115,7 +115,7 @@ impl Metrics {
         if by == 0 {
             return;
         }
-        *self.inner.lock().counters.entry(name.to_string()).or_insert(0) += by;
+        update(&mut self.inner.lock().counters, name, |v| *v += by);
     }
 
     /// Raise a counter to at least `v` — a high-water-mark gauge (e.g.
@@ -123,18 +123,16 @@ impl Metrics {
     /// has drained).  Merging by max keeps the value meaningful when many
     /// workers report concurrently.
     pub fn record_max(&self, name: &str, v: u64) {
-        let mut inner = self.inner.lock();
-        let e = inner.counters.entry(name.to_string()).or_insert(0);
-        *e = (*e).max(v);
+        update(&mut self.inner.lock().counters, name, |e| *e = (*e).max(v));
     }
 
     /// Record a duration observation (wall clock or simulated seconds —
     /// the name should say which, e.g. `train.sim_secs`).
     pub fn observe_secs(&self, name: &str, secs: f64) {
-        let mut inner = self.inner.lock();
-        let e = inner.timers.entry(name.to_string()).or_insert((0, 0.0));
-        e.0 += 1;
-        e.1 += secs;
+        update(&mut self.inner.lock().timers, name, |e| {
+            e.0 += 1;
+            e.1 += secs;
+        });
     }
 
     /// Record one latency observation into a named fixed-bucket histogram
@@ -142,7 +140,7 @@ impl Metrics {
     /// wait or predict time, where quantiles matter and per-observation
     /// storage must stay constant.
     pub fn observe_latency(&self, name: &str, secs: f64) {
-        self.inner.lock().latencies.entry(name.to_string()).or_default().record(secs);
+        update(&mut self.inner.lock().latencies, name, |h| h.record(secs));
     }
 
     /// The `q`-quantile of a latency histogram (upper bucket bound), or
@@ -231,6 +229,16 @@ impl Metrics {
             }
         }
         s
+    }
+}
+
+/// Apply `f` to the entry for `name`, created at its default on first
+/// use: one lookup when the name exists, and the key `String` is
+/// allocated only on that first use.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_string()).or_default()),
     }
 }
 

@@ -15,7 +15,6 @@ use crate::plan::io_procs_per_node_into;
 use crate::pvfs::plan_pvfs_phase;
 use acic_cloudsim::arena::SimArena;
 use acic_cloudsim::cluster::{Cluster, ClusterPool, Placement};
-use acic_cloudsim::engine::SimEngine;
 use acic_cloudsim::error::CloudSimError;
 use acic_cloudsim::network::FabricSpec;
 use acic_cloudsim::resource::ResourceId;
@@ -69,9 +68,6 @@ pub struct Executor {
     pub faults: FaultPlan,
     /// Network fabric layout (flat full-bisection by default).
     pub fabric: FabricSpec,
-    /// Simulator core preference; `None` defers to the process override
-    /// and the `ACIC_SIM` environment variable.
-    pub sim_engine: Option<SimEngine>,
 }
 
 impl Executor {
@@ -82,7 +78,6 @@ impl Executor {
             params: FsParams::default(),
             faults: FaultPlan::NONE,
             fabric: FabricSpec::FLAT,
-            sim_engine: None,
         }
     }
 
@@ -101,13 +96,6 @@ impl Executor {
     /// Run on a tiered (possibly oversubscribed) network fabric.
     pub fn with_fabric(mut self, fabric: FabricSpec) -> Self {
         self.fabric = fabric;
-        self
-    }
-
-    /// Pin the simulator core for this executor (equivalence tests and
-    /// benches); campaigns normally leave this `None`.
-    pub fn with_sim_engine(mut self, engine: SimEngine) -> Self {
-        self.sim_engine = Some(engine);
         self
     }
 
@@ -183,7 +171,6 @@ impl Executor {
                 Phase::Io(io) => {
                     let mut rng = root_rng.derive(idx as u64);
                     let mut sim = scratch.arena.simulation();
-                    sim.set_engine(self.sim_engine);
                     let cluster = match Cluster::build_with_fabric_pooled(
                         spec,
                         self.fabric,
@@ -368,20 +355,30 @@ mod tests {
 
     #[test]
     fn engines_agree_end_to_end() {
+        use acic_cloudsim::{oracle, set_engine_override, SimEngine};
+        // The override is process-wide, so other tests running meanwhile
+        // also go through both cores; they agree, so nothing they assert
+        // changes.
+        let mismatched = oracle::mismatched_runs();
+        let checked = oracle::checked_runs();
+        let mut runs = 0;
         for (fs, servers) in [(FsConfig::nfs(), 1), (FsConfig::pvfs2(mib(4.0)), 4)] {
-            let sys = system(fs, servers, Placement::Dedicated);
+            let exec = Executor::new(system(fs, servers, Placement::Dedicated));
             let w = write_workload(64.0, 3, 0.5);
-            let r = Executor::new(sys).with_sim_engine(SimEngine::Reference).run(&w, 11).unwrap();
-            let e = Executor::new(sys).with_sim_engine(SimEngine::Event).run(&w, 11).unwrap();
-            assert_eq!(
-                r.total_secs.to_bits(),
-                e.total_secs.to_bits(),
-                "cores diverge on {fs:?}: {} vs {}",
-                r.total_secs,
-                e.total_secs
-            );
-            assert_eq!(r, e);
+            set_engine_override(SimEngine::Oracle);
+            let oracle_outcome = exec.run(&w, 11).unwrap();
+            set_engine_override(SimEngine::Checked);
+            let outcome = exec.run(&w, 11).unwrap();
+            assert_eq!(outcome, oracle_outcome, "cores diverge on {fs:?}");
+            runs += 3;
         }
+        set_engine_override(SimEngine::Production);
+        assert!(oracle::checked_runs() - checked >= runs, "every phase ran on both cores");
+        assert_eq!(
+            oracle::mismatched_runs(),
+            mismatched,
+            "production core diverged from the oracle (finish, served, makespan, or events)"
+        );
     }
 
     #[test]

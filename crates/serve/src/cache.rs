@@ -10,7 +10,10 @@
 //! when an insert under snapshot version `v` needs a victim, entries from
 //! generations older than `v` (superseded — unreachable to any future
 //! lookup at `v`) are evicted first, in LRU order among themselves; only
-//! a shard holding nothing stale falls back to plain LRU.
+//! a shard holding nothing stale falls back to plain LRU.  Each shard
+//! keeps one LRU list per live generation, so a hit relinks one entry and
+//! choosing a victim compares the lists' heads: O(live generations), not
+//! O(shard size).
 
 use acic::{CacheKey, SystemConfig};
 use parking_lot::Mutex;
@@ -23,51 +26,167 @@ use std::sync::Arc;
 /// bump, not a copy of the candidate list.
 pub type CachedTopK = Arc<Vec<(SystemConfig, f64)>>;
 
+/// Link sentinel: no entry.
+const NIL: usize = usize::MAX;
+
 #[derive(Debug)]
 struct Entry {
+    key: (CacheKey, u64),
+    /// `None` while the slot sits on the free list.
+    value: Option<CachedTopK>,
     last_used: u64,
-    value: CachedTopK,
+    /// Slot of the generation list this entry is on.
+    gen: usize,
+    /// Neighbours on that list: `prev` is colder, `next` hotter.
+    prev: usize,
+    next: usize,
+}
+
+/// One snapshot generation's entries, linked in LRU order: `head` is the
+/// least recently used.  Every touch stamps a fresh shard tick and moves
+/// the entry to `tail`, so the list stays sorted by `last_used`.
+#[derive(Debug)]
+struct Generation {
+    version: u64,
+    head: usize,
+    tail: usize,
 }
 
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<(CacheKey, u64), Entry>,
+    map: HashMap<(CacheKey, u64), usize>,
+    entries: Vec<Entry>,
+    free: Vec<usize>,
+    /// Generation lists by slot; a slot whose list has emptied is reused
+    /// for the next new generation, so slots track live generations.
+    gens: Vec<Generation>,
     tick: u64,
 }
 
 impl Shard {
     fn touch(&mut self, key: &(CacheKey, u64)) -> Option<CachedTopK> {
         self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|e| {
-            e.last_used = tick;
-            e.value.clone()
-        })
+        let i = *self.map.get(key)?;
+        self.entries[i].last_used = self.tick;
+        self.move_to_tail(i);
+        self.entries[i].value.clone()
     }
 
     fn insert(&mut self, key: (CacheKey, u64), value: CachedTopK, capacity: usize) {
         self.tick += 1;
-        let tick = self.tick;
-        if self.map.len() >= capacity && !self.map.contains_key(&key) {
+        if let Some(&i) = self.map.get(&key) {
+            let e = &mut self.entries[i];
+            e.value = Some(value);
+            e.last_used = self.tick;
+            self.move_to_tail(i);
+            return;
+        }
+        if self.map.len() >= capacity {
             // Victim choice is generation-aware: an entry from a snapshot
             // generation older than the one being inserted is superseded —
             // no future lookup under the new generation can hit it — so
             // any such entry is evicted (LRU among them) before a
             // same-generation entry is considered.  Only when every
             // resident entry is at or above the inserted generation does
-            // plain LRU pick the victim.  Ticks are unique per shard, so
-            // the victim is unambiguous either way.
+            // plain LRU pick the victim.  That is the minimum of
+            // `(version >= inserted, last_used)` over all entries, which
+            // is the minimum over the generation lists' heads; ticks are
+            // unique per shard, so the victim is unambiguous.
             let inserted_version = key.1;
             if let Some(victim) = self
-                .map
+                .gens
                 .iter()
-                .min_by_key(|((_, v), e)| (*v >= inserted_version, e.last_used))
-                .map(|(k, _)| *k)
+                .filter(|g| g.head != NIL)
+                .min_by_key(|g| (g.version >= inserted_version, self.entries[g.head].last_used))
+                .map(|g| g.head)
             {
-                self.map.remove(&victim);
+                self.remove(victim);
             }
         }
-        self.map.insert(key, Entry { last_used: tick, value });
+        let gen = match self.gens.iter().position(|g| g.version == key.1 && g.head != NIL) {
+            Some(g) => g,
+            None => {
+                let slot = Generation { version: key.1, head: NIL, tail: NIL };
+                match self.gens.iter().position(|g| g.head == NIL) {
+                    Some(g) => {
+                        self.gens[g] = slot;
+                        g
+                    }
+                    None => {
+                        self.gens.push(slot);
+                        self.gens.len() - 1
+                    }
+                }
+            }
+        };
+        let entry =
+            Entry { key, value: Some(value), last_used: self.tick, gen, prev: NIL, next: NIL };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.entries[i] = entry;
+                i
+            }
+            None => {
+                self.entries.push(entry);
+                self.entries.len() - 1
+            }
+        };
+        self.push_back(i);
+        self.map.insert(key, i);
+    }
+
+    /// Drop every entry of a generation older than `min_version`.
+    fn evict_older_than(&mut self, min_version: u64) -> usize {
+        let mut evicted = 0;
+        for g in 0..self.gens.len() {
+            if self.gens[g].version >= min_version {
+                continue;
+            }
+            while self.gens[g].head != NIL {
+                self.remove(self.gens[g].head);
+                evicted += 1;
+            }
+        }
+        evicted
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.unlink(i);
+        let e = &mut self.entries[i];
+        e.value = None;
+        self.map.remove(&e.key);
+        self.free.push(i);
+    }
+
+    fn move_to_tail(&mut self, i: usize) {
+        if self.entries[i].next != NIL {
+            self.unlink(i);
+            self.push_back(i);
+        }
+    }
+
+    fn unlink(&mut self, i: usize) {
+        let Entry { gen, prev, next, .. } = self.entries[i];
+        match prev {
+            NIL => self.gens[gen].head = next,
+            p => self.entries[p].next = next,
+        }
+        match next {
+            NIL => self.gens[gen].tail = prev,
+            n => self.entries[n].prev = prev,
+        }
+    }
+
+    fn push_back(&mut self, i: usize) {
+        let gen = self.entries[i].gen;
+        let tail = self.gens[gen].tail;
+        self.entries[i].prev = tail;
+        self.entries[i].next = NIL;
+        match tail {
+            NIL => self.gens[gen].head = i,
+            t => self.entries[t].next = i,
+        }
+        self.gens[gen].tail = i;
     }
 }
 
@@ -124,15 +243,7 @@ impl ResultCache {
     /// the current and previous generations (in-flight batches may still
     /// answer on the generation they loaded).
     pub fn evict_older_than(&self, min_version: u64) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let mut s = s.lock();
-                let before = s.map.len();
-                s.map.retain(|(_, v), _| *v >= min_version);
-                before - s.map.len()
-            })
-            .sum()
+        self.shards.iter().map(|s| s.lock().evict_older_than(min_version)).sum()
     }
 
     /// Entries currently cached (all shards, all versions).
@@ -313,6 +424,93 @@ mod tests {
         // Current generation still answers after all that churn.
         for k in &working_set {
             assert_eq!(c.get(k, 100).unwrap()[0].1, 100.0);
+        }
+    }
+
+    /// The shard as it was before the generation lists: a whole-map scan
+    /// for the victim on every insert at capacity.  Kept as the oracle the
+    /// indexed shard must match victim for victim.
+    #[derive(Default)]
+    struct ScanShard {
+        map: HashMap<(CacheKey, u64), (u64, CachedTopK)>,
+        tick: u64,
+    }
+
+    impl ScanShard {
+        fn touch(&mut self, key: &(CacheKey, u64)) -> Option<CachedTopK> {
+            self.tick += 1;
+            let tick = self.tick;
+            self.map.get_mut(key).map(|e| {
+                e.0 = tick;
+                e.1.clone()
+            })
+        }
+
+        fn insert(&mut self, key: (CacheKey, u64), value: CachedTopK, capacity: usize) {
+            self.tick += 1;
+            if self.map.len() >= capacity && !self.map.contains_key(&key) {
+                let inserted_version = key.1;
+                if let Some(victim) = self
+                    .map
+                    .iter()
+                    .min_by_key(|((_, v), e)| (*v >= inserted_version, e.0))
+                    .map(|(k, _)| *k)
+                {
+                    self.map.remove(&victim);
+                }
+            }
+            self.map.insert(key, (self.tick, value));
+        }
+
+        fn evict_older_than(&mut self, min_version: u64) -> usize {
+            let before = self.map.len();
+            self.map.retain(|(_, v), _| *v >= min_version);
+            before - self.map.len()
+        }
+    }
+
+    #[test]
+    fn indexed_eviction_replays_the_full_scan_exactly() {
+        use acic_cloudsim::rng::SplitMix64;
+        let keys: Vec<CacheKey> = (0..12).map(|i| key(16 << (i % 4), 1 + i / 4)).collect();
+        let tag = |r: &Option<CachedTopK>| r.as_ref().map(|v| v[0].1.to_bits());
+        for seed in 0..40u64 {
+            let mut rng = SplitMix64::new(seed);
+            let capacity = 1 + rng.below(8);
+            let (mut indexed, mut scan) = (Shard::default(), ScanShard::default());
+            let mut current = 1u64;
+            let mut generations = 1;
+            for step in 0..2_000 {
+                let k = keys[rng.below(keys.len())];
+                // Mostly the current generation, sometimes an older one
+                // (an in-flight batch answering on the snapshot it loaded).
+                let v = current - rng.below(current.min(3) as usize) as u64;
+                match rng.below(100) {
+                    0..=44 => {
+                        let (a, b) = (indexed.touch(&(k, v)), scan.touch(&(k, v)));
+                        assert_eq!(tag(&a), tag(&b), "seed {seed} step {step}: get diverged");
+                    }
+                    45..=93 => {
+                        let value = result((seed * 10_000 + step) as f64);
+                        indexed.insert((k, v), Arc::clone(&value), capacity);
+                        scan.insert((k, v), value, capacity);
+                    }
+                    94..=97 => {
+                        current += 1;
+                        generations += 1;
+                    }
+                    _ => {
+                        let min = current.saturating_sub(1);
+                        assert_eq!(indexed.evict_older_than(min), scan.evict_older_than(min));
+                    }
+                }
+                assert_eq!(indexed.map.len(), scan.map.len(), "seed {seed} step {step}");
+                for (key, (_, value)) in &scan.map {
+                    let i = indexed.map[key];
+                    assert_eq!(tag(&indexed.entries[i].value), tag(&Some(value.clone())));
+                }
+            }
+            assert!(generations >= 3, "seed {seed}: the replay must span 3+ generations");
         }
     }
 

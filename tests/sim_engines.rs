@@ -1,13 +1,15 @@
-//! Cross-engine acceptance: a faulted training campaign must collect the
-//! *same bytes* whether the flow simulator runs the event-driven core or
-//! the progressive-filling reference oracle — and a campaign killed under
-//! one core must resume bit-identically under the other.  Fault sampling
-//! is rng-driven (independent of simulated times), so engine equivalence
-//! on makespans is exactly what makes this hold.
+//! Production core vs oracle, end to end: a faulted training campaign must
+//! collect the *same bytes* whether the flow simulator runs the production
+//! core or the verbatim oracle loop — and a campaign killed under one core
+//! must resume bit-identically under the other.  Fault sampling is
+//! rng-driven (independent of simulated times), so core equivalence on
+//! makespans is exactly what makes this hold.  A third pass runs every
+//! simulation through both cores and compares finish times, served bytes,
+//! makespans and event counts bit for bit.
 
+use acic_cloudsim::{oracle, set_engine_override, SimEngine};
 use acic_repro::acic::training::CollectOptions;
 use acic_repro::acic::Trainer;
-use acic_repro::cloudsim::{set_engine_override, SimEngine};
 use acic_repro::fsim::FaultPlan;
 use std::fs;
 use std::path::PathBuf;
@@ -42,41 +44,50 @@ fn faulted_campaign_is_bit_identical_across_engines_even_through_a_kill() {
 
     // Straight runs under each core: the serialized database must match
     // byte for byte (faults, retries and all).
-    set_engine_override(Some(SimEngine::Reference));
+    set_engine_override(SimEngine::Oracle);
     let reference = trainer.collect_with(&points, &CollectOptions::default()).unwrap();
     assert!(reference.report.is_complete(), "paper-rate faults must all be retried away");
-    set_engine_override(Some(SimEngine::Event));
-    let event = trainer.collect_with(&points, &CollectOptions::default()).unwrap();
-    assert_eq!(event.db, reference.db, "engines diverged on a faulted campaign");
+    set_engine_override(SimEngine::Production);
+    let production = trainer.collect_with(&points, &CollectOptions::default()).unwrap();
+    assert_eq!(production.db, reference.db, "cores diverged on a faulted campaign");
     assert_eq!(
-        event.db.to_text(),
+        production.db.to_text(),
         reference.db.to_text(),
-        "engines produced different database bytes"
+        "cores produced different database bytes"
     );
-    assert_eq!(event.report, reference.report, "engines saw different fault/retry traffic");
+    assert_eq!(production.report, reference.report, "cores saw different fault/retry traffic");
 
-    // Kill-anywhere across cores: journal the campaign under the event
-    // core, tear the journal halfway, resume under the reference oracle.
+    // Every simulation of the campaign through both cores, compared bit
+    // for bit, served bytes included.
+    let (checked, mismatched) = (oracle::checked_runs(), oracle::mismatched_runs());
+    set_engine_override(SimEngine::Checked);
+    let both = trainer.collect_with(&points, &CollectOptions::default()).unwrap();
+    assert_eq!(both.db.to_text(), reference.db.to_text());
+    assert!(oracle::checked_runs() > checked, "the campaign ran no simulation");
+    assert_eq!(oracle::mismatched_runs(), mismatched, "a simulation diverged from the oracle");
+
+    // Kill-anywhere across cores: journal the campaign under the
+    // production core, tear the journal halfway, resume under the oracle.
     // The resumed database must still equal the uninterrupted one.
     let path = tmp("sim-engines-crosscore.journal");
     let _ = fs::remove_file(&path);
     let opts = CollectOptions { journal: Some(&path), ..Default::default() };
-    set_engine_override(Some(SimEngine::Event));
+    set_engine_override(SimEngine::Production);
     let journaled = trainer.collect_with(&points, &opts).unwrap();
     assert_eq!(journaled.db, reference.db);
     let full_journal = fs::read_to_string(&path).unwrap();
 
     fs::write(&path, truncate_journal_halfway(&full_journal)).unwrap();
-    set_engine_override(Some(SimEngine::Reference));
+    set_engine_override(SimEngine::Oracle);
     let resumed = trainer.collect_with(&points, &opts).unwrap();
     assert!(resumed.report.resumed > 0, "the truncated journal must contribute points");
     assert!(resumed.report.completed > 0, "the kill must leave work to redo");
     assert_eq!(
         resumed.db, reference.db,
-        "resume across engines diverged from the uninterrupted campaign"
+        "resume across cores diverged from the uninterrupted campaign"
     );
     assert_eq!(resumed.db.to_text(), reference.db.to_text());
 
     let _ = fs::remove_file(&path);
-    set_engine_override(None);
+    set_engine_override(SimEngine::Production);
 }
