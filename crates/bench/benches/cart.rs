@@ -1,11 +1,9 @@
 //! Criterion benches of the CART implementation: growth, cross-validated
 //! pruning, prediction, and the bagged-forest extension — plus the
 //! ablation comparing the single pruned tree against the forest on real
-//! ACIC training data (DESIGN.md §8), and the presorted-vs-reference
-//! engine comparison on a 10k-row × 15-feature ACIC-shaped dataset.
+//! ACIC training data (DESIGN.md §8).
 
 use acic::{Objective, Trainer};
-use acic_bench::cart_ref::{acic_like_dataset, reference_build_tree, RowMajor};
 use acic_cart::{build_tree, cross_validated_prune, BuildParams, Dataset, Forest, ForestParams};
 use acic_cloudsim::rng::SplitMix64;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -42,35 +40,12 @@ fn bench_build(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_build_10k_x15(c: &mut Criterion) {
-    // The headline engine comparison (DESIGN.md §9): 10k rows over the
-    // full 15-feature Table 1 schema, presorted engine vs the kept
-    // per-node-sorting reference.  Both produce bit-identical trees.
-    let d = acic_like_dataset(10_000, 42);
-    let rm = RowMajor::from_dataset(&d);
-    let params = BuildParams::default();
-    assert_eq!(
-        reference_build_tree(&rm, &params),
-        build_tree(&d, &params),
-        "engines diverged; benchmark would compare different models"
-    );
-    let mut g = c.benchmark_group("cart_build_10000x15");
-    g.sample_size(10);
-    g.bench_function("presorted", |b| {
-        b.iter(|| black_box(build_tree(&d, &params).leaf_count()));
-    });
-    g.bench_function("reference", |b| {
-        b.iter(|| black_box(reference_build_tree(&rm, &params).leaf_count()));
-    });
-    g.finish();
-}
-
 fn bench_forest_scaling(c: &mut Criterion) {
-    // Forest::fit parallelism: 25 bootstrap trees on the 15-feature set,
-    // one worker vs all cores (bit-identical output either way).
-    let d = acic_like_dataset(4_000, 42);
+    // Forest::fit parallelism: 25 bootstrap trees, one worker vs all cores
+    // (bit-identical output either way).
+    let d = synthetic_dataset(4_000);
     let params = ForestParams::default();
-    let mut g = c.benchmark_group("forest_fit_25trees_4000x15");
+    let mut g = c.benchmark_group("forest_fit_25trees_4000");
     g.sample_size(10);
     for threads in [1, rayon::current_num_threads().max(2)] {
         g.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
@@ -116,7 +91,6 @@ fn bench_forest_ablation(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_build,
-    bench_build_10k_x15,
     bench_forest_scaling,
     bench_prune,
     bench_predict,

@@ -5,7 +5,6 @@
 //! This library holds the pieces the binaries share: the registry of the
 //! nine evaluated application runs, and small table-printing helpers.
 
-pub mod cart_ref;
 pub mod stats;
 
 use acic::sweep::Spectrum;

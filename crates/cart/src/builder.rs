@@ -59,19 +59,7 @@ pub fn build_tree(data: &Dataset, params: &BuildParams) -> Tree {
 /// Panics when `rows` is empty.
 pub fn build_tree_view(data: &Dataset, rows: &[usize], params: &BuildParams) -> Tree {
     assert!(!rows.is_empty(), "cannot build a tree on an empty dataset");
-    grow_from_frame(data, TreeFrame::new(data, rows), params)
-}
-
-/// [`build_tree_view`] on a frame built with per-frame comparison sorts
-/// ([`TreeFrame::new_resorted`]) instead of rank-derived orders — the
-/// pre-fix bagging path, kept as the baseline `bench_cart` times the
-/// counting-pass construction against.  Bit-identical output.
-pub fn build_tree_view_resorted(data: &Dataset, rows: &[usize], params: &BuildParams) -> Tree {
-    assert!(!rows.is_empty(), "cannot build a tree on an empty dataset");
-    grow_from_frame(data, TreeFrame::new_resorted(data, rows), params)
-}
-
-fn grow_from_frame(data: &Dataset, mut frame: TreeFrame, params: &BuildParams) -> Tree {
+    let mut frame = TreeFrame::new(data, rows);
     let n = frame.len();
     let root_sse = frame.target_sse(0, n);
     let mut nodes = Vec::new();

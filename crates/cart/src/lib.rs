@@ -54,7 +54,7 @@ pub mod render;
 pub mod split;
 pub mod tree;
 
-pub use builder::{build_tree, build_tree_view, build_tree_view_resorted, BuildParams};
+pub use builder::{build_tree, build_tree_view, BuildParams};
 pub use compile::{CompiledGrid, CompiledModel, CompiledTree, GridPlan};
 pub use presort::{best_split_presorted, TreeFrame};
 pub use dataset::{Dataset, Feature, FeatureKind};

@@ -95,10 +95,6 @@ pub struct TreeFrame {
     /// Scratch for the fused numeric sweep: `(k, running_sum, running_sq)`
     /// snapshots at legal cut boundaries, reused across nodes and features.
     sweep_bounds: Vec<(u32, f64, f64)>,
-    /// Use the pre-fix two-pass numeric sweep instead of the fused one —
-    /// set by [`Self::new_resorted`] so baseline frames grow on the exact
-    /// engine the fix replaced (bit-identical output either way).
-    legacy_sweep: bool,
 }
 
 impl TreeFrame {
@@ -112,20 +108,8 @@ impl TreeFrame {
     /// sort — the fix for bagging, where every bootstrap tree used to
     /// re-sort every column.  The derived order is (value, position)
     /// ascending, bit-identical to the stable per-frame sort the reference
-    /// engine performs (see [`Self::new_resorted`]).
+    /// engine performs.
     pub fn new(data: &Dataset, rows: &[usize]) -> Self {
-        Self::new_with(data, rows, true)
-    }
-
-    /// [`Self::new`] with per-frame comparison sorts instead of rank-derived
-    /// orders, and the two-pass numeric sweep instead of the fused one —
-    /// the pre-fix engine end to end, kept as the reference baseline the
-    /// equivalence suite and `bench_cart` hold the fast path against.
-    pub fn new_resorted(data: &Dataset, rows: &[usize]) -> Self {
-        Self::new_with(data, rows, false)
-    }
-
-    fn new_with(data: &Dataset, rows: &[usize], derive: bool) -> Self {
         let m = rows.len();
         let kinds: Vec<FeatureKind> = data.features.iter().map(|f| f.kind).collect();
         let node_targets: Vec<f64> = {
@@ -143,22 +127,20 @@ impl TreeFrame {
         // the common case: plain fits and the per-candidate prune fits all
         // train on every row.
         let identity = m == data.len() && rows.iter().enumerate().all(|(p, &i)| p == i);
-        let cached = if identity { Some(data.presorted()) } else { None };
-        let ranks = if !identity && derive { Some(data.value_ranks()) } else { None };
         for (j, kind) in kinds.iter().enumerate() {
             let col = data.column(j);
             match kind {
                 FeatureKind::Numeric => {
-                    let order: Vec<u32> = if let Some(cached) = cached {
-                        cached[j].clone()
-                    } else if let Some(ranks) = ranks {
+                    let order: Vec<u32> = if identity {
+                        data.presorted()[j].clone()
+                    } else {
                         // Counting pass over the dataset's dense value
                         // ranks: bucket positions by rank, emit buckets in
                         // rank order.  Scanning positions ascending keeps
                         // ties in ascending position order — exactly the
                         // stable sort's tie order, at O(m + groups) instead
                         // of O(m log m).
-                        let rc = &ranks[j];
+                        let rc = &data.value_ranks()[j];
                         let mut counts = vec![0u32; rc.groups as usize];
                         for &i in rows {
                             counts[rc.rank[i] as usize] += 1;
@@ -175,16 +157,6 @@ impl TreeFrame {
                             order[*slot as usize] = p as u32;
                             *slot += 1;
                         }
-                        order
-                    } else {
-                        let gathered: Vec<f64> = rows.iter().map(|&i| col[i]).collect();
-                        let mut order: Vec<u32> = (0..m as u32).collect();
-                        // Stable: ties stay in ascending position order,
-                        // which is what the reference's per-node sort
-                        // produces.
-                        order.sort_by(|&a, &b| {
-                            gathered[a as usize].total_cmp(&gathered[b as usize])
-                        });
                         order
                     };
                     sorted_vals.push(
@@ -234,7 +206,6 @@ impl TreeFrame {
             tally_sq,
             cat_order: Vec::new(),
             sweep_bounds: Vec::new(),
-            legacy_sweep: !derive,
         }
     }
 
@@ -401,7 +372,6 @@ impl TreeFrame {
             tally_sq,
             cat_order,
             sweep_bounds,
-            legacy_sweep,
             ..
         } = self;
         let mut best: Option<SplitCandidate> = None;
@@ -410,13 +380,6 @@ impl TreeFrame {
                 continue;
             }
             let cand = match kinds[j] {
-                FeatureKind::Numeric if *legacy_sweep => best_numeric_sweep_twopass(
-                    &sorted_vals[j][lo..hi],
-                    &sorted_targets[j][lo..hi],
-                    j,
-                    min_leaf,
-                    active,
-                ),
                 FeatureKind::Numeric => best_numeric_sweep(
                     &sorted_vals[j][lo..hi],
                     &sorted_targets[j][lo..hi],
@@ -601,12 +564,12 @@ impl TreeFrame {
 /// legal cut points), snapshots `(k, running_sum, running_sq)` into
 /// `bounds`.  A second loop over those few boundaries evaluates the gains
 /// once the totals are complete.  Every quantity is the same fold, in the
-/// same order, as the reference's two-pass sweep
-/// ([`best_numeric_sweep_twopass`], kept as the pre-fix baseline): the
-/// snapshot of an accumulator mid-fold cannot change its bits.  What the
-/// fusion removes is the totals pass — serial floating-point adds whose
-/// ~4-cycle latency chain, not memory, bounds the sweep — halving the
-/// chain length per feature per node.
+/// same order, as the reference's two-pass sweep in [`crate::split`] (a
+/// totals pass, then a prefix scan): the snapshot of an accumulator
+/// mid-fold cannot change its bits.  What the fusion removes is the
+/// totals pass — serial floating-point adds whose ~4-cycle latency chain,
+/// not memory, bounds the sweep — halving the chain length per feature
+/// per node.
 fn best_numeric_sweep(
     xs: &[f64],
     ys: &[f64],
@@ -666,76 +629,6 @@ fn best_numeric_sweep(
         if gain > best_gain {
             best_gain = gain;
             best_t = 0.5 * (xs[k] + xs[k + 1]);
-            best_k = k + 1;
-        }
-    }
-    if best_t.is_nan() || best_gain <= 0.0 {
-        return None;
-    }
-    Some(SplitCandidate {
-        feature: j,
-        rule: SplitRule::Le(best_t),
-        gain: best_gain,
-        left_count: best_k,
-        right_count: n - best_k,
-    })
-}
-
-/// The pre-fix numeric sweep: a totals pass followed by a full prefix
-/// scan — two serial fold chains over the node where
-/// [`best_numeric_sweep`] runs one.  Kept (and used by
-/// [`TreeFrame::new_resorted`] frames) as the baseline engine `bench_cart`
-/// times the fused sweep against; bit-identical output.
-fn best_numeric_sweep_twopass(
-    xs: &[f64],
-    ys: &[f64],
-    j: usize,
-    min_leaf: usize,
-    active: &mut [bool],
-) -> Option<SplitCandidate> {
-    let n = xs.len();
-    if n < 2 * min_leaf {
-        return None;
-    }
-    if xs[0] == xs[n - 1] {
-        active[j] = false;
-        return None;
-    }
-
-    let mut total_sum = 0.0;
-    let mut total_sq = 0.0;
-    for &y in ys {
-        total_sum += y;
-        total_sq += y * y;
-    }
-    let parent_sse = total_sq - total_sum * total_sum / n as f64;
-
-    let mut best_gain = 0.0;
-    let mut best_t = f64::NAN;
-    let mut best_k = 0usize;
-    let mut lsum = 0.0;
-    let mut lsq = 0.0;
-    for k in 0..n - 1 {
-        let y = ys[k];
-        lsum += y;
-        lsq += y * y;
-        let x_here = xs[k];
-        let x_next = xs[k + 1];
-        if x_here == x_next {
-            continue; // cannot cut between equal values
-        }
-        if (k + 1) < min_leaf || (n - k - 1) < min_leaf {
-            continue;
-        }
-        let nl = (k + 1) as f64;
-        let nr = (n - k - 1) as f64;
-        let rsum = total_sum - lsum;
-        let rsq = total_sq - lsq;
-        let sse = (lsq - lsum * lsum / nl) + (rsq - rsum * rsum / nr);
-        let gain = parent_sse - sse;
-        if gain > best_gain {
-            best_gain = gain;
-            best_t = 0.5 * (x_here + x_next);
             best_k = k + 1;
         }
     }
@@ -924,15 +817,26 @@ mod tests {
     }
 
     #[test]
-    fn derived_sample_order_matches_resorted_frame() {
+    fn derived_sample_order_matches_a_stable_sort() {
         let d = mixed();
         // Bootstrap shape: shuffled, duplicated, tie-heavy (x repeats).
         let rows: Vec<usize> = (0..40).map(|i| (i * 13 + 5) % 30).collect();
         let derived = TreeFrame::new(&d, &rows);
-        let resorted = TreeFrame::new_resorted(&d, &rows);
-        assert_eq!(derived.sorted_pos, resorted.sorted_pos);
-        assert_eq!(derived.sorted_vals, resorted.sorted_vals);
-        assert_eq!(derived.sorted_targets, resorted.sorted_targets);
+        for (j, f) in d.features.iter().enumerate() {
+            if f.kind != FeatureKind::Numeric {
+                assert!(derived.sorted_pos[j].is_empty());
+                continue;
+            }
+            // Frame positions by value, ties in ascending position order.
+            let col = d.column(j);
+            let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+            order.sort_by(|&a, &b| col[rows[a as usize]].total_cmp(&col[rows[b as usize]]));
+            let vals: Vec<f64> = order.iter().map(|&p| col[rows[p as usize]]).collect();
+            let tgts: Vec<f64> = order.iter().map(|&p| d.targets[rows[p as usize]]).collect();
+            assert_eq!(derived.sorted_pos[j], order);
+            assert_eq!(derived.sorted_vals[j], vals);
+            assert_eq!(derived.sorted_targets[j], tgts);
+        }
     }
 
     #[test]

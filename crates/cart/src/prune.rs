@@ -6,7 +6,6 @@ use crate::builder::{build_tree, build_tree_view, BuildParams};
 use crate::dataset::Dataset;
 use crate::tree::{Node, Tree};
 use acic_cloudsim::rng::SplitMix64;
-use rayon::prelude::*;
 
 /// SSE of node `at` if it were collapsed to a leaf.
 fn node_sse(tree: &Tree, at: usize) -> f64 {
@@ -62,29 +61,29 @@ fn is_reachable(tree: &Tree, target: usize) -> bool {
     go(tree, Tree::ROOT, target)
 }
 
-/// Collapse internal node `at` into a leaf (stats are already stored).
-fn collapse(tree: &mut Tree, at: usize) {
-    let n = &tree.nodes[at];
-    tree.nodes[at] = Node::Leaf { value: n.value(), std: n.std(), n: n.n() };
-}
-
-/// Drop unreachable arena slots and reindex.
-pub fn compact(tree: &Tree) -> Tree {
-    let mut nodes = Vec::new();
-    fn go(tree: &Tree, at: usize, out: &mut Vec<Node>) -> usize {
+/// Copy the nodes reachable from the root in pre-order, turning every node
+/// marked in `cut` into a leaf (its stats are already stored) and dropping
+/// the subtree below it, so no dead arena slot survives.
+fn compact(tree: &Tree, cut: &[bool]) -> Tree {
+    fn go(tree: &Tree, at: usize, cut: &[bool], out: &mut Vec<Node>) -> usize {
         let slot = out.len();
-        out.push(tree.nodes[at].clone()); // placeholder for internal fixup
-        if let Node::Internal { left, right, .. } = tree.nodes[at].clone() {
-            let l = go(tree, left, out);
-            let r = go(tree, right, out);
-            if let Node::Internal { left: nl, right: nr, .. } = &mut out[slot] {
-                *nl = l;
-                *nr = r;
+        let node = &tree.nodes[at];
+        match node {
+            Node::Internal { left, right, .. } if !cut[at] => {
+                out.push(node.clone()); // placeholder for internal fixup
+                let l = go(tree, *left, cut, out);
+                let r = go(tree, *right, cut, out);
+                if let Node::Internal { left: nl, right: nr, .. } = &mut out[slot] {
+                    *nl = l;
+                    *nr = r;
+                }
             }
+            _ => out.push(Node::Leaf { value: node.value(), std: node.std(), n: node.n() }),
         }
         slot
     }
-    go(tree, Tree::ROOT, &mut nodes);
+    let mut nodes = Vec::new();
+    go(tree, Tree::ROOT, cut, &mut nodes);
     Tree { nodes, feature_names: tree.feature_names.clone() }
 }
 
@@ -93,32 +92,15 @@ pub fn compact(tree: &Tree) -> Tree {
 /// The cost-complexity optimal subtree T(α) collapses every internal node
 /// whose link strength `g(t) = (R(t) − R(T_t)) / (|leaves(T_t)| − 1)`,
 /// evaluated against the *already pruned* children, does not exceed α —
-/// which a post-order traversal computes in O(n).  (The iterative
-/// weakest-link formulation used by [`alpha_sequence`] produces the same
-/// subtree; this form is what makes pruning affordable on the multi-
-/// thousand-point ACIC training databases.)
+/// which one reverse sweep over the arena marks in O(n) ([`Links::mark`]).
+/// (The iterative weakest-link formulation used by [`alpha_sequence`]
+/// produces the same subtree; this form is what makes pruning affordable
+/// on the multi-thousand-point ACIC training databases.)
 pub fn prune_with_alpha(tree: &Tree, alpha: f64) -> Tree {
-    fn go(t: &mut Tree, at: usize, alpha: f64) -> (f64, usize) {
-        match t.nodes[at].clone() {
-            Node::Leaf { .. } => (node_sse(t, at), 1),
-            Node::Internal { left, right, .. } => {
-                let (lr, ll) = go(t, left, alpha);
-                let (rr, rl) = go(t, right, alpha);
-                let risk = lr + rr;
-                let leaves = ll + rl;
-                let g = (node_sse(t, at) - risk) / (leaves as f64 - 1.0).max(1.0);
-                if g <= alpha {
-                    collapse(t, at);
-                    (node_sse(t, at), 1)
-                } else {
-                    (risk, leaves)
-                }
-            }
-        }
-    }
-    let mut t = tree.clone();
-    go(&mut t, Tree::ROOT, alpha);
-    compact(&t)
+    let mut links = Links::default();
+    links.load(tree);
+    links.mark(alpha);
+    compact(tree, &links.collapsed)
 }
 
 /// The increasing α sequence at which the optimal subtree changes
@@ -129,8 +111,9 @@ pub fn alpha_sequence(tree: &Tree) -> Vec<f64> {
     let mut alphas = vec![0.0];
     while let Some((at, g)) = weakest_link(&t) {
         alphas.push(g.max(*alphas.last().unwrap()));
-        collapse(&mut t, at);
-        t = compact(&t);
+        let mut cut = vec![false; t.nodes.len()];
+        cut[at] = true;
+        t = compact(&t, &cut);
     }
     alphas
 }
@@ -164,15 +147,18 @@ const MAX_CANDIDATE_ALPHAS: usize = 24;
 /// strengths (subsampled to [`MAX_CANDIDATE_ALPHAS`]); each fold votes
 /// with its validation MSE; the α with the lowest mean CV error wins.
 ///
-/// Folds train and evaluate in parallel on row views of `data` (no subset
-/// clones); the per-α errors are summed in fold order afterwards, so the
-/// selected α — and hence the returned tree — is deterministic per seed
-/// regardless of thread scheduling.
+/// Folds are grown, scored and dropped one at a time on row views of
+/// `data` (no subset clones, one fold tree alive at once).  A fold scores
+/// every candidate α from one routing of its validation rows
+/// ([`FoldScorer`]) instead of materializing a pruned tree per α; the
+/// per-α errors are summed in fold order, so the selected α — and hence
+/// the returned tree — is bit-identical to pruning each fold tree with
+/// [`prune_with_alpha`] and taking its [`Tree::mse_view`].
 pub fn cross_validated_prune(data: &Dataset, k: usize, seed: u64) -> Tree {
     let full = build_tree(data, &BuildParams::overgrow());
     let alphas = candidate_alphas(&full);
     if alphas.len() <= 1 || data.len() < 2 * k.max(2) {
-        return compact(&full);
+        return full;
     }
 
     // Shuffled fold assignment.
@@ -181,36 +167,24 @@ pub fn cross_validated_prune(data: &Dataset, k: usize, seed: u64) -> Tree {
     rng.shuffle(&mut order);
 
     let k = k.max(2).min(data.len());
-    let folds: Vec<(Vec<usize>, Vec<usize>)> = (0..k)
-        .map(|fold| {
-            let val_idx: Vec<usize> = order.iter().copied().skip(fold).step_by(k).collect();
-            let train_idx: Vec<usize> = order
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|(pos, _)| pos % k != fold)
-                .map(|(_, i)| i)
-                .collect();
-            (train_idx, val_idx)
-        })
-        .collect();
-    let fold_errs: Vec<Vec<f64>> = folds
-        .par_iter()
-        .map(|(train_idx, val_idx)| {
-            if train_idx.is_empty() || val_idx.is_empty() {
-                return vec![0.0; alphas.len()];
-            }
-            let fold_tree = build_tree_view(data, train_idx, &BuildParams::overgrow());
-            alphas
-                .iter()
-                .map(|&alpha| prune_with_alpha(&fold_tree, alpha).mse_view(data, val_idx))
-                .collect()
-        })
-        .collect();
     let mut cv_err = vec![0.0f64; alphas.len()];
-    for errs in &fold_errs {
-        for (ai, e) in errs.iter().enumerate() {
-            cv_err[ai] += e;
+    let mut scorer = FoldScorer::default();
+    for fold in 0..k {
+        let val_idx: Vec<usize> = order.iter().copied().skip(fold).step_by(k).collect();
+        let train_idx: Vec<usize> = order
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|(pos, _)| pos % k != fold)
+            .map(|(_, i)| i)
+            .collect();
+        if train_idx.is_empty() || val_idx.is_empty() {
+            continue;
+        }
+        let fold_tree = build_tree_view(data, &train_idx, &BuildParams::overgrow());
+        scorer.route(&fold_tree, data, &val_idx);
+        for (err, &alpha) in cv_err.iter_mut().zip(&alphas) {
+            *err += scorer.mse(alpha);
         }
     }
 
@@ -221,6 +195,124 @@ pub fn cross_validated_prune(data: &Dataset, k: usize, seed: u64) -> Tree {
         .map(|(i, _)| i)
         .unwrap_or(0);
     prune_with_alpha(&full, alphas[best])
+}
+
+/// A tree flattened for the pruning sweeps.  Arena children sit after
+/// their parent (the builder reserves the parent's slot first and
+/// [`compact`] copies in pre-order), so a reverse sweep over the flat arena
+/// is the pruning's post-order and a forward sweep is top-down.
+#[derive(Default)]
+struct Links {
+    /// Per node: children, or `None` for a leaf.
+    kids: Vec<Option<(usize, usize)>>,
+    /// Per node: SSE if collapsed to a leaf.
+    sse: Vec<f64>,
+    /// Per-α scratch: pruned subtree risk and leaf count, and collapse marks.
+    risk: Vec<(f64, usize)>,
+    collapsed: Vec<bool>,
+}
+
+impl Links {
+    fn load(&mut self, tree: &Tree) {
+        self.kids.clear();
+        self.sse.clear();
+        for (at, node) in tree.nodes.iter().enumerate() {
+            self.kids.push(match node {
+                Node::Leaf { .. } => None,
+                Node::Internal { left, right, .. } => {
+                    assert!(*left > at && *right > at, "children must follow their parent");
+                    Some((*left, *right))
+                }
+            });
+            self.sse.push(node_sse(tree, at));
+        }
+        let n = tree.nodes.len();
+        self.risk.resize(n, (0.0, 0));
+        self.collapsed.resize(n, false);
+    }
+
+    /// Mark the nodes [`prune_with_alpha`] collapses at `alpha`: a node's
+    /// link strength is taken against its already pruned children.
+    fn mark(&mut self, alpha: f64) {
+        for at in (0..self.kids.len()).rev() {
+            let (risk, collapsed) = match self.kids[at] {
+                None => ((self.sse[at], 1), false),
+                Some((l, r)) => {
+                    let (lr, ll) = self.risk[l];
+                    let (rr, rl) = self.risk[r];
+                    let risk = lr + rr;
+                    let leaves = ll + rl;
+                    let g = (self.sse[at] - risk) / (leaves as f64 - 1.0).max(1.0);
+                    if g <= alpha {
+                        ((self.sse[at], 1), true)
+                    } else {
+                        ((risk, leaves), false)
+                    }
+                }
+            };
+            self.risk[at] = risk;
+            self.collapsed[at] = collapsed;
+        }
+    }
+}
+
+/// Scores one fold tree at any α from a single routing of its validation
+/// rows.  A pruned tree routes a row along a prefix of its full-tree path,
+/// so the row's answer is the value of the shallowest collapsed node on
+/// that path ([`Links::mark`]), or of its leaf.
+#[derive(Default)]
+struct FoldScorer {
+    links: Links,
+    /// Per node: mean target (the answer when it is, or acts as, a leaf).
+    value: Vec<f64>,
+    /// Per validation row, in `val_idx` order: its full-tree leaf.
+    leaf: Vec<usize>,
+    /// Per validation row: its target.
+    target: Vec<f64>,
+    /// Per-α scratch: each node's shallowest collapsed ancestor-or-self.
+    top: Vec<usize>,
+}
+
+impl FoldScorer {
+    /// Flatten `tree` and route `val_idx`'s rows of `data` to their leaves.
+    fn route(&mut self, tree: &Tree, data: &Dataset, val_idx: &[usize]) {
+        self.links.load(tree);
+        self.value.clear();
+        self.value.extend(tree.nodes.iter().map(Node::value));
+        self.leaf.clear();
+        self.target.clear();
+        for &i in val_idx {
+            let mut at = Tree::ROOT;
+            while let Node::Internal { feature, rule, left, right, .. } = &tree.nodes[at] {
+                at = if rule.goes_left(data.value(i, *feature)) { *left } else { *right };
+            }
+            self.leaf.push(at);
+            self.target.push(data.targets[i]);
+        }
+        self.top.resize(tree.nodes.len(), 0);
+    }
+
+    /// Validation MSE of the tree pruned at `alpha` — bit-identical to
+    /// `prune_with_alpha(tree, alpha).mse_view(data, val_idx)`.
+    fn mse(&mut self, alpha: f64) -> f64 {
+        self.links.mark(alpha);
+        let Links { kids, collapsed, .. } = &self.links;
+        self.top[Tree::ROOT] = Tree::ROOT;
+        for (at, kids) in kids.iter().enumerate() {
+            if let Some((l, r)) = *kids {
+                let t = self.top[at];
+                let cut = collapsed[t];
+                self.top[l] = if cut { t } else { l };
+                self.top[r] = if cut { t } else { r };
+            }
+        }
+        let mut sum = 0.0;
+        for (&leaf, &y) in self.leaf.iter().zip(&self.target) {
+            let d = self.value[self.top[leaf]] - y;
+            sum += d * d;
+        }
+        sum / self.leaf.len() as f64
+    }
 }
 
 /// Candidate αs: quantiles of the tree's link strengths, padded with 0
@@ -334,6 +426,25 @@ mod tests {
         }
         walk(&pruned, Tree::ROOT, &mut visited);
         assert!(visited.iter().all(|&v| v), "compacted tree has dead arena slots");
+    }
+
+    #[test]
+    fn fold_scorer_matches_pruned_tree_mse_bit_for_bit() {
+        let d = noisy_step(300);
+        let mut rng = SplitMix64::new(9);
+        let mut rows: Vec<usize> = (0..d.len()).collect();
+        rng.shuffle(&mut rows);
+        let (train, val) = rows.split_at(220);
+        let tree = build_tree_view(&d, train, &BuildParams::overgrow());
+        let mut scorer = FoldScorer::default();
+        scorer.route(&tree, &d, val);
+        let mut alphas = alpha_sequence(&tree);
+        alphas.extend(candidate_alphas(&tree));
+        alphas.push(f64::INFINITY);
+        for alpha in alphas {
+            let want = prune_with_alpha(&tree, alpha).mse_view(&d, val);
+            assert_eq!(scorer.mse(alpha).to_bits(), want.to_bits(), "alpha {alpha}");
+        }
     }
 
     #[test]

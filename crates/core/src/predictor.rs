@@ -32,11 +32,12 @@ use crate::space::{AppPoint, SystemConfig};
 use crate::training::TrainingDb;
 use acic_cart::render::render_with;
 use acic_cart::tree::Prediction;
-use acic_cart::{CompiledGrid, CompiledModel, Model, ModelKind, Tree};
+use acic_cart::{CompiledGrid, CompiledModel, Dataset, Model, ModelKind, Tree};
 use acic_cloudsim::instance::InstanceType;
 use acic_cloudsim::units::mib;
 use std::cell::RefCell;
-use std::sync::OnceLock;
+use std::panic::AssertUnwindSafe;
+use std::sync::{mpsc, OnceLock};
 
 /// Which scoring plane answers queries.  Both are result-identical; the
 /// interpreted plane exists for differential testing (tier-1 byte-diffs)
@@ -72,6 +73,41 @@ thread_local! {
         const { RefCell::new((Vec::new(), Vec::new(), Vec::new(), Vec::new())) };
 }
 
+/// Fit `data` on the fit helper, a thread that lives as long as the
+/// process and fits one model at a time; the receiver yields the model.
+///
+/// One reused thread rather than a fresh one per fit: a fresh thread
+/// allocates in whichever malloc arena an exited thread left behind, and
+/// every arena a fit touches keeps that fit's freed scratch resident.  In
+/// the `bench_e2e` `grid_hot` lifecycle a fresh scoped thread per fit read
+/// 132–150 MiB peak RSS and this helper 116–121 MiB (DESIGN.md §9).
+fn fit_beside(data: Dataset, kind: ModelKind, seed: u64) -> mpsc::Receiver<Model> {
+    type FitJob = (Dataset, ModelKind, u64, mpsc::Sender<Model>);
+    static HELPER: OnceLock<mpsc::Sender<FitJob>> = OnceLock::new();
+    let helper = HELPER.get_or_init(|| {
+        let (jobs, queue) = mpsc::channel::<FitJob>();
+        std::thread::Builder::new()
+            .name("acic-fit".into())
+            .spawn(move || {
+                for (data, kind, seed, reply) in queue {
+                    // A fit that panics drops `reply`, which the caller
+                    // reports; the helper stays up for the next fit.
+                    let fit = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        Model::fit(&data, kind, seed)
+                    }));
+                    if let Ok(model) = fit {
+                        let _ = reply.send(model);
+                    }
+                }
+            })
+            .expect("spawn the fit helper thread");
+        jobs
+    });
+    let (reply, model) = mpsc::channel();
+    helper.send((data, kind, seed, reply)).expect("the fit helper runs as long as the process");
+    model
+}
+
 /// A trained predictor: one regression model per objective, both
 /// predicting *improvement over the baseline configuration*.  The paper's
 /// model is the cross-validation-pruned CART tree ([`ModelKind::Cart`],
@@ -103,12 +139,19 @@ impl Predictor {
     }
 
     /// Train with an explicit learning algorithm.
+    ///
+    /// The cost objective fits on the fit helper ([`fit_beside`]) while
+    /// the calling thread fits the performance objective.  A CART fit is
+    /// sequential inside; a forest fans its trees out over scoped threads
+    /// of whichever thread fits it, and its trees are the same at any
+    /// thread count.
     pub fn train_with(db: &TrainingDb, seed: u64, kind: ModelKind) -> Result<Self, AcicError> {
         if db.is_empty() {
             return Err(AcicError::Untrained);
         }
+        let cost = fit_beside(db.to_dataset(Objective::Cost), kind, seed ^ 1);
         let model_perf = Model::fit(&db.to_dataset(Objective::Performance), kind, seed);
-        let model_cost = Model::fit(&db.to_dataset(Objective::Cost), kind, seed ^ 1);
+        let model_cost = cost.recv().expect("the cost-objective fit panicked on the fit helper");
         let compiled_perf = CompiledModel::compile(&model_perf);
         let compiled_cost = CompiledModel::compile(&model_cost);
         let plan = |m: &CompiledModel| {
@@ -547,6 +590,31 @@ mod tests {
             Predictor::train(&TrainingDb::default(), 1),
             Err(AcicError::Untrained)
         ));
+    }
+
+    #[test]
+    fn concurrent_fits_share_the_fit_helper_and_match_fitting_alone() {
+        let db = small_db();
+        let rows = db.to_dataset(Objective::Performance);
+        for kind in [ModelKind::Cart, ModelKind::Forest { n_trees: 5 }] {
+            let alone = [(Objective::Performance, 1), (Objective::Cost, 1 ^ 1)]
+                .map(|(o, seed)| (o, Model::fit(&db.to_dataset(o), kind, seed)));
+            std::thread::scope(|s| {
+                let fit = || Predictor::train_with(&db, 1, kind).unwrap();
+                let fits: Vec<_> = (0..4).map(|_| s.spawn(fit)).collect();
+                for fit in fits {
+                    let p = fit.join().unwrap();
+                    for (o, want) in &alone {
+                        assert_eq!(p.try_tree(*o), want.as_tree(), "{kind}");
+                        for i in 0..rows.len() {
+                            let row = rows.row(i);
+                            let (got, want) = (p.model(*o).predict(&row), want.predict(&row));
+                            assert_eq!(got.value.to_bits(), want.value.to_bits(), "{kind} row {i}");
+                        }
+                    }
+                }
+            });
+        }
     }
 
     #[test]

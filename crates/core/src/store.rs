@@ -60,10 +60,11 @@ use crate::error::AcicError;
 use crate::journal;
 use crate::resilience::Collection;
 use crate::space::SpacePoint;
-use crate::training::{fnv1a, point_bits, point_from_fields, point_to_line, TrainingDb,
+use crate::training::{fnv1a, point_bits, point_from_fields, write_point, TrainingDb,
                       TrainingPoint};
 use acic_cart::ModelKind;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -125,16 +126,22 @@ impl StoreSample {
         Self { key: sample_key(&point), campaign, seed, index, attempts, point }
     }
 
+    /// Write the sample line (no newline) — the one writer behind WAL,
+    /// segment, and snapshot lines and [`hash_samples`].
+    fn write_line(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+        write!(
+            out,
+            "s\t{:016x}\t{:016x}\t{}\t{}\t{}\t",
+            self.key, self.campaign, self.seed, self.index, self.attempts
+        )?;
+        write_point(out, &self.point)
+    }
+
+    #[cfg(test)]
     fn to_line(&self) -> String {
-        format!(
-            "s\t{:016x}\t{:016x}\t{}\t{}\t{}\t{}",
-            self.key,
-            self.campaign,
-            self.seed,
-            self.index,
-            self.attempts,
-            point_to_line(&self.point)
-        )
+        let mut line = String::new();
+        self.write_line(&mut line).unwrap();
+        line
     }
 
     fn parse(line: &str, lineno: usize) -> Result<Self, String> {
@@ -226,20 +233,28 @@ impl SampleLookup {
 
 /// FNV-1a over the rendered sample lines (newline-terminated), the store's
 /// generation identity: two stores hold the same canonical data iff their
-/// hashes agree.
+/// hashes agree.  The lines stream straight into the hash state; nothing
+/// is rendered into a buffer.
 pub fn hash_samples(samples: &[StoreSample]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
     for s in samples {
-        for b in s.to_line().bytes() {
-            eat(b);
-        }
-        eat(b'\n');
+        s.write_line(&mut h).expect("hashing cannot fail");
+        h.write_char('\n').expect("hashing cannot fail");
     }
-    h
+    h.0
+}
+
+/// An FNV-1a state that `write!` output folds into byte by byte.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
 }
 
 /// One manifest row: an immutable, content-addressed segment.
@@ -514,7 +529,7 @@ impl Store {
                 stats.duplicates += 1;
                 continue;
             }
-            buf.push_str(&s.to_line());
+            s.write_line(&mut buf).expect("writing to a String cannot fail");
             buf.push('\n');
             self.seen.insert(k);
             self.samples.push(*s);
@@ -662,16 +677,27 @@ fn store_err(path: &Path, reason: String) -> AcicError {
 }
 
 /// Write through a hidden sibling temp file plus rename, so readers (and
-/// crashes) see either the old contents or the new, never a tear.
+/// crashes) see either the old contents or the new, never a tear.  The
+/// temp file is synced before the rename and the directory after it, so
+/// once this returns the new contents survive a power loss — compaction
+/// relies on that before it resets the WAL that held the same samples.
 fn write_atomic(path: &Path, contents: &str) -> Result<(), AcicError> {
     let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
     let tmp = path.with_file_name(format!(".tmp-{name}"));
-    std::fs::write(&tmp, contents).map_err(|e| AcicError::io(&tmp, e))?;
-    std::fs::rename(&tmp, path).map_err(|e| AcicError::io(path, e))
+    let mut file = std::fs::File::create(&tmp).map_err(|e| AcicError::io(&tmp, e))?;
+    file.write_all(contents.as_bytes())
+        .and_then(|()| file.sync_all())
+        .map_err(|e| AcicError::io(&tmp, e))?;
+    drop(file);
+    std::fs::rename(&tmp, path).map_err(|e| AcicError::io(path, e))?;
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir).and_then(|d| d.sync_all()).map_err(|e| AcicError::io(dir, e))
 }
 
 fn render_manifest(segments: &[SegmentRef], hash: u64) -> String {
-    use std::fmt::Write;
     let total: usize = segments.iter().map(|s| s.count).sum();
     let hash = if segments.is_empty() { hash_samples(&[]) } else { hash };
     let mut s = String::new();
@@ -729,14 +755,19 @@ fn parse_manifest(text: &str) -> Result<Vec<SegmentRef>, String> {
 }
 
 fn render_segment(samples: &[StoreSample]) -> String {
-    use std::fmt::Write;
     let mut s = String::new();
     writeln!(s, "{SEGMENT_VERSION}").unwrap();
     writeln!(s, "samples={}", samples.len()).unwrap();
-    for sample in samples {
-        writeln!(s, "{}", sample.to_line()).unwrap();
-    }
+    write_lines(&mut s, samples);
     s
+}
+
+/// Append each sample's line, newline-terminated.
+fn write_lines(s: &mut String, samples: &[StoreSample]) {
+    for sample in samples {
+        sample.write_line(s).unwrap();
+        s.push('\n');
+    }
 }
 
 fn parse_segment(text: &str, expect: &SegmentRef) -> Result<Vec<StoreSample>, String> {
@@ -796,7 +827,6 @@ pub struct PublishedSnapshot {
 impl PublishedSnapshot {
     /// Render as the versioned snapshot text format.
     pub fn render(&self) -> String {
-        use std::fmt::Write;
         let mut s = String::new();
         writeln!(s, "{SNAPSHOT_VERSION}").unwrap();
         writeln!(
@@ -808,9 +838,7 @@ impl PublishedSnapshot {
             model_code(self.model)
         )
         .unwrap();
-        for sample in &self.samples {
-            writeln!(s, "{}", sample.to_line()).unwrap();
-        }
+        write_lines(&mut s, &self.samples);
         s
     }
 
@@ -1212,6 +1240,85 @@ mod tests {
             }
             other => panic!("expected Store error, got {other:?}"),
         }
+    }
+
+    /// Samples whose every field formats differently: wide hex keys and
+    /// campaigns, large seeds and indices, and improvements with long,
+    /// tiny, huge, negative, and integral decimal forms.
+    fn varied_samples() -> Vec<StoreSample> {
+        let values = [0.1 + 0.2, 1e-7, 1e21, -2.5, 1.0 / 3.0, 123456.0];
+        (0..24)
+            .map(|i| {
+                let mut p = SpacePoint::default_point();
+                p.app.iterations = i + 1;
+                p.system.stripe_size = 65536.0 * (1 + i % 4) as f64;
+                let tp = TrainingPoint {
+                    system: p.system,
+                    app: p.app,
+                    perf_improvement: values[i % values.len()],
+                    cost_improvement: values[(i + 1) % values.len()] / 7.0,
+                };
+                let campaign = 0xFEED_0000_0000_0000 | i as u64;
+                StoreSample::new(campaign, u64::MAX - i as u64, i * 1000, 1 + i as u32 % 3, tp)
+            })
+            .collect()
+    }
+
+    /// FNV-1a over bytes (the digest the golden renders below are pinned by).
+    fn fnv_bytes(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn streamed_hash_equals_the_hash_of_rendered_lines() {
+        // The hash before streaming, kept as the oracle: each sample line
+        // rendered into its own `String`, then its bytes and a newline
+        // folded in.
+        fn hash_rendered(samples: &[StoreSample]) -> u64 {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let mut eat = |b: u8| {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            };
+            for s in samples {
+                for b in s.to_line().bytes() {
+                    eat(b);
+                }
+                eat(b'\n');
+            }
+            h
+        }
+        let samples = varied_samples();
+        for n in [0, 1, 2, samples.len()] {
+            assert_eq!(hash_samples(&samples[..n]), hash_rendered(&samples[..n]), "{n} samples");
+        }
+    }
+
+    #[test]
+    fn snapshot_and_segment_bytes_are_unchanged() {
+        let samples = varied_samples();
+        let snap = PublishedSnapshot {
+            hash: hash_samples(&samples),
+            seed: 20131117,
+            model: ModelKind::Cart,
+            samples: samples.clone(),
+        };
+        let text = snap.render();
+        // Golden values of the format-string renderers these replaced.
+        assert_eq!(
+            text.lines().nth(2).unwrap(),
+            "s\td35fae50bb25b498\tfeed000000000000\t18446744073709551615\t0\t1\t0\t0\t1\t1\
+             \t1\t65536\t64\t64\t1\t1\t16777216\t4194304\t1\t0\t1\t0.30000000000000004\
+             \t0.000000014285714285714284"
+        );
+        assert_eq!(snap.hash, 0x0e97_1217_7e62_eeb9);
+        assert_eq!(fnv_bytes(text.as_bytes()), 0xd502_c08c_9228_eaad);
+        assert_eq!(fnv_bytes(render_segment(&samples).as_bytes()), 0x7c7b_ed2c_44a5_81da);
+        let db_text = snap.to_training_db().to_text();
+        assert_eq!(fnv_bytes(db_text.as_bytes()), 0xb6dc_6132_5076_2455);
+        assert_eq!(PublishedSnapshot::parse(&text).unwrap(), snap);
     }
 
     #[test]

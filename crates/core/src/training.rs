@@ -810,12 +810,14 @@ pub(crate) fn fnv1a(words: &[u64]) -> u64 {
     h
 }
 
-/// Encode one observation as the 17 tab-separated fields shared by the
-/// database text format and the checkpoint journal.
-pub(crate) fn point_to_line(p: &TrainingPoint) -> String {
+/// Write one observation as the 17 tab-separated fields shared by the
+/// database text format, the checkpoint journal, and the store's sample
+/// lines — the one place that format is spelled out.
+pub(crate) fn write_point(out: &mut impl std::fmt::Write, p: &TrainingPoint) -> std::fmt::Result {
     let sys = &p.system;
     let app = &p.app;
-    format!(
+    write!(
+        out,
         "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
         crate::features::device_code(sys.device) as u8,
         matches!(sys.fs, acic_fsim::FsType::Pvfs2) as u8,
@@ -837,7 +839,14 @@ pub(crate) fn point_to_line(p: &TrainingPoint) -> String {
     )
 }
 
-/// Parse the 17 fields written by [`point_to_line`].
+/// [`write_point`] into a fresh `String`.
+pub(crate) fn point_to_line(p: &TrainingPoint) -> String {
+    let mut line = String::new();
+    write_point(&mut line, p).expect("writing to a String cannot fail");
+    line
+}
+
+/// Parse the 17 fields written by [`write_point`].
 pub(crate) fn point_from_fields(f: &[&str], lineno: usize) -> Result<TrainingPoint, AcicError> {
     use acic_cloudsim::cluster::Placement;
     use acic_cloudsim::device::DeviceKind;
@@ -901,7 +910,8 @@ impl TrainingDb {
         writeln!(s, "collect_secs={} collect_cost_usd={}", self.collect_secs, self.collect_cost_usd)
             .unwrap();
         for p in &self.points {
-            writeln!(s, "{}", point_to_line(p)).unwrap();
+            write_point(&mut s, p).unwrap();
+            s.push('\n');
         }
         s
     }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: build, full test suite, bench compile check, the
 # reproduction-fidelity lane (every results/*.txt regenerated byte for
-# byte), the CART engine, compiled-inference, and simulator-core benchmark
+# byte), the CART fit, compiled-inference, and simulator-core benchmark
 # artifacts (BENCH_cart.json, BENCH_predict.json, and BENCH_sim.json at the
 # repo root), a fault-injection training sweep that must complete with zero
 # skipped points, the serve smoke gate
@@ -33,7 +33,12 @@ for f in results/*.txt; do
 done
 rm -f target/tier1-results-*.txt
 
+# CART fit artifact (BENCH_cart.json at the repo root): times the
+# `Predictor::train_with` fit every publish runs on the 12,768-point grid
+# database; the binary asserts that every fit's trees match (the grep pins
+# it).
 cargo run --release --offline -p acic-bench --bin bench_cart
+grep -q '"fingerprints_equal": true' BENCH_cart.json
 
 # Compiled-plane gate: the batched flat-arena scorer must hold its speedup
 # over the interpreted oracle (the binary asserts the >= 3x median pair
