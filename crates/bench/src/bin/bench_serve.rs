@@ -241,22 +241,20 @@ fn hotswap_run(
     (publishes, mismatches, regressions, versions_seen.len(), final_version)
 }
 
-/// Scenario 4: the fused cross-request drain.  One worker, cold cache, the
-/// whole working set submitted fire-and-forget so the drain sweeps
-/// multi-request batches through `Predictor::top_k_many`; every payload
-/// must equal the direct `Predictor::top_k` answer.  Returns (req/s,
-/// batches, max batch, sweep groups, payload mismatches).
+/// Scenario 4: the batched drain.  One worker, cold cache, the whole
+/// working set submitted fire-and-forget so the drain takes multi-request
+/// batches; every payload must equal the direct `Predictor::top_k`
+/// answer.  Returns (req/s, batches, max batch, payload mismatches).
 fn fused_run(
     predictor: &Predictor,
     db_points: usize,
     reqs: &[Request],
     expected: &[Vec<(SystemConfig, f64)>],
-) -> (f64, u64, u64, u64, usize) {
+) -> (f64, u64, u64, usize) {
     let rounds = 8usize;
     let mut mismatches = 0usize;
     let mut batches = 0u64;
     let mut max_batch = 0u64;
-    let mut groups = 0u64;
     let mut best_wall = f64::INFINITY;
     for _ in 0..rounds {
         // Fresh server per round = cold cache: every request is a miss, so
@@ -283,10 +281,9 @@ fn fused_run(
         best_wall = best_wall.min(t0.elapsed().as_secs_f64());
         batches = metrics.counter("serve.fused_batch.batches");
         max_batch = max_batch.max(metrics.counter("serve.fused_batch.max_requests"));
-        groups = metrics.counter("serve.fused_batch.groups");
         server.shutdown();
     }
-    (reqs.len() as f64 / best_wall, batches, max_batch, groups, mismatches)
+    (reqs.len() as f64 / best_wall, batches, max_batch, mismatches)
 }
 
 fn us(secs: f64) -> f64 {
@@ -340,14 +337,14 @@ fn main() {
 
     // --- scenario 4: fused cross-request scoring --------------------------
     eprintln!("fused plane: cold-cache burst ...");
-    let (fused_rps, fused_batches, fused_max_batch, fused_groups, fused_miss) =
+    let (fused_rps, fused_batches, fused_max_batch, fused_miss) =
         fused_run(&predictor, db.len(), &reqs, &expected);
     eprintln!(
         "  fused {fused_rps:.0} req/s ({fused_batches} batches, max {fused_max_batch} reqs/sweep)"
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"model\": {{ \"dims\": {dims}, \"db_points\": {db_points}, \"seed\": {seed} }},\n  \"scaling\": {{\n    \"stall_us\": {stall_us:.0},\n    \"working_set\": {ws},\n    \"workers_1_rps\": {rps_1:.0},\n    \"workers_8_rps\": {rps_8:.0},\n    \"speedup\": {speedup:.2},\n    \"payload_mismatches\": {total_miss}\n  }},\n  \"cache\": {{ \"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {hit_rate:.3} }},\n  \"latency_us\": {{\n    \"queue_wait\": {{ \"p50\": {qw50:.0}, \"p95\": {qw95:.0}, \"p99\": {qw99:.0} }},\n    \"cache_hit\": {{ \"p50\": {ch50:.1}, \"p95\": {ch95:.1}, \"p99\": {ch99:.1} }},\n    \"client_e2e\": {{ \"p50\": {ce50:.0}, \"p95\": {ce95:.0}, \"p99\": {ce99:.0} }}\n  }},\n  \"admission\": {{\n    \"burst\": 64,\n    \"queue_depth\": 4,\n    \"admitted\": {admitted},\n    \"shed\": {shed},\n    \"shed_counter\": {shed_counter},\n    \"payload_mismatches\": {shed_miss}\n  }},\n  \"hotswap\": {{\n    \"publishes\": {publishes},\n    \"final_version\": {final_version},\n    \"versions_observed\": {versions_seen},\n    \"payload_mismatches\": {swap_miss},\n    \"version_regressions\": {regressions}\n  }},\n  \"fused\": {{\n    \"burst\": {ws},\n    \"fused_rps\": {fused_rps:.0},\n    \"batches\": {fused_batches},\n    \"max_requests_per_sweep\": {fused_max_batch},\n    \"sweep_groups\": {fused_groups},\n    \"payload_mismatches\": {fused_miss}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"serve\",\n  \"model\": {{ \"dims\": {dims}, \"db_points\": {db_points}, \"seed\": {seed} }},\n  \"scaling\": {{\n    \"stall_us\": {stall_us:.0},\n    \"working_set\": {ws},\n    \"workers_1_rps\": {rps_1:.0},\n    \"workers_8_rps\": {rps_8:.0},\n    \"speedup\": {speedup:.2},\n    \"payload_mismatches\": {total_miss}\n  }},\n  \"cache\": {{ \"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {hit_rate:.3} }},\n  \"latency_us\": {{\n    \"queue_wait\": {{ \"p50\": {qw50:.0}, \"p95\": {qw95:.0}, \"p99\": {qw99:.0} }},\n    \"cache_hit\": {{ \"p50\": {ch50:.1}, \"p95\": {ch95:.1}, \"p99\": {ch99:.1} }},\n    \"client_e2e\": {{ \"p50\": {ce50:.0}, \"p95\": {ce95:.0}, \"p99\": {ce99:.0} }}\n  }},\n  \"admission\": {{\n    \"burst\": 64,\n    \"queue_depth\": 4,\n    \"admitted\": {admitted},\n    \"shed\": {shed},\n    \"shed_counter\": {shed_counter},\n    \"payload_mismatches\": {shed_miss}\n  }},\n  \"hotswap\": {{\n    \"publishes\": {publishes},\n    \"final_version\": {final_version},\n    \"versions_observed\": {versions_seen},\n    \"payload_mismatches\": {swap_miss},\n    \"version_regressions\": {regressions}\n  }},\n  \"fused\": {{\n    \"burst\": {ws},\n    \"fused_rps\": {fused_rps:.0},\n    \"batches\": {fused_batches},\n    \"max_requests_per_sweep\": {fused_max_batch},\n    \"payload_mismatches\": {fused_miss}\n  }}\n}}\n",
         db_points = db.len(),
         ws = reqs.len(),
         total_miss = miss_1 + miss_8,

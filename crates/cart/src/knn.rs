@@ -20,7 +20,9 @@ pub struct Knn {
     kinds: Vec<FeatureKind>,
     means: Vec<f64>,
     inv_stds: Vec<f64>,
-    rows: Vec<Vec<f64>>,
+    /// Normalized training rows, row-major in one contiguous buffer
+    /// (`kinds.len()` cells per row), so a query scans one allocation.
+    rows: Vec<f64>,
     targets: Vec<f64>,
 }
 
@@ -47,7 +49,7 @@ impl Knn {
         }
         let kinds: Vec<FeatureKind> = data.features.iter().map(|f| f.kind).collect();
         let rows = (0..data.len())
-            .map(|i| normalize(&data.row(i), &kinds, &means, &inv_stds))
+            .flat_map(|i| normalize(&data.row(i), &kinds, &means, &inv_stds))
             .collect();
         Self { k: k.min(data.len()), kinds, means, inv_stds, rows, targets: data.targets.clone() }
     }
@@ -58,7 +60,7 @@ impl Knn {
         // Collect the k smallest distances (linear scan; training sets are
         // tens of thousands of rows at most).
         let mut best: Vec<(f64, f64)> = Vec::with_capacity(self.k + 1); // (dist, target)
-        for (r, &y) in self.rows.iter().zip(&self.targets) {
+        for (r, &y) in self.rows.chunks_exact(self.kinds.len()).zip(&self.targets) {
             let dist = distance(&q, r, &self.kinds);
             let pos = best.partition_point(|(d, _)| *d <= dist);
             if pos < self.k {
@@ -70,14 +72,6 @@ impl Knn {
         let mean = best.iter().map(|(_, y)| y).sum::<f64>() / n;
         let var = best.iter().map(|(_, y)| (y - mean).powi(2)).sum::<f64>() / n;
         Prediction { value: mean, std: var.sqrt(), support: best.len() }
-    }
-
-    /// Internal views for [`crate::compile`]'s lowering: `(k, kinds,
-    /// means, inv_stds, normalized rows, targets)`.
-    pub(crate) fn parts(
-        &self,
-    ) -> (usize, &[FeatureKind], &[f64], &[f64], &[Vec<f64>], &[f64]) {
-        (self.k, &self.kinds, &self.means, &self.inv_stds, &self.rows, &self.targets)
     }
 
     /// Mean squared error over a dataset.

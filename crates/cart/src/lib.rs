@@ -31,10 +31,11 @@
 //! * [`tree`] — the tree itself, prediction (with per-leaf mean and
 //!   standard deviation, as ACIC's Figure 4 displays), and traversal;
 //! * [`render`] — the Figure 4-style text rendering;
-//! * [`compile`] — the serving-side lowering: fitted models flatten into
-//!   struct-of-arrays [`compile::CompiledModel`]s with a batched,
-//!   allocation-free `predict_batch`, bit-identical to the interpreted
-//!   predictors (which remain the reference oracle);
+//! * [`compile`] — the serving-side lowering: fitted trees and forests
+//!   flatten into struct-of-arrays [`compile::CompiledModel`]s that score a
+//!   whole candidate grid per query in one reachable-subtree walk
+//!   (`predict_grid`), bit-identical to the interpreted predictors (which
+//!   remain the reference oracle);
 //! * [`forest`] — a bagged ensemble of CART trees (bootstrap samples drawn
 //!   sequentially up front, trees fitted in parallel, so results are
 //!   deterministic per seed) and [`knn`] — a k-nearest-neighbours

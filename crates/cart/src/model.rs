@@ -64,12 +64,6 @@ impl Model {
         }
     }
 
-    /// Lower into the flat serving form (see [`crate::compile`]); cheap,
-    /// so callers compile eagerly at train/publish time.
-    pub fn compile(&self) -> crate::compile::CompiledModel {
-        crate::compile::CompiledModel::compile(self)
-    }
-
     /// Predict for one feature row.
     pub fn predict(&self, row: &[f64]) -> Prediction {
         match self {

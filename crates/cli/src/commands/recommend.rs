@@ -3,12 +3,9 @@
 //! The ranking itself runs through the `acic-serve` query path (a
 //! single-shot, one-worker service), so this command and the long-lived
 //! `acic serve` service answer through exactly the same code and can
-//! never diverge.  That path scores on the compiled inference plane
-//! (batched `CompiledModel` passes over the cached candidate matrix);
-//! `ACIC_ENGINE=interpreted` in the environment forces the interpreted
-//! reference models instead — output must be byte-identical either way,
-//! which `scripts/tier1.sh` checks.  `--top 0` is clamped to 1 (see
-//! `Predictor::top_k`).
+//! never diverge.  That path scores the cached candidate matrix through
+//! the predictor's one ranking path (a candidate-grid walk per query for
+//! tree models).  `--top 0` is clamped to 1 (see `Predictor::top_k`).
 
 use crate::args::Args;
 use crate::commands::{acic_from_args, goal};

@@ -52,17 +52,8 @@ pub fn run(args: &Args) -> Result<(), String> {
     args.reject_unknown(&[
         "db", "dims", "snapshot", "store", "seed", "workers", "queue", "batch", "cache", "replay",
         "swap-at", "watch", "report", "nodes", "trace", "trace-out", "trace-len", "trace-seed",
-        "trace-pool", "replay-out", "window", "kill-node", "kill-at", "rejoin-at", "engine",
+        "trace-pool", "replay-out", "window", "kill-node", "kill-at", "rejoin-at",
     ])?;
-    // `--engine interpreted|compiled` pins the scoring plane process-wide
-    // (the env knob is read once, before any predictor runs); the tier-1
-    // gate replays the same trace under both and byte-diffs.
-    if let Some(engine) = args.get("engine") {
-        match engine {
-            "interpreted" | "compiled" => std::env::set_var("ACIC_ENGINE", engine),
-            other => return Err(format!("bad --engine {other:?}: want interpreted or compiled")),
-        }
-    }
     let metrics = Metrics::new();
     let seed: u64 = args.parse_or("seed", 20131117)?;
     let workers: usize = args.parse_or("workers", 2)?;

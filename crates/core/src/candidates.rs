@@ -22,8 +22,8 @@
 //!   once per candidate), ready to be prefixed onto a query's app half;
 //! * the notation strings (the ranking tie-break keys), so queries never
 //!   format them;
-//! * per-`nprocs` deployability masks ([`SystemConfig::valid_for`]
-//!   evaluated once per distinct scale, then served as a shared slice) —
+//! * per-`nprocs` deployability bit sets ([`SystemConfig::valid_for`]
+//!   evaluated once per distinct scale, then served as one `u64`) —
 //!   validity is applied as a mask over the fixed enumeration, not a
 //!   re-enumeration.
 
@@ -35,7 +35,7 @@ use acic_cloudsim::instance::InstanceType;
 use acic_cloudsim::units::{kib, mib};
 use acic_fsim::FsType;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// The per-instance-type candidate universe, precomputed for scoring.
 #[derive(Debug)]
@@ -48,11 +48,8 @@ pub struct CandidateMatrix {
     /// integer compare instead of a byte-wise one on the hot path.
     notation_ranks: Vec<u32>,
     system_rows: Vec<[f64; N_SYSTEM_FEATURES]>,
-    /// Deployability masks keyed by `nprocs`, built on demand.  The space
-    /// samples four scales (Table 1), so this stays tiny.
-    validity: Mutex<BTreeMap<usize, Arc<[bool]>>>,
-    /// [`Self::validity_mask`] packed into `u64` bit sets for the
-    /// grid-routing scorer, same keying.
+    /// Deployability bit sets keyed by `nprocs`, built on demand.  The
+    /// space samples four scales (Table 1), so this stays tiny.
     validity_bits: Mutex<BTreeMap<usize, u64>>,
 }
 
@@ -87,7 +84,6 @@ impl CandidateMatrix {
             notations,
             notation_ranks,
             system_rows,
-            validity: Mutex::new(BTreeMap::new()),
             validity_bits: Mutex::new(BTreeMap::new()),
         }
     }
@@ -125,21 +121,11 @@ impl CandidateMatrix {
         self.configs.is_empty()
     }
 
-    /// The deployability mask for a job of `nprocs` processes, aligned with
-    /// [`Self::configs`]: `mask[i]` ⇔ `configs()[i].valid_for(nprocs)`.
-    /// Computed once per distinct scale and shared.
-    pub fn validity_mask(&self, nprocs: usize) -> Arc<[bool]> {
-        let mut cache = self.validity.lock().expect("validity cache poisoned");
-        cache
-            .entry(nprocs)
-            .or_insert_with(|| self.configs.iter().map(|c| c.valid_for(nprocs)).collect())
-            .clone()
-    }
-
-    /// [`Self::validity_mask`] as a `u64` bit set (`bit i` ⇔
+    /// The deployability of every candidate for a job of `nprocs`
+    /// processes as a `u64` bit set (`bit i` ⇔
     /// `configs()[i].valid_for(nprocs)`) — the form the grid-routing
-    /// scorer partitions with.  Universes are ≤ 64 wide by construction
-    /// (asserted at build).
+    /// scorer partitions with.  Computed once per distinct scale; universes
+    /// are ≤ 64 wide by construction (asserted at build).
     pub fn validity_bits(&self, nprocs: usize) -> u64 {
         let mut cache = self.validity_bits.lock().expect("validity bits cache poisoned");
         *cache.entry(nprocs).or_insert_with(|| {
@@ -153,11 +139,11 @@ impl CandidateMatrix {
     /// The candidates deployable at `nprocs`, in enumeration order (the
     /// masked view as an owned list, for callers that need configs only).
     pub fn deployable(&self, nprocs: usize) -> Vec<SystemConfig> {
-        let mask = self.validity_mask(nprocs);
+        let bits = self.validity_bits(nprocs);
         self.configs
             .iter()
-            .zip(mask.iter())
-            .filter_map(|(c, &ok)| ok.then_some(*c))
+            .enumerate()
+            .filter_map(|(i, c)| (bits >> i & 1 == 1).then_some(*c))
             .collect()
     }
 }
@@ -254,37 +240,27 @@ mod tests {
     }
 
     #[test]
-    fn validity_mask_agrees_with_valid_for_and_is_shared() {
-        let m = CandidateMatrix::of(InstanceType::Cc2_8xlarge);
-        for nprocs in [32usize, 64, 128, 256] {
-            let mask = m.validity_mask(nprocs);
-            assert_eq!(mask.len(), m.len());
-            for (c, &ok) in m.configs().iter().zip(mask.iter()) {
-                assert_eq!(ok, c.valid_for(nprocs), "{} at {nprocs}", c.notation());
-            }
-            // Second request serves the same shared allocation.
-            assert!(Arc::ptr_eq(&mask, &m.validity_mask(nprocs)));
-        }
-        // 32 procs on cc2 = 2 compute instances: 4 part-time servers drop.
-        assert!(m.validity_mask(32).iter().any(|&ok| !ok));
-        assert_eq!(m.deployable(32).len(), m.validity_mask(32).iter().filter(|&&ok| ok).count());
-    }
-
-    #[test]
-    fn validity_bits_pack_the_mask_exactly() {
+    fn validity_bits_agree_with_valid_for() {
         for m in [
             CandidateMatrix::of(InstanceType::Cc1_4xlarge),
+            CandidateMatrix::of(InstanceType::Cc2_8xlarge),
             CandidateMatrix::of_extended(InstanceType::Cc2_8xlarge),
         ] {
-            for nprocs in [16usize, 32, 64, 256] {
-                let mask = m.validity_mask(nprocs);
+            for nprocs in [16usize, 32, 64, 128, 256] {
                 let bits = m.validity_bits(nprocs);
-                for (i, &ok) in mask.iter().enumerate() {
-                    assert_eq!(bits >> i & 1 == 1, ok, "bit {i} at {nprocs} procs");
+                for (i, c) in m.configs().iter().enumerate() {
+                    let at = format!("{} at {nprocs}", c.notation());
+                    assert_eq!(bits >> i & 1 == 1, c.valid_for(nprocs), "{at}");
                 }
                 assert_eq!(bits >> m.len(), 0, "no bits past the universe");
+                let want: Vec<SystemConfig> =
+                    m.configs().iter().filter(|c| c.valid_for(nprocs)).copied().collect();
+                assert_eq!(m.deployable(nprocs), want);
             }
         }
+        // 32 procs on cc2 = 2 compute instances: 4 part-time servers drop.
+        let m = CandidateMatrix::of(InstanceType::Cc2_8xlarge);
+        assert_ne!(m.validity_bits(32), u64::MAX >> (64 - m.len()));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use commit::{CommitConfig, CommitStats};
 pub use error::AcicError;
 pub use objective::Objective;
 pub use obs::Metrics;
-pub use predictor::{EngineKind, Predictor};
+pub use predictor::Predictor;
 pub use resilience::{Collection, CollectionReport, PointProvenance, RetryPolicy, SkippedPoint};
 pub use space::{AppPoint, CacheKey, ParamId, SystemConfig};
 pub use store::{PublishedSnapshot, SampleLookup, Store, StoreSample};

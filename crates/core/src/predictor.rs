@@ -1,32 +1,27 @@
 //! The CART-backed black-box predictor and top-k recommender (paper §4.2).
 //!
-//! Two scoring engines back the same API ([`EngineKind`], selected once
-//! per process via `ACIC_ENGINE=interpreted|compiled`).  The
-//! **interpreted** engine walks the fitted [`Model`] enum per row — it is
-//! the reference oracle, preserved verbatim as
-//! [`Predictor::rank_candidates_interpreted`].  The **compiled** engine
-//! (the default) lowers both objectives' models into flat [`CompiledModel`]
-//! arenas at train time and scores the whole candidate grid per query in
-//! one `predict_batch` pass over pre-encoded rows from the cached
-//! [`CandidateMatrix`] — bit-identical results, no per-candidate
-//! allocation.  Tier-1 byte-diffs both engines end to end.
+//! One ranking path answers every query ([`Predictor::rank_candidates`],
+//! [`Predictor::top_k`], and through them serve and the CLI): the query's
+//! app half is encoded once, every deployable candidate of the cached
+//! [`CandidateMatrix`] is scored into a candidate-indexed prediction
+//! buffer, and a bounded select ranks them.
 //!
-//! On top of per-query ranking, [`Predictor::top_k_many`] fuses *many*
-//! queries into one candidate-major sweep — the serve worker drains its
-//! whole request batch through a single pass over the model arenas — with
-//! per-query answers bit-identical to [`Predictor::top_k`].
+//! Trees and forests fill the buffer through precomputed **candidate-grid
+//! plans** (`CompiledModel::plan_grid`, built once at train time per
+//! objective × instance type): every tree node testing a *system* feature
+//! knows, as a bitmask, which candidates go left, so one query scores the
+//! whole candidate grid in a single reachable-subtree walk.  k-NN (no tree
+//! to plan over) fills it with one `Model::predict` per candidate.
 //!
-//! On tree-shaped models the compiled engine routes through precomputed
-//! **candidate-grid plans** (`CompiledModel::plan_grid`, built once at
-//! train time per objective × instance type): every tree node testing a
-//! *system* feature knows, as a bitmask, which candidates go left, so one
-//! query scores the whole candidate grid in a single reachable-subtree
-//! walk — no per-candidate row packing or routing at all.  k-NN (no tree
-//! to plan over) falls back to the packed `predict_batch` row path.
+//! The pre-compilation ranking is kept verbatim as the reference oracle,
+//! `Predictor::rank_candidates_interpreted`, compiled only for tests and
+//! under the `oracle` cargo feature.
 
 use crate::candidates::CandidateMatrix;
 use crate::error::AcicError;
-use crate::features::{encode, encode_app_half, encode_system_half, N_FEATURES, N_SYSTEM_FEATURES};
+#[cfg(any(test, feature = "oracle"))]
+use crate::features::encode_system_half;
+use crate::features::{encode_app_half, N_FEATURES, N_SYSTEM_FEATURES};
 use crate::objective::Objective;
 use crate::space::{AppPoint, SystemConfig};
 use crate::training::TrainingDb;
@@ -39,38 +34,12 @@ use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
 use std::sync::{mpsc, OnceLock};
 
-/// Which scoring plane answers queries.  Both are result-identical; the
-/// interpreted plane exists for differential testing (tier-1 byte-diffs)
-/// and for explicit benchmarking via the `*_on` entry points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Walk the fitted `Model` enum per row — the reference oracle.
-    Interpreted,
-    /// Flat f64 SoA arenas, blocked `predict_batch` (the default).
-    Compiled,
-}
-
-impl EngineKind {
-    /// The process-wide engine, from `ACIC_ENGINE`
-    /// (`interpreted|compiled`, read once; anything else or unset means the
-    /// compiled default).
-    pub fn from_env() -> EngineKind {
-        static ENGINE: OnceLock<EngineKind> = OnceLock::new();
-        *ENGINE.get_or_init(|| match std::env::var("ACIC_ENGINE").as_deref() {
-            Ok("interpreted") => EngineKind::Interpreted,
-            _ => EngineKind::Compiled,
-        })
-    }
-}
-
 thread_local! {
-    /// Batched-scoring scratch: (encoded rows, predictions, batch-row →
-    /// candidate index map, packed ranking keys).  Reused across queries on
-    /// the same thread, so steady-state scoring allocates only the returned
-    /// `Vec`.
-    #[allow(clippy::type_complexity)]
-    static SCORE_SCRATCH: RefCell<(Vec<f64>, Vec<Prediction>, Vec<u32>, Vec<u128>)> =
-        const { RefCell::new((Vec::new(), Vec::new(), Vec::new(), Vec::new())) };
+    /// Ranking scratch: (candidate-indexed predictions, packed ranking
+    /// keys).  Reused across queries on the same thread, so steady-state
+    /// scoring allocates only the returned `Vec`.
+    static SCORE_SCRATCH: RefCell<(Vec<Prediction>, Vec<u128>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Fit `data` on the fit helper, a thread that lives as long as the
@@ -114,21 +83,19 @@ fn fit_beside(data: Dataset, kind: ModelKind, seed: u64) -> mpsc::Receiver<Model
 /// the default); the bagged forest and k-NN alternatives plug in through
 /// [`Self::train_with`].
 ///
-/// Both models are lowered into [`CompiledModel`] form at construction, so
-/// every clone of a trained predictor (including the one captured in a
-/// `serve::ModelSnapshot` at publish/hot-swap time) carries the compiled
-/// plane with it.
+/// Tree models are lowered into [`CompiledModel`] form and planned over
+/// the candidate grid at construction, so every clone of a trained
+/// predictor (including the one captured in a `serve::ModelSnapshot` at
+/// publish/hot-swap time) carries its grid plans with it.
 #[derive(Debug, Clone)]
 pub struct Predictor {
     model_perf: Model,
     model_cost: Model,
-    compiled_perf: CompiledModel,
-    compiled_cost: CompiledModel,
-    /// Candidate-grid routing plans per `[objective][instance_type]`, over
-    /// the base [`CandidateMatrix`] system rows (None for k-NN).  A query
-    /// then routes the whole candidate grid in one reachable-subtree walk
-    /// instead of packing and scoring one row per candidate.
-    grids: [[Option<CompiledGrid>; 2]; 2],
+    /// Per objective: the compiled model and its candidate-grid routing
+    /// plans per instance type, over the base [`CandidateMatrix`] system
+    /// rows (None for k-NN).  A query then routes the whole candidate grid
+    /// in one reachable-subtree walk instead of one row per candidate.
+    grids: [Option<(CompiledModel, [CompiledGrid; 2])>; 2],
 }
 
 impl Predictor {
@@ -152,18 +119,18 @@ impl Predictor {
         let cost = fit_beside(db.to_dataset(Objective::Cost), kind, seed ^ 1);
         let model_perf = Model::fit(&db.to_dataset(Objective::Performance), kind, seed);
         let model_cost = cost.recv().expect("the cost-objective fit panicked on the fit helper");
-        let compiled_perf = CompiledModel::compile(&model_perf);
-        let compiled_cost = CompiledModel::compile(&model_cost);
-        let plan = |m: &CompiledModel| {
-            InstanceType::ALL.map(|it| {
-                let matrix = CandidateMatrix::of(it);
-                let grid: Vec<f64> =
-                    matrix.system_rows().iter().flat_map(|r| r.iter().copied()).collect();
-                m.plan_grid(&grid, N_SYSTEM_FEATURES)
+        let plan = |model: &Model| {
+            CompiledModel::compile(model).map(|compiled| {
+                let grids = InstanceType::ALL.map(|it| {
+                    let grid: Vec<f64> =
+                        CandidateMatrix::of(it).system_rows().iter().flatten().copied().collect();
+                    compiled.plan_grid(&grid, N_SYSTEM_FEATURES)
+                });
+                (compiled, grids)
             })
         };
-        let grids = [plan(&compiled_perf), plan(&compiled_cost)];
-        Ok(Self { model_perf, model_cost, compiled_perf, compiled_cost, grids })
+        let grids = [plan(&model_perf), plan(&model_cost)];
+        Ok(Self { model_perf, model_cost, grids })
     }
 
     /// The model backing an objective.
@@ -171,14 +138,6 @@ impl Predictor {
         match objective {
             Objective::Performance => &self.model_perf,
             Objective::Cost => &self.model_cost,
-        }
-    }
-
-    /// The compiled (flat, batched) form of an objective's model.
-    pub fn compiled(&self, objective: Objective) -> &CompiledModel {
-        match objective {
-            Objective::Performance => &self.compiled_perf,
-            Objective::Cost => &self.compiled_cost,
         }
     }
 
@@ -198,17 +157,6 @@ impl Predictor {
         self.model(objective).as_tree()
     }
 
-    /// Predicted improvement (baseline ÷ candidate; > 1 beats baseline) of
-    /// running `app` on `system`.
-    pub fn predict(&self, system: &SystemConfig, app: &AppPoint, objective: Objective) -> f64 {
-        match EngineKind::from_env() {
-            EngineKind::Interpreted => {
-                self.model(objective).predict(&encode(system, app)).value
-            }
-            EngineKind::Compiled => self.compiled(objective).predict(&encode(system, app)).value,
-        }
-    }
-
     /// Rank all candidate configurations for `app` by predicted
     /// improvement; returns `(config, predicted_improvement)` sorted best
     /// first, only configurations deployable at the app's scale.
@@ -218,32 +166,27 @@ impl Predictor {
     /// model ... a full exploration of system configuration space is
     /// affordable here" (§4.2).
     ///
-    /// This is the compiled fast path: candidates, their encoded system
-    /// halves, notations, and the scale validity mask all come precomputed
-    /// from the [`CandidateMatrix`]; the app half is encoded once; the
-    /// whole grid is scored by one [`CompiledModel::predict_batch`] call
-    /// into thread-local scratch.  Result-identical (bit for bit) to
-    /// [`Self::rank_candidates_interpreted`].
+    /// Candidates, their encoded system halves, notations, and the scale
+    /// validity bits all come precomputed from the [`CandidateMatrix`]; the
+    /// app half is encoded once; the whole grid is scored into
+    /// thread-local scratch.  Result-identical (bit for bit) to the
+    /// interpreted oracle, `Self::rank_candidates_interpreted`.
     pub fn rank_candidates(
         &self,
         app: &AppPoint,
         objective: Objective,
         instance_type: InstanceType,
     ) -> Vec<(SystemConfig, f64)> {
-        match EngineKind::from_env() {
-            EngineKind::Interpreted => {
-                self.rank_candidates_interpreted(app, objective, instance_type)
-            }
-            // Full ranking = top-k with k past the end.
-            EngineKind::Compiled => self.ranked(app, objective, instance_type, usize::MAX),
-        }
+        // Full ranking = top-k with k past the end.
+        self.ranked(app, objective, instance_type, usize::MAX)
     }
 
     /// The interpreted reference ranking — the pre-compilation
-    /// implementation, kept verbatim as the oracle the compiled plane is
-    /// differential-tested (and tier-1 byte-diffed) against.  Same results,
-    /// bit for bit; one model walk and one notation `String` per candidate
-    /// per call.
+    /// implementation, kept verbatim as the oracle the ranking path is
+    /// differential-tested against.  Same results, bit for bit; one model
+    /// walk and one notation `String` per candidate per call.  Compiled
+    /// only for tests and under the `oracle` feature.
+    #[cfg(any(test, feature = "oracle"))]
     pub fn rank_candidates_interpreted(
         &self,
         app: &AppPoint,
@@ -277,12 +220,12 @@ impl Predictor {
     /// is the same query as `k = 1` everywhere).  `k` larger than the
     /// deployable candidate count returns the full ranking.
     ///
-    /// On the compiled plane the list is produced by a bounded partial
-    /// select (`select_nth_unstable_by` on the scored indices, then a sort
-    /// of the k survivors) rather than a full sort — valid because the
-    /// ranking comparator is a total order (notation strings are unique),
-    /// so the k-prefix of the full sort and the selected k coincide
-    /// exactly, ties included.
+    /// The list is produced by a bounded partial select
+    /// (`select_nth_unstable` on the packed ranking keys, then a sort of
+    /// the k survivors) rather than a full sort — valid because the ranking
+    /// comparator is a total order (notation strings are unique), so the
+    /// k-prefix of the full sort and the selected k coincide exactly, ties
+    /// included.
     pub fn top_k(
         &self,
         app: &AppPoint,
@@ -290,22 +233,14 @@ impl Predictor {
         instance_type: InstanceType,
         k: usize,
     ) -> Vec<(SystemConfig, f64)> {
-        let k = k.max(1);
-        match EngineKind::from_env() {
-            EngineKind::Interpreted => {
-                let mut r = self.rank_candidates_interpreted(app, objective, instance_type);
-                r.truncate(k);
-                r
-            }
-            EngineKind::Compiled => self.ranked(app, objective, instance_type, k),
-        }
+        self.ranked(app, objective, instance_type, k.max(1))
     }
 
-    /// Rank one query's deployable candidates on the compiled plane:
-    /// through the candidate-grid plan (one reachable-subtree walk, no row
-    /// packing) when the model has one, else through the packed
-    /// [`Self::score_deployable`] batch (k-NN).  The shared tail of
-    /// [`Self::rank_candidates`] and [`Self::top_k`].
+    /// Rank one query's deployable candidates: score them into the
+    /// candidate-indexed buffer — through the candidate-grid plan (one
+    /// reachable-subtree walk) when the model has one, else one
+    /// `Model::predict` per candidate (k-NN) — then select the top `k`.
+    /// The shared tail of [`Self::rank_candidates`] and [`Self::top_k`].
     fn ranked(
         &self,
         app: &AppPoint,
@@ -314,112 +249,36 @@ impl Predictor {
         k: usize,
     ) -> Vec<(SystemConfig, f64)> {
         let matrix = CandidateMatrix::of(instance_type);
-        if let Some(grid) = self.grid(objective, instance_type) {
-            return SCORE_SCRATCH.with(|scratch| {
-                let (_, preds, _, keys) = &mut *scratch.borrow_mut();
-                let active = matrix.validity_bits(app.nprocs);
-                self.compiled(objective).predict_grid(grid, &encode_app_half(app), active, preds);
-                select_ranked_masked(matrix, preds, active, k, keys)
-            });
-        }
-        self.score_deployable(app, objective, matrix, |preds, order| {
-            select_ranked(matrix, preds, order, k)
-        })
-    }
-
-    /// Rank many queries against the same objective and instance type in
-    /// **one fused candidate-major sweep**: every query's deployable grid
-    /// is packed into a single row buffer and scored by one
-    /// `predict_batch` call over the model arenas, then each query's
-    /// segment is selected exactly as [`Self::top_k`] selects it.  Answers
-    /// are bit-identical to calling `top_k(app, objective, instance_type,
-    /// k)` per query — this is purely an amortization of arena traversal,
-    /// scratch reuse, and call overhead across in-flight requests.
-    ///
-    /// The engine comes from `ACIC_ENGINE` as everywhere else; under the
-    /// interpreted oracle the queries are answered per-query (the oracle
-    /// has no batch form — fused and per-request are *defined* equal
-    /// there).
-    pub fn top_k_many(
-        &self,
-        queries: &[(AppPoint, usize)],
-        objective: Objective,
-        instance_type: InstanceType,
-    ) -> Vec<Vec<(SystemConfig, f64)>> {
-        self.top_k_many_on(EngineKind::from_env(), queries, objective, instance_type)
-    }
-
-    /// [`Self::top_k_many`] on an explicit engine — how benchmarks and
-    /// differential tests hold the planes against each other in one
-    /// process regardless of `ACIC_ENGINE`.
-    pub fn top_k_many_on(
-        &self,
-        engine: EngineKind,
-        queries: &[(AppPoint, usize)],
-        objective: Objective,
-        instance_type: InstanceType,
-    ) -> Vec<Vec<(SystemConfig, f64)>> {
-        if engine == EngineKind::Interpreted {
-            return queries
-                .iter()
-                .map(|(app, k)| {
-                    let mut r = self.rank_candidates_interpreted(app, objective, instance_type);
-                    r.truncate((*k).max(1));
-                    r
-                })
-                .collect();
-        }
-        let matrix = CandidateMatrix::of(instance_type);
-        let model = self.compiled(objective);
-        if let Some(grid) = self.grid(objective, instance_type) {
-            // Grid fast path: each query routes the whole candidate grid in
-            // one reachable-subtree walk — no row packing at all.  The
-            // queries still share one scratch borrow and one arena residency.
-            return SCORE_SCRATCH.with(|scratch| {
-                let (_, preds, _, keys) = &mut *scratch.borrow_mut();
-                queries
-                    .iter()
-                    .map(|(app, k)| {
-                        let active = matrix.validity_bits(app.nprocs);
-                        model.predict_grid(grid, &encode_app_half(app), active, preds);
-                        select_ranked_masked(matrix, preds, active, (*k).max(1), keys)
-                    })
-                    .collect()
-            });
-        }
+        let active = matrix.validity_bits(app.nprocs);
+        let app_half = encode_app_half(app);
         SCORE_SCRATCH.with(|scratch| {
-            let (rows, preds, order, _) = &mut *scratch.borrow_mut();
-            rows.clear();
-            order.clear();
-            // (start, len, k) of each query's segment in the fused buffer.
-            let mut segments = Vec::with_capacity(queries.len());
-            for (app, k) in queries {
-                let mask = matrix.validity_mask(app.nprocs);
-                let start = order.len();
-                let app_half = encode_app_half(app);
+            let (preds, keys) = &mut *scratch.borrow_mut();
+            if let Some((model, grid)) = self.grid(objective, instance_type) {
+                model.predict_grid(grid, &app_half, active, preds);
+            } else {
+                let model = self.model(objective);
+                let mut row = [0.0f64; N_FEATURES];
+                row[N_SYSTEM_FEATURES..].copy_from_slice(&app_half);
+                preds.clear();
+                preds.resize(matrix.len(), Prediction { value: 0.0, std: 0.0, support: 0 });
                 for (i, sys_row) in matrix.system_rows().iter().enumerate() {
-                    if mask[i] {
-                        rows.extend_from_slice(sys_row);
-                        rows.extend_from_slice(&app_half);
-                        order.push(i as u32);
+                    if active >> i & 1 == 1 {
+                        row[..N_SYSTEM_FEATURES].copy_from_slice(sys_row);
+                        preds[i] = model.predict(&row);
                     }
                 }
-                segments.push((start, order.len() - start, (*k).max(1)));
             }
-            model.predict_batch(rows, preds);
-            segments
-                .iter()
-                .map(|&(start, len, k)| {
-                    select_ranked(matrix, &preds[start..start + len], &order[start..start + len], k)
-                })
-                .collect()
+            select_ranked_masked(matrix, preds, active, k, keys)
         })
     }
 
-    /// The candidate-grid plan for `objective` on `instance_type` (None for
-    /// k-NN — no tree to plan over — in which case callers fall back to
-    /// the packed row path).
-    fn grid(&self, objective: Objective, instance_type: InstanceType) -> Option<&CompiledGrid> {
+    /// The compiled model and its candidate-grid plan for `objective` on
+    /// `instance_type` (None for k-NN — no tree to plan over).
+    fn grid(
+        &self,
+        objective: Objective,
+        instance_type: InstanceType,
+    ) -> Option<(&CompiledModel, &CompiledGrid)> {
         let oi = match objective {
             Objective::Performance => 0,
             Objective::Cost => 1,
@@ -428,35 +287,7 @@ impl Predictor {
             InstanceType::Cc1_4xlarge => 0,
             InstanceType::Cc2_8xlarge => 1,
         };
-        self.grids[oi][ii].as_ref()
-    }
-
-    /// Score every deployable candidate of `matrix` for `app` in one
-    /// batched pass and hand `(predictions, batch-row → candidate index)`
-    /// to `finish`.  All intermediate buffers are thread-local scratch.
-    fn score_deployable<R>(
-        &self,
-        app: &AppPoint,
-        objective: Objective,
-        matrix: &CandidateMatrix,
-        finish: impl FnOnce(&[Prediction], &[u32]) -> R,
-    ) -> R {
-        let mask = matrix.validity_mask(app.nprocs);
-        SCORE_SCRATCH.with(|scratch| {
-            let (rows, preds, order, _) = &mut *scratch.borrow_mut();
-            rows.clear();
-            order.clear();
-            let app_half = encode_app_half(app);
-            for (i, sys_row) in matrix.system_rows().iter().enumerate() {
-                if mask[i] {
-                    rows.extend_from_slice(sys_row);
-                    rows.extend_from_slice(&app_half);
-                    order.push(i as u32);
-                }
-            }
-            self.compiled(objective).predict_batch(rows, preds);
-            finish(preds, order)
-        })
+        self.grids[oi].as_ref().map(|(model, grids)| (model, &grids[ii]))
     }
 
     /// Render the model tree in the paper's Figure 4 style, with feature
@@ -485,48 +316,25 @@ impl Predictor {
     }
 }
 
-/// Select and sort the top `k` of one scored segment — the shared tail of
-/// [`Predictor::top_k`], [`Predictor::rank_candidates`] (`k = usize::MAX`),
-/// and each [`Predictor::top_k_many`] segment, so fused and per-query
-/// answers go through the very same selection code.
+/// Select and sort the top `k` of one query's candidate-indexed
+/// predictions — the shared tail of [`Predictor::top_k`] and
+/// [`Predictor::rank_candidates`] (`k = usize::MAX`).  The scored
+/// candidates are the set bits of `active`; `preds` is aligned with the
+/// full candidate enumeration (how [`CompiledModel::predict_grid`] fills
+/// it).  `keys` is caller scratch, reused across queries.
 ///
 /// The ranking order is predicted improvement **descending** (by
 /// `f64::total_cmp`), then notation **ascending** — the same order the
 /// interpreted oracle sorts by, with the notation compare done on the
 /// matrix's precomputed integer ranks (order-isomorphic to the strings).
-/// Each row is packed into one `u128` sort key — the descending
+/// Each candidate is packed into one `u128` sort key — the descending
 /// `total_cmp` image of the predicted value in the high 64 bits, the
-/// notation rank next, the row index last — so selection and sort run on
-/// plain integers instead of an indirect comparator.  The bit transform is
-/// the same monotone image `total_cmp` compares, and ranks are unique per
-/// candidate so the trailing index never decides (it only makes keys
-/// distinct).  Totality of this order is what lets `top_k`
+/// notation rank next, the candidate index last — so selection and sort
+/// run on plain integers instead of an indirect comparator.  The bit
+/// transform is the same monotone image `total_cmp` compares, and ranks
+/// are unique per candidate so the trailing index never decides (it only
+/// makes keys distinct).  Totality of this order is what lets `top_k`
 /// partial-select instead of full-sorting.
-fn select_ranked(
-    matrix: &CandidateMatrix,
-    preds: &[Prediction],
-    order: &[u32],
-    k: usize,
-) -> Vec<(SystemConfig, f64)> {
-    let mut keys: Vec<u128> = (0..order.len())
-        .map(|i| ranking_key(preds[i].value, matrix.notation_rank(order[i] as usize), i))
-        .collect();
-    top_of(&mut keys, k);
-    keys.iter()
-        .map(|&key| {
-            let i = (key & 0xffff_ffff) as usize;
-            (matrix.configs()[order[i] as usize], preds[i].value)
-        })
-        .collect()
-}
-
-/// [`select_ranked`] over candidate-indexed grid predictions: the scored
-/// rows are the set bits of `active` and `preds` is aligned with the full
-/// candidate enumeration (how [`CompiledModel::predict_grid`] fills it).
-/// The keys carry the candidate index where the packed path carries the
-/// batch-row index — both strictly increase in enumeration order, and the
-/// index never decides (ranks are unique), so the selected order is
-/// identical.  `keys` is caller scratch, reused across queries.
 fn select_ranked_masked(
     matrix: &CandidateMatrix,
     preds: &[Prediction],
@@ -552,7 +360,7 @@ fn select_ranked_masked(
 
 /// Pack one scored row into its `u128` ranking key: the descending
 /// `f64::total_cmp` image of the predicted value in the high 64 bits, the
-/// notation rank next, the row/candidate index last.
+/// notation rank next, the candidate index last.
 #[inline]
 fn ranking_key(value: f64, rank: u32, idx: usize) -> u128 {
     let bits = value.to_bits() as i64;
@@ -709,25 +517,29 @@ mod tests {
     #[test]
     fn compiled_ranking_matches_interpreted_oracle_everywhere() {
         // The golden old-vs-new equivalence: for every (objective,
-        // instance_type) pair and every model kind, the compiled batched
-        // ranking must equal the interpreted reference bit for bit —
-        // same configs, same order, same predicted values.
-        let db = small_db();
+        // instance_type) pair and every model kind, the ranking path must
+        // equal the interpreted reference bit for bit — same configs, same
+        // order, same predicted values.  Five dimensions is the smallest
+        // campaign on which k-NN scores candidates apart (at four every
+        // candidate gets the same neighbours, so its system half goes
+        // unchecked).
+        let dbs = [small_db(), Trainer::with_paper_ranking(5).collect(5).unwrap()];
         let apps = {
             let mut base = SpacePoint::default_point().app;
             let mut small = base;
-            small.nprocs = 32; // exercises the validity mask
+            small.nprocs = 32; // exercises the validity bits
             small.io_procs = 32;
             base.data_size = mib(512.0);
             base.collective = true;
             vec![SpacePoint::default_point().app, small, base]
         };
-        for kind in [
+        let kinds = [
             acic_cart::ModelKind::Cart,
             acic_cart::ModelKind::Forest { n_trees: 7 },
             acic_cart::ModelKind::Knn { k: 5 },
-        ] {
-            let p = Predictor::train_with(&db, 3, kind).unwrap();
+        ];
+        for (db, kind) in dbs.iter().flat_map(|db| kinds.map(|kind| (db, kind))) {
+            let p = Predictor::train_with(db, 3, kind).unwrap();
             for app in &apps {
                 for objective in [Objective::Performance, Objective::Cost] {
                     for it in [InstanceType::Cc1_4xlarge, InstanceType::Cc2_8xlarge] {
@@ -787,78 +599,6 @@ mod tests {
                     key(a).cmp(&key(b)),
                     "key order diverged from descending total_cmp for a={a:?} b={b:?}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn fused_top_k_many_matches_per_query_oracle_on_every_engine() {
-        // The fused sweep's contract: for every engine, answering N queries
-        // in one candidate-major pass is bit-identical to answering each
-        // alone through the interpreted oracle — same configs, same order,
-        // same value bits — including mixed `k`s inside one fused call.
-        let db = small_db();
-        let apps = {
-            let mut big = SpacePoint::default_point().app;
-            big.data_size = mib(512.0);
-            big.collective = true;
-            let mut small = SpacePoint::default_point().app;
-            small.nprocs = 32; // exercises per-query validity masks
-            small.io_procs = 32;
-            vec![SpacePoint::default_point().app, small, big]
-        };
-        for kind in [
-            acic_cart::ModelKind::Cart,
-            acic_cart::ModelKind::Forest { n_trees: 7 },
-            acic_cart::ModelKind::Knn { k: 5 },
-        ] {
-            let p = Predictor::train_with(&db, 3, kind).unwrap();
-            for objective in [Objective::Performance, Objective::Cost] {
-                for it in [InstanceType::Cc1_4xlarge, InstanceType::Cc2_8xlarge] {
-                    let ks = [0usize, 1, 5, 100];
-                    let queries: Vec<(AppPoint, usize)> = apps
-                        .iter()
-                        .enumerate()
-                        .map(|(i, app)| (*app, ks[i % ks.len()]))
-                        .collect();
-                    let oracle: Vec<Vec<(SystemConfig, f64)>> = queries
-                        .iter()
-                        .map(|(app, k)| {
-                            let mut r = p.rank_candidates_interpreted(app, objective, it);
-                            r.truncate((*k).max(1));
-                            r
-                        })
-                        .collect();
-                    for engine in [EngineKind::Interpreted, EngineKind::Compiled] {
-                        let got = p.top_k_many_on(engine, &queries, objective, it);
-                        assert_eq!(got.len(), oracle.len());
-                        for (qi, (g, o)) in got.iter().zip(&oracle).enumerate() {
-                            assert_eq!(g.len(), o.len(), "{kind} {engine:?} query {qi}");
-                            for ((gc, gv), (oc, ov)) in g.iter().zip(o) {
-                                assert_eq!(gc, oc, "{kind} {engine:?} query {qi}");
-                                assert_eq!(
-                                    gv.to_bits(),
-                                    ov.to_bits(),
-                                    "{kind} {engine:?} query {qi} {}",
-                                    gc.notation()
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn predict_matches_interpreted_model() {
-        let p = Predictor::train(&small_db(), 1).unwrap();
-        let app = SpacePoint::default_point().app;
-        for c in SystemConfig::candidates(InstanceType::Cc2_8xlarge) {
-            for objective in [Objective::Performance, Objective::Cost] {
-                let fast = p.predict(&c, &app, objective);
-                let oracle = p.model(objective).predict(&encode(&c, &app)).value;
-                assert_eq!(fast.to_bits(), oracle.to_bits(), "{}", c.notation());
             }
         }
     }

@@ -11,15 +11,13 @@
 //! bounded shard queue: [`ServeHandle::submit`] returns a typed
 //! [`ServeError::Overloaded`] instead of queueing without bound.
 //!
-//! Workers drain up to `batch` queued jobs per wakeup and answer them
-//! through the **fused inference plane**: the whole drained batch's cache
-//! misses are grouped by generation and scored in one candidate-major
-//! sweep over the model arenas (`ModelSnapshot::answer_many`, i.e.
-//! `Predictor::top_k_many`), amortizing arena traversal, row encoding,
-//! and scratch across in-flight requests.  Duplicate keys within a batch
-//! are computed once and absorbed by the versioned cache.  At `batch: 1`
-//! every drain holds one job, so the same code answers request by
-//! request; payloads and cache accounting are identical at any batch
+//! Workers drain up to `batch` queued jobs per wakeup.  Each job probes
+//! the versioned cache and, on a miss, is scored on the generation it was
+//! admitted under (`ModelSnapshot::answer`, one candidate-grid walk per
+//! query) and inserted at once, so duplicate keys within a batch are
+//! computed once; then the batch is answered in admission order.  At
+//! `batch: 1` every drain holds one job, so the same code answers request
+//! by request; payloads and cache accounting are identical at any batch
 //! size.
 //!
 //! Determinism: a response's payload is a pure function of (snapshot
@@ -220,7 +218,7 @@ impl OneShot {
 /// ([`ServeHandle::make_job`]), so a request is answered from the exact
 /// generation it was admitted under — a hot-swap between admission and
 /// batch processing never retroactively rebinds in-flight requests, and a
-/// fused batch can span generations without blurring them.  Dropping an
+/// drained batch can span generations without blurring them.  Dropping an
 /// unanswered job (e.g. a worker unwinding mid-shutdown) closes its reply
 /// slot so the waiting client gets [`ServeError::ShuttingDown`] instead
 /// of parking forever.
@@ -496,132 +494,51 @@ fn worker_loop(shared: &Shared, w: usize) {
         }
         shared.metrics.incr("serve.batches", 1);
         shared.metrics.incr("serve.requests_served", batch.len() as u64);
-        serve_fused(shared, batch);
+        serve_batch(shared, batch);
     }
 }
 
-/// How a job's answer is produced within a fused batch.
-enum Slot {
-    /// Phase A found it in the versioned cache.
-    Hit(CachedTopK),
-    /// Phase A scheduled it for the fused sweep; Phase B fills the value.
-    Compute(Option<CachedTopK>),
-    /// Same (generation, key) as an earlier `Compute` in this batch: the
-    /// primary computes and inserts once, and this job re-probes the cache
-    /// in Phase C — the hit a one-job drain would have recorded.
-    Dup,
-}
-
-/// The fused cross-request path: one drained batch becomes (at most one
-/// per generation) candidate-major `predict_batch` sweeps.
-///
-/// Three phases, all in admission order where order is visible:
-/// - **A (probe)**: record queue wait and probe the cache per job.
-///   Misses join the fused sweep; duplicate (generation, key) misses defer
-///   to Phase C so each unique key is computed exactly once.
-/// - **B (sweep)**: stable-sort the misses by generation, and answer each
-///   generation's run with one [`ModelSnapshot::answer_many`] call — the
-///   candidate-major fused sweep over that generation's arenas.
-///   Results are inserted into the versioned cache as they land.
-/// - **C (respond)**: apply the per-request downstream stall and reply in
-///   admission order.  Dups re-probe the cache (counting the same hit a
-///   one-job drain would); if a tiny cache already evicted the entry, they
-///   recompute exactly like a one-job miss.
-fn serve_fused(shared: &Shared, batch: Vec<Job>) {
+/// The batched drain: one drained batch is answered in two passes, both
+/// in admission order:
+/// - **answer**: probe the versioned cache per job; on a miss, score the
+///   key with [`ModelSnapshot::answer`] on the generation it was admitted
+///   under and insert it at once, so a duplicate later in the batch hits
+///   it.  The cache sees exactly the gets and inserts a one-job drain
+///   would, so payloads and hit/miss counts do not depend on batching.
+/// - **respond**: apply the per-request downstream stall and reply.
+fn serve_batch(shared: &Shared, batch: Vec<Job>) {
     let m = &shared.metrics;
     m.incr("serve.fused_batch.batches", 1);
     m.incr("serve.fused_batch.requests", batch.len() as u64);
     m.record_max("serve.fused_batch.max_requests", batch.len() as u64);
-
-    // Phase A: probe in admission order; collect unique misses.  The dup
-    // check runs *before* the cache probe: by the time a one-job drain
-    // reaches a dup its primary has already inserted, so it books exactly
-    // one hit for it — probing here would add a phantom miss and make
-    // cache counters depend on batching boundaries (breaking deterministic
-    // replay).
-    let mut slots: Vec<Slot> = Vec::with_capacity(batch.len());
-    let mut to_compute: Vec<usize> = Vec::new();
-    for (i, job) in batch.iter().enumerate() {
+    for job in &batch {
         m.observe_latency("serve.queue_wait", job.enqueued.elapsed().as_secs_f64());
-        let dup = to_compute
-            .iter()
-            .any(|&j| batch[j].snapshot.version() == job.snapshot.version() && batch[j].key == job.key);
-        if dup {
-            slots.push(Slot::Dup);
-            continue;
-        }
-        let t0 = Instant::now();
-        match shared.cache.get(&job.key, job.snapshot.version()) {
-            Some(top) => {
+    }
+
+    let answers: Vec<(CachedTopK, bool)> = batch
+        .iter()
+        .map(|job| {
+            let version = job.snapshot.version();
+            let t0 = Instant::now();
+            if let Some(top) = shared.cache.get(&job.key, version) {
                 m.observe_latency("serve.cache_hit", t0.elapsed().as_secs_f64());
-                slots.push(Slot::Hit(top));
+                return (top, true);
             }
-            None => {
-                to_compute.push(i);
-                slots.push(Slot::Compute(None));
-            }
-        }
-    }
-
-    // Phase B: one fused sweep per generation run.
-    to_compute.sort_by_key(|&i| batch[i].snapshot.version());
-    let mut groups = 0u64;
-    let mut g = 0;
-    while g < to_compute.len() {
-        let version = batch[to_compute[g]].snapshot.version();
-        let mut end = g + 1;
-        while end < to_compute.len() && batch[to_compute[end]].snapshot.version() == version {
-            end += 1;
-        }
-        groups += 1;
-        let run = &to_compute[g..end];
-        let keys: Vec<&CacheKey> = run.iter().map(|&i| &batch[i].key).collect();
-        let t0 = Instant::now();
-        let answers = batch[run[0]].snapshot.answer_many(&keys);
-        // Each fused answer books its fair share of the sweep, keeping one
-        // `serve.predict` observation per prediction at any batch size.
-        let share = t0.elapsed().as_secs_f64() / run.len() as f64;
-        for (&i, answer) in run.iter().zip(answers) {
-            let top: CachedTopK = Arc::new(answer);
-            shared.cache.insert(batch[i].key.clone(), version, Arc::clone(&top));
-            m.observe_latency("serve.predict", share);
+            let t0 = Instant::now();
+            let top: CachedTopK = Arc::new(job.snapshot.answer(&job.key));
+            shared.cache.insert(job.key, version, Arc::clone(&top));
+            m.observe_latency("serve.predict", t0.elapsed().as_secs_f64());
             m.incr("serve.predictions", 1);
-            slots[i] = Slot::Compute(Some(top));
-        }
-        g = end;
-    }
-    m.incr("serve.fused_batch.groups", groups);
+            (top, false)
+        })
+        .collect();
 
-    // Phase C: stall + respond in admission order.
-    for (i, mut job) in batch.into_iter().enumerate() {
+    for (mut job, (top, cache_hit)) in batch.into_iter().zip(answers) {
         if !shared.cfg.service_stall.is_zero() {
             std::thread::sleep(shared.cfg.service_stall);
         }
-        let version = job.snapshot.version();
-        let (top, cache_hit) = match std::mem::replace(&mut slots[i], Slot::Dup) {
-            Slot::Hit(top) => (top, true),
-            Slot::Compute(Some(top)) => (top, false),
-            Slot::Compute(None) => unreachable!("phase B fills every scheduled slot"),
-            Slot::Dup => {
-                let t0 = Instant::now();
-                match shared.cache.get(&job.key, version) {
-                    Some(top) => {
-                        m.observe_latency("serve.cache_hit", t0.elapsed().as_secs_f64());
-                        (top, true)
-                    }
-                    None => {
-                        // The primary's entry was evicted already (tiny
-                        // cache): recompute, as a one-job miss would.
-                        let top: CachedTopK = Arc::new(job.snapshot.answer(&job.key));
-                        shared.cache.insert(job.key.clone(), version, Arc::clone(&top));
-                        m.observe_latency("serve.predict", t0.elapsed().as_secs_f64());
-                        m.incr("serve.predictions", 1);
-                        (top, false)
-                    }
-                }
-            }
-        };
-        job.respond(Response { top, snapshot_version: version, cache_hit });
+        let snapshot_version = job.snapshot.version();
+        job.respond(Response { top, snapshot_version, cache_hit });
     }
 }
 
@@ -895,11 +812,13 @@ mod tests {
 
     #[test]
     fn batch_1_and_batch_16_drains_answer_identically() {
-        // Fusing is a batching strategy, not a semantic: a batch-16 drain
-        // must match one-job drains bit for bit on a mixed workload
+        // Batching is a scheduling choice, not a semantic: a batch-16
+        // drain must match one-job drains bit for bit on a mixed workload
         // (duplicates, distinct apps, varied k) — payloads, versions, and
         // cache hit/miss accounting — and every payload must be the
-        // snapshot's direct answer.
+        // snapshot's direct answer.  The two-entry cache evicts within a
+        // drain, so a batch that probed ahead of its inserts would book
+        // different hits than one-job drains.
         let (p, n) = predictor(4, 3);
         let mut big = request(7);
         big.app.data_size = mib(512.0);
@@ -907,8 +826,8 @@ mod tests {
         cost.objective = Objective::Cost;
         let reqs =
             [request(3), big, request(3), cost, request(28), big, request(1), cost, request(3)];
-        let run = |batch: usize| {
-            let cfg = ServeConfig { batch, ..Default::default() };
+        let run = |batch: usize, cache_capacity: usize, cache_shards: usize| {
+            let cfg = ServeConfig { batch, cache_capacity, cache_shards, ..Default::default() };
             let server = Server::start(p.clone(), n, cfg, Metrics::new()).unwrap();
             let h = server.handle();
             let pending: Vec<Pending> =
@@ -923,34 +842,35 @@ mod tests {
             server.shutdown();
             (out, hits, misses)
         };
-        let (one, one_hits, one_misses) = run(1);
-        let (fused, fused_hits, fused_misses) = run(16);
-        assert_eq!((one_hits, one_misses), (fused_hits, fused_misses), "cache accounting");
-        for (i, (a, b)) in one.iter().zip(&fused).enumerate() {
-            assert_eq!(a.snapshot_version, b.snapshot_version, "request {i}");
-            assert_eq!(a.cache_hit, b.cache_hit, "request {i}");
-            assert_eq!(a.top.len(), b.top.len(), "request {i}");
-            for (x, y) in a.top.iter().zip(b.top.iter()) {
-                assert_eq!(x.0, y.0, "request {i}");
-                assert_eq!(x.1.to_bits(), y.1.to_bits(), "request {i}");
+        for (capacity, shards) in [(4096, 8), (2, 1)] {
+            let (one, one_hits, one_misses) = run(1, capacity, shards);
+            let (batched, hits, misses) = run(16, capacity, shards);
+            assert_eq!((one_hits, one_misses), (hits, misses), "cache {capacity}: accounting");
+            for (i, (a, b)) in one.iter().zip(&batched).enumerate() {
+                assert_eq!(a.snapshot_version, b.snapshot_version, "cache {capacity}: request {i}");
+                assert_eq!(a.cache_hit, b.cache_hit, "cache {capacity}: request {i}");
+                assert_eq!(a.top.len(), b.top.len(), "cache {capacity}: request {i}");
+                for (x, y) in a.top.iter().zip(b.top.iter()) {
+                    assert_eq!(x.0, y.0, "cache {capacity}: request {i}");
+                    assert_eq!(x.1.to_bits(), y.1.to_bits(), "cache {capacity}: request {i}");
+                }
             }
         }
     }
 
     #[test]
-    fn fused_metrics_track_batches_and_sweep_groups() {
+    fn fused_metrics_track_batches_and_predictions() {
         let (p, n) = predictor(3, 3);
         let m = Metrics::new();
         let server = Server::start(p, n, ServeConfig::default(), m.clone()).unwrap();
         let h = server.handle();
-        h.query(request(3)).unwrap(); // miss -> one sweep group
-        h.query(request(4)).unwrap(); // distinct key: miss -> one group
-        h.query(request(3)).unwrap(); // hit -> no group
+        h.query(request(3)).unwrap(); // miss -> one prediction
+        h.query(request(4)).unwrap(); // distinct key: miss -> one prediction
+        h.query(request(3)).unwrap(); // hit -> no prediction
         server.shutdown();
         assert_eq!(m.counter("serve.fused_batch.batches"), 3);
         assert_eq!(m.counter("serve.fused_batch.requests"), 3);
         assert_eq!(m.counter("serve.fused_batch.max_requests"), 1);
-        assert_eq!(m.counter("serve.fused_batch.groups"), 2);
         assert_eq!(m.counter("serve.predictions"), 2);
     }
 

@@ -20,14 +20,12 @@ use std::sync::Arc;
 /// predictor, the candidate instance type it ranks over, and the version
 /// id that namespaces everything derived from it.
 ///
-/// Every snapshot serves on the **compiled inference plane**: `Predictor`
-/// lowers both objectives' models into flat `CompiledModel` arenas at
-/// train time, so the predictor captured here — at first construction and
-/// at every [`SnapshotStore::publish`] hot-swap — already carries them,
-/// and worker batches score the candidate grid with batched, allocation-
-/// free `predict_batch` passes.  The compiled plane is bit-identical to
-/// the interpreted models (`ACIC_ENGINE=interpreted` forces the reference
-/// path for differential replay).
+/// `Predictor` plans its tree models over the candidate grid at train
+/// time, so the predictor captured here — at first construction and at
+/// every [`SnapshotStore::publish`] hot-swap — already carries the plans,
+/// and each cache miss scores the whole candidate grid in one
+/// reachable-subtree walk, bit-identical to the interpreted reference
+/// ranking.
 #[derive(Debug)]
 pub struct ModelSnapshot {
     version: u64,
@@ -61,38 +59,6 @@ impl ModelSnapshot {
     /// candidate list, best first — a pure function of (snapshot, key).
     pub fn answer(&self, key: &CacheKey) -> Vec<(SystemConfig, f64)> {
         self.predictor.top_k(key.app(), key.objective(), key.instance_type(), key.k())
-    }
-
-    /// Answer many canonicalized queries in fused candidate-major sweeps:
-    /// keys are grouped by `(objective, instance_type)` in encounter order
-    /// and each group is scored by one `Predictor::top_k_many` pass over
-    /// the model arenas.  Answers come back aligned with `keys` and are
-    /// **bit-identical** to calling [`Self::answer`] per key — fusing
-    /// amortizes arena traversal, it never changes a payload.
-    pub fn answer_many(&self, keys: &[&CacheKey]) -> Vec<Vec<(SystemConfig, f64)>> {
-        if let [key] = keys {
-            return vec![self.answer(key)];
-        }
-        let mut out: Vec<Option<Vec<(SystemConfig, f64)>>> = keys.iter().map(|_| None).collect();
-        let mut groups: Vec<(acic::Objective, InstanceType, Vec<usize>)> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            match groups
-                .iter_mut()
-                .find(|(o, it, _)| *o == key.objective() && *it == key.instance_type())
-            {
-                Some((_, _, idxs)) => idxs.push(i),
-                None => groups.push((key.objective(), key.instance_type(), vec![i])),
-            }
-        }
-        for (objective, instance_type, idxs) in groups {
-            let queries: Vec<(acic::AppPoint, usize)> =
-                idxs.iter().map(|&i| (*keys[i].app(), keys[i].k())).collect();
-            let answers = self.predictor.top_k_many(&queries, objective, instance_type);
-            for (&i, answer) in idxs.iter().zip(answers) {
-                out[i] = Some(answer);
-            }
-        }
-        out.into_iter().map(|a| a.expect("every key answered")).collect()
     }
 }
 
@@ -227,43 +193,6 @@ mod tests {
                 store.publish(p2, n2);
             }
         }
-    }
-
-    #[test]
-    fn answer_many_is_bit_identical_to_per_key_answers() {
-        let (p, n) = predictor(7);
-        let store = SnapshotStore::new(p, InstanceType::Cc2_8xlarge, n);
-        let snap = store.load();
-        let mut big = SpacePoint::default_point().app;
-        big.data_size = acic_cloudsim::units::mib(512.0);
-        let mut small = SpacePoint::default_point().app;
-        small.nprocs = 32;
-        small.io_procs = 32;
-        // Mixed objectives, apps, and ks — including duplicates — in one
-        // fused call.
-        let keys: Vec<CacheKey> = [
-            (SpacePoint::default_point().app, Objective::Performance, 3),
-            (big, Objective::Cost, 1),
-            (small, Objective::Performance, 28),
-            (SpacePoint::default_point().app, Objective::Performance, 3),
-            (big, Objective::Performance, 0),
-        ]
-        .iter()
-        .map(|(app, obj, k)| CacheKey::new(app, *obj, InstanceType::Cc2_8xlarge, *k))
-        .collect();
-        let refs: Vec<&CacheKey> = keys.iter().collect();
-        let fused = snap.answer_many(&refs);
-        assert_eq!(fused.len(), keys.len());
-        for (key, got) in keys.iter().zip(&fused) {
-            let want = snap.answer(key);
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.0, w.0);
-                assert_eq!(g.1.to_bits(), w.1.to_bits());
-            }
-        }
-        // The empty fused batch is a no-op, not a panic.
-        assert!(snap.answer_many(&[]).is_empty());
     }
 
     #[test]
