@@ -313,7 +313,7 @@ fn main() {
     let (hits, misses, hit_rate) = s8.cache_stats();
     let q = |name: &str, p: f64| us(metrics_8.latency_quantile(name, p).unwrap_or(0.0));
     let queue_p = (q("serve.queue_wait", 0.5), q("serve.queue_wait", 0.95), q("serve.queue_wait", 0.99));
-    let hit_p = (q("serve.cache_hit", 0.5), q("serve.cache_hit", 0.95), q("serve.cache_hit", 0.99));
+    let hit_p = (q("serve.hit_service", 0.5), q("serve.hit_service", 0.95), q("serve.hit_service", 0.99));
     let client_p = (
         us(quantile(&lat_8, 0.5).unwrap()),
         us(quantile(&lat_8, 0.95).unwrap()),
@@ -344,7 +344,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"model\": {{ \"dims\": {dims}, \"db_points\": {db_points}, \"seed\": {seed} }},\n  \"scaling\": {{\n    \"stall_us\": {stall_us:.0},\n    \"working_set\": {ws},\n    \"workers_1_rps\": {rps_1:.0},\n    \"workers_8_rps\": {rps_8:.0},\n    \"speedup\": {speedup:.2},\n    \"payload_mismatches\": {total_miss}\n  }},\n  \"cache\": {{ \"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {hit_rate:.3} }},\n  \"latency_us\": {{\n    \"queue_wait\": {{ \"p50\": {qw50:.0}, \"p95\": {qw95:.0}, \"p99\": {qw99:.0} }},\n    \"cache_hit\": {{ \"p50\": {ch50:.1}, \"p95\": {ch95:.1}, \"p99\": {ch99:.1} }},\n    \"client_e2e\": {{ \"p50\": {ce50:.0}, \"p95\": {ce95:.0}, \"p99\": {ce99:.0} }}\n  }},\n  \"admission\": {{\n    \"burst\": 64,\n    \"queue_depth\": 4,\n    \"admitted\": {admitted},\n    \"shed\": {shed},\n    \"shed_counter\": {shed_counter},\n    \"payload_mismatches\": {shed_miss}\n  }},\n  \"hotswap\": {{\n    \"publishes\": {publishes},\n    \"final_version\": {final_version},\n    \"versions_observed\": {versions_seen},\n    \"payload_mismatches\": {swap_miss},\n    \"version_regressions\": {regressions}\n  }},\n  \"fused\": {{\n    \"burst\": {ws},\n    \"fused_rps\": {fused_rps:.0},\n    \"batches\": {fused_batches},\n    \"max_requests_per_sweep\": {fused_max_batch},\n    \"payload_mismatches\": {fused_miss}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"serve\",\n  \"model\": {{ \"dims\": {dims}, \"db_points\": {db_points}, \"seed\": {seed} }},\n  \"scaling\": {{\n    \"stall_us\": {stall_us:.0},\n    \"working_set\": {ws},\n    \"workers_1_rps\": {rps_1:.0},\n    \"workers_8_rps\": {rps_8:.0},\n    \"speedup\": {speedup:.2},\n    \"payload_mismatches\": {total_miss}\n  }},\n  \"cache\": {{ \"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {hit_rate:.3} }},\n  \"latency_us\": {{\n    \"queue_wait\": {{ \"p50\": {qw50:.0}, \"p95\": {qw95:.0}, \"p99\": {qw99:.0} }},\n    \"hit_service\": {{ \"p50\": {ch50:.1}, \"p95\": {ch95:.1}, \"p99\": {ch99:.1} }},\n    \"client_e2e\": {{ \"p50\": {ce50:.0}, \"p95\": {ce95:.0}, \"p99\": {ce99:.0} }}\n  }},\n  \"admission\": {{\n    \"burst\": 64,\n    \"queue_depth\": 4,\n    \"admitted\": {admitted},\n    \"shed\": {shed},\n    \"shed_counter\": {shed_counter},\n    \"payload_mismatches\": {shed_miss}\n  }},\n  \"hotswap\": {{\n    \"publishes\": {publishes},\n    \"final_version\": {final_version},\n    \"versions_observed\": {versions_seen},\n    \"payload_mismatches\": {swap_miss},\n    \"version_regressions\": {regressions}\n  }},\n  \"fused\": {{\n    \"burst\": {ws},\n    \"fused_rps\": {fused_rps:.0},\n    \"batches\": {fused_batches},\n    \"max_requests_per_sweep\": {fused_max_batch},\n    \"payload_mismatches\": {fused_miss}\n  }}\n}}\n",
         db_points = db.len(),
         ws = reqs.len(),
         total_miss = miss_1 + miss_8,

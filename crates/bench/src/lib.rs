@@ -1,7 +1,8 @@
 //! # acic-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper's evaluation (see DESIGN.md §4
-//! for the index), plus Criterion micro-benchmarks of the core components.
+//! for the index), plus the `bench_*` binaries that write the `BENCH_*.json`
+//! artifacts.
 //! This library holds the pieces the binaries share: the registry of the
 //! nine evaluated application runs, and small table-printing helpers.
 

@@ -63,7 +63,7 @@ pub use candidates::CandidateMatrix;
 pub use commit::{CommitConfig, CommitStats};
 pub use error::AcicError;
 pub use objective::Objective;
-pub use obs::Metrics;
+pub use obs::{CounterHandle, LatencyHandle, Metrics};
 pub use predictor::Predictor;
 pub use resilience::{Collection, CollectionReport, PointProvenance, RetryPolicy, SkippedPoint};
 pub use space::{AppPoint, CacheKey, ParamId, SystemConfig};

@@ -487,12 +487,38 @@ fn canon_f64_bits(x: f64) -> u64 {
 /// type, and the (clamped) result length `k`.  Two queries that can only
 /// ever produce the same top-k list map to the same key — the correctness
 /// foundation of the serve-layer result cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// The key carries its [`CacheKey::stable_hash`], computed once in
+/// [`CacheKey::new`]: routing, queue and cache sharding, and the cache's
+/// `HashMap` (whose `Hash` writes only that word) all reuse it instead of
+/// rehashing the fields.  Equality still compares every field.
+#[derive(Debug, Clone, Copy)]
 pub struct CacheKey {
     app: AppPoint,
     objective: Objective,
     instance_type: InstanceType,
     k: usize,
+    hash: u64,
+}
+
+impl PartialEq for CacheKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash
+            && self.app == other.app
+            && self.objective == other.objective
+            && self.instance_type == other.instance_type
+            && self.k == other.k
+    }
+}
+
+impl Eq for CacheKey {}
+
+/// Consistent with `==`: equal keys have equal canonical words, hence
+/// equal stable hashes.
+impl std::hash::Hash for CacheKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 impl CacheKey {
@@ -500,7 +526,9 @@ impl CacheKey {
     /// [`AppPoint::normalized`] and `k` is clamped to ≥ 1, mirroring what
     /// [`crate::Predictor::top_k`] does before answering.
     pub fn new(app: &AppPoint, objective: Objective, instance_type: InstanceType, k: usize) -> Self {
-        Self { app: app.normalized(), objective, instance_type, k: k.max(1) }
+        let app = app.normalized();
+        let k = k.max(1);
+        Self { app, objective, instance_type, k, hash: fnv_hash(&app, objective, instance_type, k) }
     }
 
     /// The normalized application point the key was built from.
@@ -528,22 +556,7 @@ impl CacheKey {
     /// unlike `std` `RandomState`, replaying the same request file shards
     /// identically on every run.
     pub fn stable_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-        const FNV_PRIME: u64 = 0x100000001b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |w: u64| {
-            for byte in w.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        for w in self.app.canonical_words() {
-            eat(w);
-        }
-        eat(self.objective as u64);
-        eat(self.instance_type as u64);
-        eat(self.k as u64);
-        h
+        self.hash
     }
 
     /// Deterministic shard index in `0..shards`.
@@ -562,6 +575,27 @@ impl CacheKey {
     pub fn rendezvous_weight(&self, node_salt: u64) -> u64 {
         rendezvous_mix(self.stable_hash(), node_salt)
     }
+}
+
+/// FNV-1a over a key's canonical words, then objective, instance type and
+/// `k`, each as eight little-endian bytes.
+fn fnv_hash(app: &AppPoint, objective: Objective, instance_type: InstanceType, k: usize) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+    const FNV_PRIME: u64 = 0x100000001b3;
+    let mut h = FNV_OFFSET;
+    let mut eat = |w: u64| {
+        for byte in w.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+    };
+    for w in app.canonical_words() {
+        eat(w);
+    }
+    eat(objective as u64);
+    eat(instance_type as u64);
+    eat(k as u64);
+    h
 }
 
 /// Mix a stable key hash with a per-node salt into a rendezvous weight.
@@ -826,6 +860,48 @@ mod tests {
             assert_ne!(base, other);
             assert_ne!(base.stable_hash(), other.stable_hash());
         }
+    }
+
+    #[test]
+    fn stable_hashes_are_pinned_to_their_literal_values() {
+        // Routing, sharding and replay files depend on these exact words:
+        // a change to the key's hash must show up here, not as silently
+        // reshuffled shards.
+        let d = SpacePoint::default_point().app;
+        let mut big = d;
+        big.nprocs = 256;
+        big.io_procs = 256;
+        big.data_size = mib(512.0);
+        big.request_size = mib(4.0);
+        let mut posix = d;
+        posix.nprocs = 64;
+        posix.io_procs = 256;
+        posix.api = IoApi::Posix;
+        posix.collective = true;
+        posix.data_size = mib(4.0);
+        posix.request_size = mib(16.0);
+        let (perf, cc2) = (Objective::Performance, InstanceType::Cc2_8xlarge);
+        for (key, hash, shard, weight) in [
+            (CacheKey::new(&d, perf, cc2, 3), 0xa110_2643_1e05_128c, 4, 0x3dc7_64e6_41d1_f058),
+            (CacheKey::new(&big, Objective::Cost, cc2, 28), 0x5001_9f5b_fd9c_cbe2, 2, 0x11a5_a247_ec1b_6d4e),
+            (CacheKey::new(&d, perf, InstanceType::Cc1_4xlarge, 1), 0xcdfd_2c9f_36ad_22cf, 7, 0x1bd2_812f_45b7_2814),
+            (CacheKey::new(&posix, perf, cc2, 0), 0xff36_63b1_fa23_5baf, 7, 0xf117_d4b8_04b1_f1f8),
+        ] {
+            assert_eq!(key.stable_hash(), hash, "{key:?}");
+            assert_eq!(key.shard(8), shard, "{key:?}");
+            assert_eq!(key.rendezvous_weight(7), weight, "{key:?}");
+        }
+    }
+
+    #[test]
+    fn cache_key_std_hash_is_its_stable_hash() {
+        use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+        // `Hash` writes exactly the stored word, nothing else.
+        let key = CacheKey::new(&SpacePoint::default_point().app, Objective::Cost, InstanceType::Cc2_8xlarge, 5);
+        let build = BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default();
+        let mut expected = build.build_hasher();
+        expected.write_u64(key.stable_hash());
+        assert_eq!(build.hash_one(key), expected.finish());
     }
 
     #[test]

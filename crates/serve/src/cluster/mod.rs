@@ -43,7 +43,8 @@ pub use ring::{NodeId, Ring};
 pub use transport::{ClusterError, Loopback};
 
 use crate::server::{Pending, Request, Response, ServeConfig, Server};
-use acic::{AcicError, Metrics, Predictor, PublishedSnapshot};
+use acic::{AcicError, CacheKey, Metrics, Predictor, PublishedSnapshot};
+use acic_cloudsim::instance::InstanceType;
 use std::sync::Arc;
 
 /// Tuning knobs of a [`Cluster`].
@@ -187,7 +188,7 @@ impl Cluster {
             ring: self.ring.clone(),
             transport: Arc::clone(&self.transport),
             metrics: self.metrics.clone(),
-            node_cfg: self.node_cfg.clone(),
+            instance_type: self.node_cfg.instance_type,
         }
     }
 
@@ -296,7 +297,9 @@ pub struct ClusterClient {
     ring: Ring,
     transport: Arc<Loopback>,
     metrics: Metrics,
-    node_cfg: ServeConfig,
+    /// The nodes' candidate instance type: the one canonical keys are
+    /// built on.
+    instance_type: InstanceType,
 }
 
 impl ClusterClient {
@@ -304,21 +307,26 @@ impl ClusterClient {
     /// differently-phrased but canonically-equal requests meet the same
     /// node — and therefore the same result cache).
     pub fn route(&self, req: &Request) -> NodeId {
-        self.ring.owner(&req.key(self.node_cfg.instance_type))
+        self.ring.owner(&self.key(req))
+    }
+
+    fn key(&self, req: &Request) -> CacheKey {
+        req.key(self.instance_type)
     }
 
     /// Lossless submit: route, then block while the owner's shard queue is
-    /// full.  The only shed cause on this path is a down owner.
+    /// full.  The only shed cause on this path is a down owner.  The key is
+    /// built once, routed on, and handed to the owner as is.
     pub fn submit_blocking(&self, req: Request) -> Result<Pending, ClusterError> {
-        let node = self.route(&req);
-        self.transport.submit_blocking(node, req).map_err(|e| self.account(e))
+        let key = self.key(&req);
+        self.transport.submit_blocking(self.ring.owner(&key), key).map_err(|e| self.account(e))
     }
 
     /// Admission-controlled submit: route, then fail fast when the owner
     /// is down or its shard queue is at capacity.
     pub fn submit(&self, req: Request) -> Result<Pending, ClusterError> {
-        let node = self.route(&req);
-        self.transport.submit(node, req).map_err(|e| self.account(e))
+        let key = self.key(&req);
+        self.transport.submit(self.ring.owner(&key), key).map_err(|e| self.account(e))
     }
 
     /// Submit (blocking admission) and wait for the answer.

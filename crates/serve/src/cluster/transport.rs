@@ -14,7 +14,8 @@
 //! "connection refused" of a networked deployment.
 
 use super::ring::NodeId;
-use crate::server::{Pending, Request, ServeError, ServeHandle};
+use crate::server::{Pending, ServeError, ServeHandle};
+use acic::CacheKey;
 use parking_lot::Mutex;
 
 /// Typed cluster-level failures, layered over per-node [`ServeError`]s.
@@ -110,17 +111,19 @@ impl Loopback {
         }
     }
 
-    /// Lossless submit to `node`: blocks while its shard queue is full.
-    /// The replay harness uses this path, so its only shed cause is
-    /// [`ClusterError::NodeDown`] — a pure function of the kill schedule.
-    pub fn submit_blocking(&self, node: NodeId, req: Request) -> Result<Pending, ClusterError> {
-        self.handle(node)?.submit_blocking(req).map_err(|e| lift(node, e))
+    /// Lossless submit of a canonical key to `node`: blocks while its
+    /// shard queue is full.  The replay harness uses this path, so its only
+    /// shed cause is [`ClusterError::NodeDown`] — a pure function of the
+    /// kill schedule.
+    pub(crate) fn submit_blocking(&self, node: NodeId, key: CacheKey) -> Result<Pending, ClusterError> {
+        self.handle(node)?.submit_blocking_key(key).map_err(|e| lift(node, e))
     }
 
-    /// Admission-controlled submit to `node`: fails fast with
-    /// [`ClusterError::Overloaded`] when its shard queue is at capacity.
-    pub fn submit(&self, node: NodeId, req: Request) -> Result<Pending, ClusterError> {
-        self.handle(node)?.submit(req).map_err(|e| lift(node, e))
+    /// Admission-controlled submit of a canonical key to `node`: fails
+    /// fast with [`ClusterError::Overloaded`] when its shard queue is at
+    /// capacity.
+    pub(crate) fn submit(&self, node: NodeId, key: CacheKey) -> Result<Pending, ClusterError> {
+        self.handle(node)?.submit_key(key).map_err(|e| lift(node, e))
     }
 }
 

@@ -16,9 +16,10 @@
 //!   [`acic::CacheKey`] *and* the snapshot version, so hot-swaps
 //!   invalidate logically without a stop-the-world flush.
 //! * [`server`] — the worker pool tying it together: requests are routed
-//!   to shards by stable key hash, drained in batches that each pin one
-//!   snapshot, and accounted per stage (queue wait / cache hit / predict)
-//!   in [`acic::Metrics`] latency histograms.
+//!   to shards by stable key hash, pinned to the snapshot they were
+//!   admitted under, drained in batches, and accounted (queue wait, and
+//!   per-job service time on a cache hit or miss) in [`acic::Metrics`]
+//!   latency histograms through per-worker handles.
 //! * [`cluster`] — the multi-node tier over N servers: rendezvous-hash
 //!   routing of canonical keys, verified snapshot replication (peers prove
 //!   a [`acic::PublishedSnapshot`] replica against its content hash and

@@ -6,9 +6,22 @@
 //! is what keeps a overloaded server's memory flat.  Replay-style clients
 //! that must not lose requests use [`BoundedQueue::push_wait`] and block
 //! until a slot frees up.
+//!
+//! Wake only parked threads, and only when what they wait for appears: the
+//! queue counts the consumers and producers parked on each condvar under
+//! its mutex, and signals only when a push finds the queue empty (a
+//! consumer parks only on an empty queue) or a drain finds it full (a
+//! producer parks only on a full one).  A `std` condvar signal is a
+//! `futex` syscall even with no waiter; signalling every push while a
+//! woken worker is still counted as parked would cost the producer one
+//! syscall per push until the worker retakes the lock.  A drain that
+//! leaves items queued passes the signal on to another parked consumer.
+//! A thread counts itself in before it waits and out after it wakes, both
+//! under the mutex, so a signaller that sees zero cannot miss a waiter.
+//! [`BoundedQueue::close`] still wakes everyone.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Why a `try_push` was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -25,6 +38,10 @@ struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
     shed: u64,
+    /// Consumers parked on `not_empty`.
+    parked_consumers: usize,
+    /// Producers parked on `not_full`.
+    parked_producers: usize,
 }
 
 /// Bounded multi-producer / multi-consumer FIFO.
@@ -41,15 +58,35 @@ impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
-            inner: Mutex::new(Inner { items: VecDeque::with_capacity(capacity), closed: false, shed: 0 }),
+            inner: Mutex::new(Inner {
+                items: VecDeque::with_capacity(capacity),
+                closed: false,
+                shed: 0,
+                parked_consumers: 0,
+                parked_producers: 0,
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<T>> {
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Enqueue under the lock, then wake one parked consumer if the queue
+    /// was empty.  A push into a non-empty queue wakes nobody: every
+    /// consumer parked since the queue was last empty was signalled by the
+    /// push that filled it, and the one it woke passes the signal on.
+    fn push_locked(&self, mut inner: MutexGuard<'_, Inner<T>>, item: T) {
+        let was_empty = inner.items.is_empty();
+        inner.items.push_back(item);
+        let wake = was_empty && inner.parked_consumers > 0;
+        drop(inner);
+        if wake {
+            self.not_empty.notify_one();
+        }
     }
 
     /// Admission-controlled push: enqueue or refuse immediately.
@@ -62,9 +99,7 @@ impl<T> BoundedQueue<T> {
             inner.shed += 1;
             return Err(PushError::Full(item));
         }
-        inner.items.push_back(item);
-        drop(inner);
-        self.not_empty.notify_one();
+        self.push_locked(inner, item);
         Ok(())
     }
 
@@ -77,12 +112,12 @@ impl<T> BoundedQueue<T> {
                 return Err(item);
             }
             if inner.items.len() < self.capacity {
-                inner.items.push_back(item);
-                drop(inner);
-                self.not_empty.notify_one();
+                self.push_locked(inner, item);
                 return Ok(());
             }
-            inner = self.not_full.wait(inner).unwrap_or_else(std::sync::PoisonError::into_inner);
+            inner.parked_producers += 1;
+            inner = self.not_full.wait(inner).unwrap_or_else(PoisonError::into_inner);
+            inner.parked_producers -= 1;
         }
     }
 
@@ -103,17 +138,27 @@ impl<T> BoundedQueue<T> {
         let mut inner = self.lock();
         loop {
             if !inner.items.is_empty() {
+                let was_full = inner.items.len() >= self.capacity;
                 let n = inner.items.len().min(max);
                 let batch: Vec<T> = inner.items.drain(..n).collect();
+                let wake_producers = was_full && inner.parked_producers > 0;
+                let wake_consumer = !inner.items.is_empty() && inner.parked_consumers > 0;
                 drop(inner);
-                // Batch draining may have freed several slots.
-                self.not_full.notify_all();
+                if wake_producers {
+                    // Batch draining may have freed several slots.
+                    self.not_full.notify_all();
+                }
+                if wake_consumer {
+                    self.not_empty.notify_one();
+                }
                 return batch;
             }
             if inner.closed {
                 return Vec::new();
             }
-            inner = self.not_empty.wait(inner).unwrap_or_else(std::sync::PoisonError::into_inner);
+            inner.parked_consumers += 1;
+            inner = self.not_empty.wait(inner).unwrap_or_else(PoisonError::into_inner);
+            inner.parked_consumers -= 1;
         }
     }
 
@@ -143,6 +188,23 @@ impl<T> BoundedQueue<T> {
     /// The configured bound.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+}
+
+/// Run `f` on its own thread and fail the test, instead of hanging it,
+/// if it has not finished within 30 s: a lost wakeup parks a thread
+/// forever.
+#[cfg(test)]
+pub(crate) fn watchdog<R: Send + 'static>(case: &str, f: impl FnOnce() -> R + Send + 'static) -> R {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+        Ok(r) => r,
+        Err(RecvTimeoutError::Timeout) => panic!("{case}: no progress in 30 s (lost wakeup?)"),
+        Err(RecvTimeoutError::Disconnected) => panic!("{case}: the case panicked"),
     }
 }
 
@@ -227,5 +289,98 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         q.try_push(42).unwrap();
         assert_eq!(consumer.join().unwrap(), vec![42]);
+    }
+
+    #[test]
+    fn mpmc_stress_through_a_depth_2_queue_delivers_every_item_once() {
+        // Three lossless producers and three batch consumers share two
+        // slots, so both sides park and wake constantly.
+        const PRODUCERS: u64 = 3;
+        const PER_PRODUCER: u64 = 5_000;
+        let (mut got, q) = watchdog("mpmc stress", || {
+            let q = Arc::new(BoundedQueue::new(2));
+            let consumers: Vec<_> = (0..3)
+                .map(|c| {
+                    let q = Arc::clone(&q);
+                    std::thread::spawn(move || {
+                        let mut got = Vec::new();
+                        loop {
+                            let batch = q.pop_batch(1 + c);
+                            if batch.is_empty() {
+                                return got;
+                            }
+                            got.extend(batch);
+                        }
+                    })
+                })
+                .collect();
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let q = Arc::clone(&q);
+                    std::thread::spawn(move || {
+                        for i in 0..PER_PRODUCER {
+                            q.push_wait(p * PER_PRODUCER + i).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            producers.into_iter().for_each(|h| h.join().unwrap());
+            q.close();
+            let got: Vec<u64> = consumers.into_iter().flat_map(|h| h.join().unwrap()).collect();
+            (got, q)
+        });
+        got.sort_unstable();
+        assert_eq!(got, (0..PRODUCERS * PER_PRODUCER).collect::<Vec<_>>());
+        let inner = q.lock();
+        assert_eq!((inner.parked_consumers, inner.parked_producers), (0, 0));
+    }
+
+    #[test]
+    fn a_drain_that_leaves_items_wakes_another_parked_consumer() {
+        // Two items land while two one-item consumers are parked, under one
+        // signal — as when a second push arrives before the consumer the
+        // first push woke has taken the lock.  The woken consumer must pass
+        // the signal on, or the other one parks forever beside an item.
+        let mut got = watchdog("drain passes the wake on", || {
+            let q = Arc::new(BoundedQueue::<u32>::new(4));
+            let consumers: Vec<_> = (0..2)
+                .map(|_| {
+                    let q = Arc::clone(&q);
+                    std::thread::spawn(move || q.pop_batch(1))
+                })
+                .collect();
+            while q.lock().parked_consumers < 2 {
+                std::thread::yield_now();
+            }
+            q.lock().items.extend([1, 2]);
+            q.not_empty.notify_one();
+            consumers.into_iter().flat_map(|h| h.join().unwrap()).collect::<Vec<_>>()
+        });
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2]);
+    }
+
+    #[test]
+    fn close_wakes_parked_consumers_and_producers() {
+        watchdog("close wakes", || {
+            let empty = Arc::new(BoundedQueue::<u32>::new(1));
+            let full = Arc::new(BoundedQueue::new(1));
+            full.try_push(0u32).unwrap();
+            let consumer = {
+                let q = Arc::clone(&empty);
+                std::thread::spawn(move || q.pop_batch(4))
+            };
+            let producer = {
+                let q = Arc::clone(&full);
+                std::thread::spawn(move || q.push_wait(1))
+            };
+            while empty.lock().parked_consumers == 0 || full.lock().parked_producers == 0 {
+                std::thread::yield_now();
+            }
+            empty.close();
+            full.close();
+            assert!(consumer.join().unwrap().is_empty(), "closed and drained");
+            assert_eq!(producer.join().unwrap(), Err(1), "closed: the item comes back");
+        });
     }
 }

@@ -11,14 +11,19 @@
 //! bounded shard queue: [`ServeHandle::submit`] returns a typed
 //! [`ServeError::Overloaded`] instead of queueing without bound.
 //!
-//! Workers drain up to `batch` queued jobs per wakeup.  Each job probes
-//! the versioned cache and, on a miss, is scored on the generation it was
-//! admitted under (`ModelSnapshot::answer`, one candidate-grid walk per
-//! query) and inserted at once, so duplicate keys within a batch are
-//! computed once; then the batch is answered in admission order.  At
-//! `batch: 1` every drain holds one job, so the same code answers request
-//! by request; payloads and cache accounting are identical at any batch
-//! size.
+//! Workers drain up to `batch` queued jobs per wakeup and answer them in
+//! one pass, in admission order: each job probes the versioned cache and,
+//! on a miss, is scored on the generation it was admitted under
+//! (`ModelSnapshot::answer`, one candidate-grid walk per query) and
+//! inserted at once, so duplicate keys within a batch are computed once;
+//! then it is replied to before the next job starts.  At `batch: 1` every
+//! drain holds one job, so the same code answers request by request;
+//! payloads and cache accounting are identical at any batch size.
+//!
+//! The drain's bookkeeping stays off the request's critical path: each
+//! worker records through metric handles it registered once (no registry
+//! lock, no name lookup), reads the clock once per batch and once per job,
+//! and a reply signals its client only when the client is parked.
 //!
 //! Determinism: a response's payload is a pure function of (snapshot
 //! version, canonical key).  Thread scheduling, batching boundaries, and
@@ -28,7 +33,7 @@
 use crate::cache::{CachedTopK, ResultCache};
 use crate::queue::{BoundedQueue, PushError};
 use crate::snapshot::{ModelSnapshot, SnapshotStore};
-use acic::{Acic, AppPoint, CacheKey, Metrics, Objective, Predictor};
+use acic::{Acic, AppPoint, CacheKey, CounterHandle, LatencyHandle, Metrics, Objective, Predictor};
 use acic_cloudsim::instance::InstanceType;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -171,7 +176,9 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// A single-use reply slot the submitting thread parks on.
+/// A single-use reply slot the submitting thread parks on.  The waiter
+/// marks the slot `Waiting` before it parks, so a reply that lands first
+/// (the common case under load) skips the condvar signal.
 #[derive(Debug, Default)]
 struct OneShot {
     slot: Mutex<OneShotState>,
@@ -182,31 +189,46 @@ struct OneShot {
 enum OneShotState {
     #[default]
     Empty,
+    /// The waiter is parked (or about to park) on `ready`.
+    Waiting,
     Ready(Response),
     Closed,
 }
 
 impl OneShot {
+    fn lock(&self) -> std::sync::MutexGuard<'_, OneShotState> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Move the slot to `next` and wake the waiter if it is parked.
+    fn settle(&self, next: OneShotState) {
+        let mut slot = self.lock();
+        let parked = matches!(*slot, OneShotState::Waiting);
+        if matches!(*slot, OneShotState::Empty | OneShotState::Waiting) {
+            *slot = next;
+        }
+        drop(slot);
+        if parked {
+            self.ready.notify_one();
+        }
+    }
+
     fn put(&self, r: Response) {
-        *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = OneShotState::Ready(r);
-        self.ready.notify_one();
+        self.settle(OneShotState::Ready(r));
     }
 
     fn close(&self) {
-        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        if matches!(*slot, OneShotState::Empty) {
-            *slot = OneShotState::Closed;
-        }
-        self.ready.notify_one();
+        self.settle(OneShotState::Closed);
     }
 
     fn wait(&self) -> Result<Response, ServeError> {
-        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slot = self.lock();
         loop {
             match std::mem::take(&mut *slot) {
                 OneShotState::Ready(r) => return Ok(r),
                 OneShotState::Closed => return Err(ServeError::ShuttingDown),
-                OneShotState::Empty => {
+                OneShotState::Empty | OneShotState::Waiting => {
+                    *slot = OneShotState::Waiting;
                     slot = self.ready.wait(slot).unwrap_or_else(PoisonError::into_inner);
                 }
             }
@@ -427,8 +449,7 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    fn make_job(&self, req: Request) -> (usize, Job, Arc<OneShot>) {
-        let key = req.key(self.shared.cfg.instance_type);
+    fn make_job(&self, key: CacheKey) -> (usize, Job, Arc<OneShot>) {
         let shard = key.shard(self.shared.queues.len());
         let reply = Arc::new(OneShot::default());
         // Admission stamps the generation: this request will be answered
@@ -445,7 +466,14 @@ impl ServeHandle {
     /// [`ServeError::Overloaded`].  On success the returned [`Pending`]
     /// resolves to the response.
     pub fn submit(&self, req: Request) -> Result<Pending, ServeError> {
-        let (shard, job, reply) = self.make_job(req);
+        self.submit_key(req.key(self.shared.cfg.instance_type))
+    }
+
+    /// [`Self::submit`] for a request already canonicalized on this
+    /// server's instance type (the cluster client routes on the key, then
+    /// hands it over here instead of canonicalizing twice).
+    pub(crate) fn submit_key(&self, key: CacheKey) -> Result<Pending, ServeError> {
+        let (shard, job, reply) = self.make_job(key);
         match self.shared.queues[shard].try_push(job) {
             Ok(()) => Ok(Pending { reply }),
             Err(PushError::Full(_)) => {
@@ -459,7 +487,12 @@ impl ServeHandle {
     /// Lossless submit: block while the shard queue is full (replay
     /// clients and closed-loop load generators that must not shed).
     pub fn submit_blocking(&self, req: Request) -> Result<Pending, ServeError> {
-        let (shard, job, reply) = self.make_job(req);
+        self.submit_blocking_key(req.key(self.shared.cfg.instance_type))
+    }
+
+    /// [`Self::submit_blocking`] for an already canonicalized request.
+    pub(crate) fn submit_blocking_key(&self, key: CacheKey) -> Result<Pending, ServeError> {
+        let (shard, job, reply) = self.make_job(key);
         match self.shared.queues[shard].push_wait(job) {
             Ok(()) => Ok(Pending { reply }),
             Err(_) => Err(ServeError::ShuttingDown),
@@ -485,60 +518,101 @@ impl Pending {
     }
 }
 
+/// One worker's metric handles, registered once when the worker starts.
+/// They stay registered after the worker stops, so a node's counters are
+/// continuous across a restart.
+struct DrainMetrics {
+    /// `serve.fused_batch.batches`: drains.
+    batches: CounterHandle,
+    /// `serve.requests_served`: jobs drained.
+    served: CounterHandle,
+    /// `serve.predictions`: cache misses scored.
+    predictions: CounterHandle,
+    queue_wait: LatencyHandle,
+    /// `serve.hit_service` and `serve.miss_service`: per-job service time
+    /// (see [`serve_batch`]), split by cache outcome.
+    hit_service: LatencyHandle,
+    miss_service: LatencyHandle,
+}
+
+impl DrainMetrics {
+    fn register(m: &Metrics) -> Self {
+        Self {
+            batches: m.counter_handle("serve.fused_batch.batches"),
+            served: m.counter_handle("serve.requests_served"),
+            predictions: m.counter_handle("serve.predictions"),
+            queue_wait: m.latency_handle("serve.queue_wait"),
+            hit_service: m.latency_handle("serve.hit_service"),
+            miss_service: m.latency_handle("serve.miss_service"),
+        }
+    }
+}
+
 fn worker_loop(shared: &Shared, w: usize) {
     let queue = &shared.queues[w];
+    let metrics = DrainMetrics::register(&shared.metrics);
+    // This worker's largest drain so far.  A drain holds at most `batch`
+    // jobs, so `serve.fused_batch.max_requests` is raised by name only the
+    // few times it grows.
+    let mut max_batch = 0;
     loop {
         let batch = queue.pop_batch(shared.cfg.batch);
         if batch.is_empty() {
             return; // closed and drained
         }
-        shared.metrics.incr("serve.batches", 1);
-        shared.metrics.incr("serve.requests_served", batch.len() as u64);
-        serve_batch(shared, batch);
+        if batch.len() > max_batch {
+            max_batch = batch.len();
+            shared.metrics.record_max("serve.fused_batch.max_requests", max_batch as u64);
+        }
+        serve_batch(shared, &metrics, batch);
     }
 }
 
-/// The batched drain: one drained batch is answered in two passes, both
-/// in admission order:
-/// - **answer**: probe the versioned cache per job; on a miss, score the
-///   key with [`ModelSnapshot::answer`] on the generation it was admitted
-///   under and insert it at once, so a duplicate later in the batch hits
-///   it.  The cache sees exactly the gets and inserts a one-job drain
-///   would, so payloads and hit/miss counts do not depend on batching.
-/// - **respond**: apply the per-request downstream stall and reply.
-fn serve_batch(shared: &Shared, batch: Vec<Job>) {
-    let m = &shared.metrics;
-    m.incr("serve.fused_batch.batches", 1);
-    m.incr("serve.fused_batch.requests", batch.len() as u64);
-    m.record_max("serve.fused_batch.max_requests", batch.len() as u64);
+/// The batched drain: one pass over the batch in admission order.  Each
+/// job probes the versioned cache; on a miss it is scored with
+/// [`ModelSnapshot::answer`] on the generation it was admitted under and
+/// inserted at once, so a duplicate later in the batch hits it.  The cache
+/// sees exactly the gets and inserts a one-job drain would, so payloads and
+/// hit/miss counts do not depend on batching.  Then the job's downstream
+/// stall is applied and it is replied to.
+///
+/// The clock is read once per batch (every job's `serve.queue_wait` ends
+/// there) and once per job, when its answer is ready.  A job's service
+/// time runs from the previous stamp to its own: its cache probe (and on a
+/// miss its scoring and insert) plus the drain's bookkeeping and the reply
+/// of the job before it, but never the simulated stall.  Timing the probe
+/// alone would take a second clock read per job.
+fn serve_batch(shared: &Shared, m: &DrainMetrics, batch: Vec<Job>) {
+    m.batches.incr(1);
+    m.served.incr(batch.len() as u64);
+    let mut stamp = Instant::now();
     for job in &batch {
-        m.observe_latency("serve.queue_wait", job.enqueued.elapsed().as_secs_f64());
+        m.queue_wait.observe(stamp.saturating_duration_since(job.enqueued));
     }
-
-    let answers: Vec<(CachedTopK, bool)> = batch
-        .iter()
-        .map(|job| {
-            let version = job.snapshot.version();
-            let t0 = Instant::now();
-            if let Some(top) = shared.cache.get(&job.key, version) {
-                m.observe_latency("serve.cache_hit", t0.elapsed().as_secs_f64());
-                return (top, true);
+    for mut job in batch {
+        let version = job.snapshot.version();
+        let (top, cache_hit) = match shared.cache.get(&job.key, version) {
+            Some(top) => (top, true),
+            None => {
+                let top: CachedTopK = Arc::new(job.snapshot.answer(&job.key));
+                shared.cache.insert(job.key, version, Arc::clone(&top));
+                (top, false)
             }
-            let t0 = Instant::now();
-            let top: CachedTopK = Arc::new(job.snapshot.answer(&job.key));
-            shared.cache.insert(job.key, version, Arc::clone(&top));
-            m.observe_latency("serve.predict", t0.elapsed().as_secs_f64());
-            m.incr("serve.predictions", 1);
-            (top, false)
-        })
-        .collect();
-
-    for (mut job, (top, cache_hit)) in batch.into_iter().zip(answers) {
+        };
+        let now = Instant::now();
+        let service = now.saturating_duration_since(stamp);
+        stamp = now;
+        if cache_hit {
+            m.hit_service.observe(service);
+        } else {
+            m.miss_service.observe(service);
+            m.predictions.incr(1);
+        }
         if !shared.cfg.service_stall.is_zero() {
             std::thread::sleep(shared.cfg.service_stall);
+            stamp = Instant::now();
         }
-        let snapshot_version = job.snapshot.version();
-        job.respond(Response { top, snapshot_version, cache_hit });
+        job.respond(Response { top, snapshot_version: version, cache_hit });
     }
 }
 
@@ -869,7 +943,7 @@ mod tests {
         h.query(request(3)).unwrap(); // hit -> no prediction
         server.shutdown();
         assert_eq!(m.counter("serve.fused_batch.batches"), 3);
-        assert_eq!(m.counter("serve.fused_batch.requests"), 3);
+        assert_eq!(m.counter("serve.requests_served"), 3);
         assert_eq!(m.counter("serve.fused_batch.max_requests"), 1);
         assert_eq!(m.counter("serve.predictions"), 2);
     }
@@ -884,9 +958,72 @@ mod tests {
         h.query(request(3)).unwrap();
         server.shutdown();
         assert_eq!(m.latency_count("serve.queue_wait"), 2);
-        assert_eq!(m.latency_count("serve.predict"), 1);
-        assert_eq!(m.latency_count("serve.cache_hit"), 1);
+        assert_eq!(m.latency_count("serve.miss_service"), 1);
+        assert_eq!(m.latency_count("serve.hit_service"), 1);
         let r = m.render();
         assert!(r.contains("serve.queue_wait"), "{r}");
+    }
+
+    fn reply(version: u64) -> Response {
+        Response { top: Arc::new(Vec::new()), snapshot_version: version, cache_hit: false }
+    }
+
+    /// Spin until `slot`'s waiter has marked itself parked.
+    fn until_waiting(slot: &OneShot) {
+        while !matches!(*slot.lock(), OneShotState::Waiting) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_reply_lands_before_or_after_its_waiter_parks() {
+        crate::queue::watchdog("reply before park", || {
+            let slot = OneShot::default();
+            slot.put(reply(1));
+            assert_eq!(slot.wait(), Ok(reply(1)));
+        });
+        crate::queue::watchdog("reply after park", || {
+            let slot = Arc::new(OneShot::default());
+            let waiter = {
+                let slot = Arc::clone(&slot);
+                std::thread::spawn(move || slot.wait())
+            };
+            until_waiting(&slot);
+            slot.put(reply(2));
+            assert_eq!(waiter.join().unwrap(), Ok(reply(2)));
+        });
+    }
+
+    #[test]
+    fn shutdown_wakes_a_parked_waiter() {
+        crate::queue::watchdog("close wakes the reply slot", || {
+            let slot = Arc::new(OneShot::default());
+            let waiter = {
+                let slot = Arc::clone(&slot);
+                std::thread::spawn(move || slot.wait())
+            };
+            until_waiting(&slot);
+            slot.close();
+            assert_eq!(waiter.join().unwrap(), Err(ServeError::ShuttingDown));
+        });
+        // Through the server: a client parked on a request still queued
+        // behind a stalled one is answered by the drain that shutdown
+        // runs, and a job dropped unanswered closes its slot.
+        crate::queue::watchdog("server shutdown", || {
+            let (p, n) = predictor(3, 3);
+            let cfg = ServeConfig { batch: 1, service_stall: Duration::from_millis(20), ..Default::default() };
+            let server = Server::start(p, n, cfg, Metrics::new()).unwrap();
+            let h = server.handle();
+            let first = h.submit_blocking(request(2)).unwrap();
+            let second = h.submit_blocking(request(3)).unwrap();
+            let waiter = std::thread::spawn(move || second.wait());
+            server.shutdown();
+            assert!(first.wait().is_ok());
+            assert!(waiter.join().unwrap().is_ok(), "queued work drains before workers exit");
+            let (_, job, slot) = h.make_job(request(1).key(InstanceType::Cc2_8xlarge));
+            let waiter = std::thread::spawn(move || slot.wait());
+            drop(job);
+            assert_eq!(waiter.join().unwrap(), Err(ServeError::ShuttingDown));
+        });
     }
 }
