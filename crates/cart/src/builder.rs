@@ -3,13 +3,20 @@
 //! Growth works on `[lo, hi)` ranges of the frame's position arrays: the
 //! split search sweeps the maintained per-feature sorted orders (no
 //! per-node sorting) and a winning split stable-partitions the arrays in
-//! place, so recursion allocates nothing per node.  The produced tree is
-//! bit-identical to what the reference search in [`crate::split`] would
-//! build — see the invariant notes in [`crate::presort`].
+//! place.  Recursion allocates nothing per node but the winning subset of
+//! a categorical split, which the tree keeps: each node's live-feature set
+//! sits in a stack buffer (on the heap only for schemas wider than
+//! [`STACK_FEATURES`]), and the search and partition reuse the frame's
+//! scratch.  The produced tree is bit-identical to what the reference
+//! search in [`crate::split`] would build — see the invariant notes in
+//! [`crate::presort`].
 
 use crate::dataset::Dataset;
 use crate::presort::TreeFrame;
 use crate::tree::{Node, Tree};
+
+/// Widest schema whose per-node live-feature set is kept on the stack.
+const STACK_FEATURES: usize = 32;
 
 /// Stopping rules for tree growth.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,13 +100,24 @@ fn grow(
 
     // This node's view of the live features: the split search clears the
     // ones it finds exhausted here, and the subtree inherits the result.
-    let mut active = active.to_vec();
+    let mut stack = [false; STACK_FEATURES];
+    let mut heap = Vec::new();
+    let active: &mut [bool] = match stack.get_mut(..active.len()) {
+        Some(live) => {
+            live.copy_from_slice(active);
+            live
+        }
+        None => {
+            heap.extend_from_slice(active);
+            &mut heap
+        }
+    };
 
     let stop = depth >= params.max_depth || n < params.min_split;
     let (node_sse, split) = if stop {
         (frame.node_sse_with_mean(lo, hi, value), None)
     } else {
-        frame.best_split_with_mean(lo, hi, params.min_leaf, value, &mut active)
+        frame.best_split_with_mean(lo, hi, params.min_leaf, value, active)
     };
     let std = if n < 2 { 0.0 } else { (node_sse / n as f64).sqrt() };
     let split = split.filter(|s| s.gain >= params.min_gain_frac * root_sse.max(1e-12));
@@ -110,7 +128,7 @@ fn grow(
             nodes.len() - 1
         }
         Some(s) => {
-            let (nl, lsum, rsum) = frame.partition(lo, hi, s.feature, &s.rule, &active);
+            let (nl, lsum, rsum) = frame.partition(lo, hi, s.feature, &s.rule, active);
             debug_assert_eq!(nl, s.left_count);
             debug_assert_eq!(hi - lo - nl, s.right_count);
 
@@ -118,9 +136,9 @@ fn grow(
             let at = nodes.len();
             nodes.push(Node::Leaf { value, std, n }); // placeholder
             let left =
-                grow(frame, lo, lo + nl, params, root_sse, depth + 1, &active, Some(lsum), nodes);
+                grow(frame, lo, lo + nl, params, root_sse, depth + 1, active, Some(lsum), nodes);
             let right =
-                grow(frame, lo + nl, hi, params, root_sse, depth + 1, &active, Some(rsum), nodes);
+                grow(frame, lo + nl, hi, params, root_sse, depth + 1, active, Some(rsum), nodes);
             nodes[at] = Node::Internal {
                 feature: s.feature,
                 rule: s.rule,

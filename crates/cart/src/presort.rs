@@ -25,8 +25,10 @@
 //! linear copies per node but converts every hot inner loop from random
 //! gathers into streaming reads — the difference between ~1.7× and >3×
 //! over the reference engine at 10k rows.  The recursion in
-//! [`crate::builder`] works on `[lo, hi)` ranges of these arrays: no
-//! per-node allocation, no per-node sorting.
+//! [`crate::builder`] works on `[lo, hi)` ranges of these arrays, and the
+//! search and partition work one feature at a time in scratch the frame
+//! reuses: no per-node sorting, and no per-node allocation but the
+//! winning categorical subset the tree keeps.
 //!
 //! # Bit-exactness invariant
 //!
@@ -37,7 +39,9 @@
 //!
 //! * node statistics and categorical tallies run in `node_order` order,
 //!   which mirrors the reference's per-node `idx` vector (row order,
-//!   preserved by stable partition);
+//!   preserved by stable partition) — each categorical feature is tallied
+//!   in its own pass, right before its scan, so its accumulators see the
+//!   reference's row sequence;
 //! * numeric scans run in presorted order, whose tie order equals the
 //!   reference's per-node stable sort (positions ascend within a node, and
 //!   stable partition keeps them ascending) — and the fused sweep folds
@@ -81,17 +85,19 @@ pub struct TreeFrame {
     scratch_pos: Vec<u32>,
     scratch_val: Vec<f64>,
     scratch_tgt: Vec<f64>,
-    /// Per-categorical-feature spill buffers for the fused row-order
-    /// partition (empty for numeric features).
-    cat_scratch: Vec<Vec<f64>>,
-    /// Per-categorical-feature tally buffers (arity-sized, empty for
-    /// numeric features), reused across nodes so the split search never
-    /// allocates per node.
-    tally_cnt: Vec<Vec<usize>>,
-    tally_sum: Vec<Vec<f64>>,
-    tally_sq: Vec<Vec<f64>>,
+    /// Per-category tally of the categorical feature being scanned
+    /// (count / target sum / square sum), sized to the widest arity and
+    /// reused by every feature at every node.
+    tally_cnt: Vec<usize>,
+    tally_sum: Vec<f64>,
+    tally_sq: Vec<f64>,
     /// Scratch for the mean-ordered category scan.
     cat_order: Vec<usize>,
+    /// Left categories of the node's best categorical cut so far (the
+    /// winner's subset is built from this once the search is done).
+    best_subset: Vec<u32>,
+    /// Per-code routing mask of an `In` rule being applied.
+    cat_mask: Vec<bool>,
     /// Scratch for the fused numeric sweep: `(k, running_sum, running_sq)`
     /// snapshots at legal cut boundaries, reused across nodes and features.
     sweep_bounds: Vec<(u32, f64, f64)>,
@@ -174,20 +180,14 @@ impl TreeFrame {
                 }
             }
         }
-        let cat_scratch: Vec<Vec<f64>> = kinds
+        let max_arity = kinds
             .iter()
             .map(|k| match k {
-                FeatureKind::Categorical { .. } => vec![0.0; m],
-                FeatureKind::Numeric => Vec::new(),
+                FeatureKind::Categorical { arity } => *arity as usize,
+                FeatureKind::Numeric => 0,
             })
-            .collect();
-        let arity_of = |k: &FeatureKind| match k {
-            FeatureKind::Categorical { arity } => *arity as usize,
-            FeatureKind::Numeric => 0,
-        };
-        let tally_cnt: Vec<Vec<usize>> = kinds.iter().map(|k| vec![0; arity_of(k)]).collect();
-        let tally_sum: Vec<Vec<f64>> = kinds.iter().map(|k| vec![0.0; arity_of(k)]).collect();
-        let tally_sq: Vec<Vec<f64>> = kinds.iter().map(|k| vec![0.0; arity_of(k)]).collect();
+            .max()
+            .unwrap_or(0);
         Self {
             kinds,
             node_order: (0..m as u32).collect(),
@@ -200,11 +200,12 @@ impl TreeFrame {
             scratch_pos: vec![0; m],
             scratch_val: vec![0.0; m],
             scratch_tgt: vec![0.0; m],
-            cat_scratch,
-            tally_cnt,
-            tally_sum,
-            tally_sq,
-            cat_order: Vec::new(),
+            tally_cnt: vec![0; max_arity],
+            tally_sum: vec![0.0; max_arity],
+            tally_sq: vec![0.0; max_arity],
+            cat_order: Vec::with_capacity(max_arity),
+            best_subset: Vec::with_capacity(max_arity),
+            cat_mask: vec![false; max_arity],
             sweep_bounds: Vec::new(),
         }
     }
@@ -298,10 +299,8 @@ impl TreeFrame {
 
     /// [`Self::best_split`] with the node's target mean supplied by the
     /// caller (the builder derives it from the sum the parent's partition
-    /// folded).  Returns `(sse, candidate)`: the node's SSE falls out of
-    /// the same streaming pass that tallies the categorical features, so a
-    /// splitting node makes one target pass where separate stats + tally
-    /// calls would make two.
+    /// folded).  Returns `(sse, candidate)`: the node's SSE, which the
+    /// builder needs whether or not the node splits, and the best split.
     ///
     /// `active` marks the features still worth scanning in this subtree:
     /// features found exhausted here (constant numeric column, single
@@ -312,8 +311,8 @@ impl TreeFrame {
     /// Skipping is bit-exact: the reference scan of an exhausted feature
     /// always returns `None`.
     ///
-    /// Takes `&mut self` only for its scratch: the node arrays are read,
-    /// the per-feature tally buffers are overwritten.
+    /// Takes `&mut self` only for its scratch: the node arrays are read;
+    /// the tally, scan and subset buffers are overwritten.
     pub fn best_split_with_mean(
         &mut self,
         lo: usize,
@@ -323,54 +322,23 @@ impl TreeFrame {
         active: &mut [bool],
     ) -> (f64, Option<SplitCandidate>) {
         let n = hi - lo;
-        // Too small to split anywhere: every per-feature scan would bail,
-        // so only the SSE is needed.
+        let node_sse = self.node_sse_with_mean(lo, hi, mean);
+        // Too small to split anywhere: every per-feature scan would bail.
         if n < 2 * min_leaf {
-            return (self.node_sse_with_mean(lo, hi, mean), None);
+            return (node_sse, None);
         }
-
-        // One streaming pass over the node: fold the SSE and tally every
-        // live categorical feature, reading (and squaring) the target once
-        // per row instead of once per feature.  Each accumulator still
-        // sees its values in reference order.  The tallies land in the
-        // frame's reused per-feature buffers — no per-node allocation.
-        let node_sse = {
-            let Self { kinds, node_vals, node_targets, tally_cnt, tally_sum, tally_sq, .. } =
-                self;
-            let mut live: Vec<(&[f64], &mut [usize], &mut [f64], &mut [f64])> =
-                Vec::with_capacity(kinds.len());
-            let bufs = tally_cnt.iter_mut().zip(tally_sum.iter_mut()).zip(tally_sq.iter_mut());
-            for (j, ((cnt, sum), sq)) in bufs.enumerate() {
-                if active[j] && matches!(kinds[j], FeatureKind::Categorical { .. }) {
-                    cnt.fill(0);
-                    sum.fill(0.0);
-                    sq.fill(0.0);
-                    live.push((&node_vals[j][lo..hi], cnt, sum, sq));
-                }
-            }
-            let mut sse = 0.0;
-            for (k, &y) in node_targets[lo..hi].iter().enumerate() {
-                let d = y - mean;
-                sse += d * d;
-                let y2 = y * y;
-                for (vals, cnt, sum, sq) in &mut live {
-                    let c = vals[k] as usize;
-                    cnt[c] += 1;
-                    sum[c] += y;
-                    sq[c] += y2;
-                }
-            }
-            sse
-        };
 
         let Self {
             kinds,
+            node_targets,
+            node_vals,
             sorted_vals,
             sorted_targets,
             tally_cnt,
             tally_sum,
             tally_sq,
             cat_order,
+            best_subset,
             sweep_bounds,
             ..
         } = self;
@@ -379,25 +347,28 @@ impl TreeFrame {
             if !active[j] {
                 continue;
             }
-            let cand = match kinds[j] {
-                FeatureKind::Numeric => best_numeric_sweep(
-                    &sorted_vals[j][lo..hi],
-                    &sorted_targets[j][lo..hi],
-                    j,
-                    min_leaf,
-                    active,
-                    sweep_bounds,
-                ),
-                FeatureKind::Categorical { .. } => scan_categorical_tally(
-                    &tally_cnt[j],
-                    &tally_sum[j],
-                    &tally_sq[j],
-                    j,
-                    n,
-                    min_leaf,
-                    active,
-                    cat_order,
-                ),
+            let (cand, cut) = match kinds[j] {
+                FeatureKind::Numeric => {
+                    let cand = best_numeric_sweep(
+                        &sorted_vals[j][lo..hi],
+                        &sorted_targets[j][lo..hi],
+                        j,
+                        min_leaf,
+                        active,
+                        sweep_bounds,
+                    );
+                    (cand, 0)
+                }
+                FeatureKind::Categorical { arity } => {
+                    let a = arity as usize;
+                    let (cnt, sum, sq) =
+                        (&mut tally_cnt[..a], &mut tally_sum[..a], &mut tally_sq[..a]);
+                    tally(&node_vals[j][lo..hi], &node_targets[lo..hi], cnt, sum, sq);
+                    match scan_categorical_tally(cnt, sum, sq, j, n, min_leaf, active, cat_order) {
+                        Some((cand, cut)) => (Some(cand), cut),
+                        None => (None, 0),
+                    }
+                }
             };
             if let Some(c) = cand {
                 let better = match &best {
@@ -406,13 +377,24 @@ impl TreeFrame {
                     Some(b) => c.gain > b.gain + 1e-12,
                 };
                 if better {
+                    // The scan scratch is the next feature's: keep the
+                    // winning cut's left categories now.
+                    best_subset.clear();
+                    best_subset.extend(cat_order[..cut].iter().map(|&c| c as u32));
                     best = Some(c);
                 }
             }
         }
         // Guard against numeric dust: a gain that is a rounding artifact of
         // the parent SSE must not create a split.
-        (node_sse, best.filter(|b| b.gain > 1e-12 * node_sse.max(1e-12)))
+        let best = best.filter(|b| b.gain > 1e-12 * node_sse.max(1e-12)).map(|mut b| {
+            if let SplitRule::In(left) = &mut b.rule {
+                left.extend_from_slice(best_subset);
+                left.sort_unstable();
+            }
+            b
+        });
+        (node_sse, best)
     }
 
     /// Apply `rule` on `feature` to the node `[lo, hi)`: stable-partition
@@ -421,7 +403,7 @@ impl TreeFrame {
     /// and the right child `[lo + nl, hi)`.  Returns `nl`.
     ///
     /// Features cleared in `active` are left untouched: descendants never
-    /// scan them (see [`Self::best_split_with_sse`]), so their order needs
+    /// scan them (see [`Self::best_split_with_mean`]), so their order needs
     /// no maintenance below this node.
     /// While routing, the row-order pass also folds each child's target
     /// sum (in child row order, so it is bit-identical to the sum the
@@ -462,7 +444,8 @@ impl TreeFrame {
                     FeatureKind::Categorical { arity } => arity as usize,
                     FeatureKind::Numeric => unreachable!("In rule on a numeric feature"),
                 };
-                let mut mask = vec![false; arity];
+                let mask = &mut self.cat_mask[..arity];
+                mask.fill(false);
                 for &c in set {
                     mask[c as usize] = true;
                 }
@@ -474,20 +457,22 @@ impl TreeFrame {
             }
         }
 
-        // Row-order group: partition the position array and every payload
-        // aligned with it in a single pass, routing each element through
-        // `goes_left` exactly once.  Each live categorical column spills
-        // into its own scratch, so all arrays move together.
+        // Row-order group: each live categorical column first, one at a
+        // time, routed through the positions still in node order; then the
+        // position array and its targets in one pass.
         let n = hi - lo;
+        let columns = self.kinds.iter().zip(&mut self.node_vals).zip(active);
+        for ((kind, vals), &live) in columns {
+            if live && matches!(kind, FeatureKind::Categorical { .. }) {
+                partition_column(
+                    &mut vals[lo..hi],
+                    &self.node_order[lo..hi],
+                    &self.goes_left,
+                    &mut self.scratch_val,
+                );
+            }
+        }
         let (nl, lsum, rsum) = {
-            let mut cats: Vec<(&mut [f64], &mut [f64])> = self
-                .node_vals
-                .iter_mut()
-                .zip(self.cat_scratch.iter_mut())
-                .enumerate()
-                .filter(|(j, _)| active[*j] && matches!(self.kinds[*j], FeatureKind::Categorical { .. }))
-                .map(|(_, (vals, scratch))| (&mut vals[lo..hi], &mut scratch[..]))
-                .collect();
             let order = &mut self.node_order[lo..hi];
             let tgts = &mut self.node_targets[lo..hi];
             let mut w = 0usize;
@@ -506,19 +491,11 @@ impl TreeFrame {
                 self.scratch_pos[spilled] = p;
                 tgts[w] = y;
                 self.scratch_tgt[spilled] = y;
-                for (vals, scratch) in &mut cats {
-                    let x = vals[r];
-                    vals[w] = x;
-                    scratch[spilled] = x;
-                }
                 w += d;
                 spilled += 1 - d;
             }
             order[w..].copy_from_slice(&self.scratch_pos[..spilled]);
             tgts[w..].copy_from_slice(&self.scratch_tgt[..spilled]);
-            for (vals, scratch) in &mut cats {
-                vals[w..].copy_from_slice(&scratch[..spilled]);
-            }
             (w, tsum[1], tsum[0])
         };
 
@@ -644,11 +621,26 @@ fn best_numeric_sweep(
     })
 }
 
-/// Best subset split on categorical feature `j` from its node tally
-/// (per-category count / target sum / square sum, accumulated in node
-/// order by [`TreeFrame::best_split_with_sse`]): the mean-ordered prefix
-/// scan of Breiman et al. §9.4 — the reference scan verbatim, minus the
-/// tally pass the caller already fused.  `order` is caller-owned scratch.
+/// Tally a categorical column over a node: per-category count, target sum
+/// and square sum, each folded in node (reference) order.
+fn tally(vals: &[f64], targets: &[f64], cnt: &mut [usize], sum: &mut [f64], sq: &mut [f64]) {
+    cnt.fill(0);
+    sum.fill(0.0);
+    sq.fill(0.0);
+    for (&x, &y) in vals.iter().zip(targets) {
+        let c = x as usize;
+        cnt[c] += 1;
+        sum[c] += y;
+        sq[c] += y * y;
+    }
+}
+
+/// Best subset split on categorical feature `j` from its node [`tally`]:
+/// the mean-ordered prefix scan of Breiman et al. §9.4 — the reference
+/// scan verbatim, minus the tally pass.  `order` is caller-owned scratch;
+/// on success it starts with the `cut` left categories, and the returned
+/// candidate's `In` subset is left empty for the caller to fill from them
+/// (only the node's winning cut needs its subset built).
 #[allow(clippy::too_many_arguments)]
 fn scan_categorical_tally(
     cnt: &[usize],
@@ -659,7 +651,7 @@ fn scan_categorical_tally(
     min_leaf: usize,
     active: &mut [bool],
     order: &mut Vec<usize>,
-) -> Option<SplitCandidate> {
+) -> Option<(SplitCandidate, usize)> {
     let a = cnt.len();
     order.clear();
     order.extend((0..a).filter(|&c| cnt[c] > 0));
@@ -701,16 +693,32 @@ fn scan_categorical_tally(
     if best_cut == 0 || best_gain <= 0.0 {
         return None;
     }
-    let mut left: Vec<u32> = order[..best_cut].iter().map(|&c| c as u32).collect();
-    left.sort_unstable();
     let left_count: usize = order[..best_cut].iter().map(|&c| cnt[c]).sum();
-    Some(SplitCandidate {
+    let cand = SplitCandidate {
         feature: j,
-        rule: SplitRule::In(left),
+        rule: SplitRule::In(Vec::new()),
         gain: best_gain,
         left_count,
         right_count: n - left_count,
-    })
+    };
+    Some((cand, best_cut))
+}
+
+/// Stable partition of one row-order column by the routing of the
+/// positions it is aligned with.
+fn partition_column(vals: &mut [f64], order: &[u32], goes_left: &[bool], scratch: &mut [f64]) {
+    let mut w = 0usize;
+    let mut spilled = 0usize;
+    for r in 0..vals.len() {
+        let x = vals[r];
+        let d = usize::from(goes_left[order[r] as usize]);
+        // Branchless dual store (`w <= r` always).
+        vals[w] = x;
+        scratch[spilled] = x;
+        w += d;
+        spilled += 1 - d;
+    }
+    vals[w..].copy_from_slice(&scratch[..spilled]);
 }
 
 /// Stable partition of a sorted-order triple (positions, values, targets)

@@ -40,6 +40,35 @@ fn mixed_dataset() -> impl Strategy<Value = Dataset> {
     })
 }
 
+/// Random dataset wider than the builder keeps on the stack: 40 features
+/// (the live-feature set of a node is a stack buffer up to 32), half of
+/// them categorical with 40 codes, half tie-heavy numeric.
+fn wide_dataset() -> impl Strategy<Value = Dataset> {
+    const WIDTH: usize = 40;
+    prop::collection::vec((prop::collection::vec(0u32..40, WIDTH), -50.0f64..50.0), 8..120)
+        .prop_map(|rows| {
+            let features = (0..WIDTH)
+                .map(|j| {
+                    if j % 2 == 0 {
+                        Feature::numeric(format!("x{j}"))
+                    } else {
+                        Feature::categorical(format!("c{j}"), 40)
+                    }
+                })
+                .collect();
+            let mut d = Dataset::new(features);
+            for (codes, y) in rows {
+                let row = codes
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &c)| f64::from(if j % 2 == 0 { c % 12 } else { c }))
+                    .collect();
+                d.push(row, y);
+            }
+            d
+        })
+}
+
 /// The textbook grower: recurse on materialized row lists, searching each
 /// node with `cart::split::best_split` under the builder's stop rules.
 fn grow_reference(data: &Dataset, params: &BuildParams) -> Tree {
@@ -309,6 +338,14 @@ proptest! {
         let via_view = build_tree_view(&d, &rows, &params);
         let via_subset = build_tree(&d.subset(&rows), &params);
         prop_assert_eq!(via_view, via_subset);
+    }
+
+    /// A schema wider than the builder's stack buffers takes the heap
+    /// path for its live-feature sets and still grows the oracle's trees.
+    #[test]
+    fn wide_schemas_match_the_split_oracle(d in wide_dataset(), overgrow in prop::bool::ANY) {
+        let params = if overgrow { BuildParams::overgrow() } else { BuildParams::default() };
+        prop_assert_eq!(build_tree(&d, &params), grow_reference(&d, &params));
     }
 
     /// Tree MSE over a view equals tree MSE over the materialized subset.

@@ -161,12 +161,8 @@ pub fn acic_from_args(args: &Args, seed: u64, metrics: &Metrics) -> Result<Boots
                 snap.model
             );
             effective = (snap.seed, snap.model);
-            let mut acic =
-                Acic::from_db(snap.to_training_db(), snap.seed).map_err(|e| e.to_string())?;
-            if snap.model != acic_cart::ModelKind::Cart {
-                acic.retrain_with(snap.model).map_err(|e| e.to_string())?;
-            }
-            acic
+            Acic::from_db_with(snap.to_training_db(), snap.seed, snap.model)
+                .map_err(|e| e.to_string())?
         }
         (None, None, Some(dir)) => {
             let store = Store::open(Path::new(dir)).map_err(|e| e.to_string())?;

@@ -128,7 +128,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let snapshot_path = args.get("snapshot");
     let mut watched = snapshot_path
         .filter(|_| watch)
-        .map(|p| PublishedSnapshot::read(Path::new(p)).map(|s| (s.hash, s.seed, s.model)))
+        .map(|p| PublishedSnapshot::read_header(Path::new(p)))
         .transpose()
         .map_err(|e| e.to_string())?;
     let pending: Vec<Pending> = {
@@ -143,18 +143,21 @@ pub fn run(args: &Args) -> Result<(), String> {
                 eprintln!("hot-swapped to snapshot v{v} after {i} submissions");
             }
             if let (Some(path), Some(last)) = (snapshot_path, watched.as_mut()) {
-                // A republished file changes its (hash, seed, model)
-                // identity; an incremental no-op publish changes nothing
-                // and is skipped here too.
-                let snap = PublishedSnapshot::read(Path::new(path)).map_err(|e| e.to_string())?;
-                let id = (snap.hash, snap.seed, snap.model);
-                if id != *last {
+                // A republished file changes its header identity (hash,
+                // sample count, seed, model); an incremental no-op publish
+                // changes nothing and is skipped here too.  Only a changed
+                // identity pays for the full read, which verifies every
+                // sample line and the content hash.
+                let header =
+                    PublishedSnapshot::read_header(Path::new(path)).map_err(|e| e.to_string())?;
+                if header != *last {
+                    let snap = PublishedSnapshot::read(Path::new(path)).map_err(|e| e.to_string())?;
                     let _swap = metrics.span("phase.swap");
                     let db = snap.to_training_db();
                     let retrained = Predictor::train_with(&db, snap.seed, snap.model)
                         .map_err(|e| e.to_string())?;
                     let v = server.publish(retrained, db.len());
-                    *last = id;
+                    *last = snap.header();
                     eprintln!(
                         "watched snapshot changed (hash {:016x}); hot-swapped to v{v} after {i} \
                          submissions",

@@ -77,7 +77,17 @@ impl Acic {
     /// Build from an existing database (e.g. decoded from the shared
     /// community file) with the paper ranking.
     pub fn from_db(db: TrainingDb, seed: u64) -> Result<Self, AcicError> {
-        let predictor = Predictor::train(&db, seed)?;
+        Self::from_db_with(db, seed, acic_cart::ModelKind::Cart)
+    }
+
+    /// [`Self::from_db`] fitting `kind` — one fit, where `from_db` then
+    /// [`Self::retrain_with`] would fit CART first and throw it away.
+    pub fn from_db_with(
+        db: TrainingDb,
+        seed: u64,
+        kind: acic_cart::ModelKind,
+    ) -> Result<Self, AcicError> {
+        let predictor = Predictor::train_with(&db, seed, kind)?;
         Ok(Self {
             db,
             predictor,
@@ -174,6 +184,27 @@ mod tests {
         p.system.io_servers = 2;
         acic.contribute(&[p.normalized()]).unwrap();
         assert_eq!(acic.db.len(), before + 1);
+    }
+
+    #[test]
+    fn from_db_with_fits_what_from_db_then_retrain_with_fits() {
+        use acic_cart::ModelKind;
+        let db = Acic::with_paper_ranking(3, 2).unwrap().db;
+        let (app, model) = (SpacePoint::default_point().app, MadBench2::paper(64));
+        for kind in [ModelKind::Knn { k: 7 }, ModelKind::Forest { n_trees: 9 }] {
+            let once = Acic::from_db_with(db.clone(), 5, kind).unwrap();
+            let mut twice = Acic::from_db(db.clone(), 5).unwrap();
+            twice.retrain_with(kind).unwrap();
+            for goal in [Objective::Performance, Objective::Cost] {
+                let (a, b) = (once.recommend(&app, goal, 28), twice.recommend(&app, goal, 28));
+                assert_eq!(a, b, "{kind}");
+                assert_eq!(
+                    once.recommend_for(&model, goal, 28).unwrap(),
+                    twice.recommend_for(&model, goal, 28).unwrap(),
+                    "{kind}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,10 @@
 
 use crate::commit::{CommitConfig, CommitPlane, CommitStats};
 use crate::error::AcicError;
-use crate::training::{point_from_fields, point_to_line, TrainingPoint};
+use crate::training::{
+    point_from_fields, push_f64, push_u64, split_fields, write_point, TrainingPoint,
+    POINT_LINE_BYTES,
+};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -104,29 +107,51 @@ impl JournalEntry {
         }
     }
 
-    fn to_line(&self) -> String {
+    /// Append the entry's line (no newline).  A skip reason's tabs and
+    /// newlines become spaces.
+    fn write_line(&self, out: &mut Vec<u8>) {
+        let (kind, index, attempts, secs, cost) = match self {
+            JournalEntry::Ok { index, attempts, secs, cost, .. } => {
+                ("ok", index, attempts, secs, cost)
+            }
+            JournalEntry::Skip { index, attempts, secs, cost, .. } => {
+                ("skip", index, attempts, secs, cost)
+            }
+        };
+        out.extend_from_slice(kind.as_bytes());
+        for v in [*index as u64, u64::from(*attempts)] {
+            out.push(b'\t');
+            push_u64(out, v);
+        }
+        for x in [*secs, *cost] {
+            out.push(b'\t');
+            push_f64(out, x);
+        }
+        out.push(b'\t');
         match self {
-            JournalEntry::Ok { index, attempts, secs, cost, point } => {
-                format!("ok\t{index}\t{attempts}\t{secs}\t{cost}\t{}", point_to_line(point))
-            }
-            JournalEntry::Skip { index, attempts, secs, cost, reason } => {
-                let clean: String =
-                    reason.chars().map(|c| if c == '\t' || c == '\n' { ' ' } else { c }).collect();
-                format!("skip\t{index}\t{attempts}\t{secs}\t{cost}\t{clean}")
-            }
+            JournalEntry::Ok { point, .. } => write_point(out, point),
+            JournalEntry::Skip { reason, .. } => out.extend(
+                reason.bytes().map(|b| if b == b'\t' || b == b'\n' { b' ' } else { b }),
+            ),
         }
     }
 
+    #[cfg(test)]
+    fn to_line(&self) -> String {
+        let mut line = Vec::new();
+        self.write_line(&mut line);
+        String::from_utf8(line).unwrap()
+    }
+
     fn parse(line: &str, lineno: usize) -> Result<JournalEntry, String> {
-        let f: Vec<&str> = line.split('\t').collect();
         let bad = |what: &str| format!("line {lineno}: {what}");
         let index = |s: &str| s.parse::<usize>().map_err(|_| bad("bad index"));
         let num = |s: &str, what: &str| s.parse::<f64>().map_err(|_| bad(what));
-        match f.first().copied() {
+        match line.split('\t').next() {
             Some("ok") => {
-                if f.len() != 5 + 17 {
+                let Some(f) = split_fields::<{ 5 + 17 }>(line) else {
                     return Err(bad("ok entry needs 22 tab-separated fields"));
-                }
+                };
                 let point = point_from_fields(&f[5..], lineno)
                     .map_err(|e| bad(&format!("bad point: {e}")))?;
                 Ok(JournalEntry::Ok {
@@ -138,15 +163,20 @@ impl JournalEntry {
                 })
             }
             Some("skip") => {
-                if f.len() < 6 {
-                    return Err(bad("skip entry needs 6 tab-separated fields"));
+                // The reason is the rest of the line, tabs and all.
+                let mut fields = line.splitn(6, '\t');
+                let mut f = [""; 6];
+                for slot in &mut f {
+                    *slot = fields
+                        .next()
+                        .ok_or_else(|| bad("skip entry needs 6 tab-separated fields"))?;
                 }
                 Ok(JournalEntry::Skip {
                     index: index(f[1])?,
                     attempts: f[2].parse().map_err(|_| bad("bad attempts"))?,
                     secs: num(f[3], "bad secs")?,
                     cost: num(f[4], "bad cost")?,
-                    reason: f[5..].join("\t"),
+                    reason: f[5].to_string(),
                 })
             }
             _ => Err(bad("unknown entry kind")),
@@ -251,9 +281,10 @@ impl JournalWriter {
     /// regardless of call order, so the journal's bytes are deterministic
     /// at any worker count.
     pub fn append_seq(&self, seq: u64, entry: &JournalEntry) {
-        let mut line = entry.to_line();
-        line.push('\n');
-        self.plane.submit(seq, line);
+        let mut line = Vec::with_capacity(POINT_LINE_BYTES + 64);
+        entry.write_line(&mut line);
+        line.push(b'\n');
+        self.plane.submit(seq, String::from_utf8(line).expect("journal lines are UTF-8"));
     }
 
     /// Flush every committed-able entry, stop the writer thread, and
@@ -376,6 +407,8 @@ fn parse_campaign_line(line: &str) -> Result<CampaignId, String> {
 mod tests {
     use super::*;
     use crate::space::SpacePoint;
+    use crate::training::oracle;
+    use proptest::prelude::*;
 
     fn tmp_dir() -> PathBuf {
         let d = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/test-journals");
@@ -569,6 +602,62 @@ mod tests {
 
     fn id_header(id: &CampaignId) -> String {
         id.header()
+    }
+
+    /// The `format!` entry writer the digit loops replaced, kept verbatim
+    /// as the byte oracle.
+    fn to_line_oracle(entry: &JournalEntry) -> String {
+        match entry {
+            JournalEntry::Ok { index, attempts, secs, cost, point } => {
+                format!("ok\t{index}\t{attempts}\t{secs}\t{cost}\t{}", oracle::point_to_line(point))
+            }
+            JournalEntry::Skip { index, attempts, secs, cost, reason } => {
+                let clean: String =
+                    reason.chars().map(|c| if c == '\t' || c == '\n' { ' ' } else { c }).collect();
+                format!("skip\t{index}\t{attempts}\t{secs}\t{cost}\t{clean}")
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Entry lines equal the oracle's bytes on arbitrary bit patterns
+        /// and full integer ranges, and parse back to the same bits.
+        #[test]
+        fn entry_codec_matches_the_format_string_oracle(
+            point in oracle::any_point(),
+            index in oracle::any_u64(),
+            attempts in oracle::any_u64(),
+            secs in oracle::any_f64(),
+            cost in oracle::any_f64(),
+            reason in prop::sample::select(vec!["", "lost\tserver\nlink", "ünïcode\t→"]),
+        ) {
+            let (index, attempts) = (index as usize, attempts as u32);
+            let ok = JournalEntry::Ok { index, attempts, secs, cost, point };
+            let skip = JournalEntry::Skip { index, attempts, secs, cost, reason: reason.into() };
+            prop_assert_eq!(ok.to_line(), to_line_oracle(&ok));
+            prop_assert_eq!(skip.to_line(), to_line_oracle(&skip));
+
+            let point = oracle::lossless(point);
+            let ok = JournalEntry::Ok { index, attempts, secs, cost, point };
+            match JournalEntry::parse(&ok.to_line(), 3).unwrap() {
+                JournalEntry::Ok { index: i, attempts: a, secs: s, cost: c, point: p } => {
+                    prop_assert_eq!((i, a), (index, attempts));
+                    let same =
+                        |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+                    prop_assert!(same(s, secs) && same(c, cost));
+                    prop_assert!(oracle::same_bits(&p, &point));
+                }
+                other => prop_assert!(false, "parsed as {:?}", other),
+            }
+            match JournalEntry::parse(&skip.to_line(), 4).unwrap() {
+                JournalEntry::Skip { reason: r, .. } => {
+                    prop_assert_eq!(r, reason.replace(['\t', '\n'], " "))
+                }
+                other => prop_assert!(false, "parsed as {:?}", other),
+            }
+        }
     }
 
     #[test]

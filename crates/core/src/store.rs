@@ -60,8 +60,9 @@ use crate::error::AcicError;
 use crate::journal;
 use crate::resilience::Collection;
 use crate::space::SpacePoint;
-use crate::training::{fnv1a, point_bits, point_from_fields, write_point, TrainingDb,
-                      TrainingPoint};
+use crate::training::{point_from_fields, point_key, point_words, push_hex16, push_u64,
+                      split_fields, write_point, Fnv64, TrainingDb, TrainingPoint,
+                      POINT_LINE_BYTES};
 use acic_cart::ModelKind;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -101,8 +102,12 @@ pub struct StoreSample {
 /// bit-exact point encoding used for campaign fingerprints, independent of
 /// the measured improvements.
 pub fn sample_key(point: &TrainingPoint) -> u64 {
-    fnv1a(&point_bits(&SpacePoint { system: point.system, app: point.app }))
+    point_key(&SpacePoint { system: point.system, app: point.app })
 }
+
+/// Capacity reserved per rendered sample line (a grid sample's line is
+/// about 140 bytes).
+const SAMPLE_LINE_BYTES: usize = POINT_LINE_BYTES + 64;
 
 /// Total order over every sample field; the canonical set keeps the
 /// minimum per key, so canonicalization commutes with any ingest order.
@@ -126,30 +131,33 @@ impl StoreSample {
         Self { key: sample_key(&point), campaign, seed, index, attempts, point }
     }
 
-    /// Write the sample line (no newline) — the one writer behind WAL,
+    /// Append the sample line (no newline) — the one writer behind WAL,
     /// segment, and snapshot lines and [`hash_samples`].
-    fn write_line(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
-        write!(
-            out,
-            "s\t{:016x}\t{:016x}\t{}\t{}\t{}\t",
-            self.key, self.campaign, self.seed, self.index, self.attempts
-        )?;
-        write_point(out, &self.point)
+    fn write_line(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"s\t");
+        push_hex16(out, self.key);
+        out.push(b'\t');
+        push_hex16(out, self.campaign);
+        for v in [self.seed, self.index as u64, u64::from(self.attempts)] {
+            out.push(b'\t');
+            push_u64(out, v);
+        }
+        out.push(b'\t');
+        write_point(out, &self.point);
     }
 
     #[cfg(test)]
     fn to_line(&self) -> String {
-        let mut line = String::new();
-        self.write_line(&mut line).unwrap();
-        line
+        let mut line = Vec::new();
+        self.write_line(&mut line);
+        String::from_utf8(line).unwrap()
     }
 
     fn parse(line: &str, lineno: usize) -> Result<Self, String> {
-        let f: Vec<&str> = line.split('\t').collect();
         let bad = |what: &str| format!("line {lineno}: {what}");
-        if f.len() != 6 + 17 {
+        let Some(f) = split_fields::<{ 6 + 17 }>(line) else {
             return Err(bad("sample line needs 23 tab-separated fields"));
-        }
+        };
         if f[0] != "s" {
             return Err(bad("unknown line kind"));
         }
@@ -233,28 +241,18 @@ impl SampleLookup {
 
 /// FNV-1a over the rendered sample lines (newline-terminated), the store's
 /// generation identity: two stores hold the same canonical data iff their
-/// hashes agree.  The lines stream straight into the hash state; nothing
-/// is rendered into a buffer.
+/// hashes agree.  Each line is rendered into one reused buffer and folded
+/// into the hash state.
 pub fn hash_samples(samples: &[StoreSample]) -> u64 {
-    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv64::new();
+    let mut line = Vec::with_capacity(SAMPLE_LINE_BYTES);
     for s in samples {
-        s.write_line(&mut h).expect("hashing cannot fail");
-        h.write_char('\n').expect("hashing cannot fail");
+        line.clear();
+        s.write_line(&mut line);
+        line.push(b'\n');
+        h.bytes(&line);
     }
-    h.0
-}
-
-/// An FNV-1a state that `write!` output folds into byte by byte.
-struct Fnv1a(u64);
-
-impl std::fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
-    }
+    h.finish()
 }
 
 /// One manifest row: an immutable, content-addressed segment.
@@ -507,8 +505,8 @@ impl Store {
         new: &[StoreSample],
         commit: CommitConfig,
     ) -> Result<IngestStats, AcicError> {
-        fn flush(file: &mut std::fs::File, path: &Path, buf: &str, sync: bool) -> Result<(), AcicError> {
-            file.write_all(buf.as_bytes()).map_err(|e| AcicError::io(path, e))?;
+        fn flush(file: &mut std::fs::File, path: &Path, buf: &[u8], sync: bool) -> Result<(), AcicError> {
+            file.write_all(buf).map_err(|e| AcicError::io(path, e))?;
             if sync {
                 file.sync_data().map_err(|e| AcicError::io(path, e))?;
             }
@@ -521,7 +519,7 @@ impl Store {
             .open(&path)
             .map_err(|e| AcicError::io(&path, e))?;
         let batch = commit.batch();
-        let mut buf = String::new();
+        let mut buf = Vec::new();
         let mut staged = 0usize;
         for s in new {
             let k = order_key(s);
@@ -529,8 +527,8 @@ impl Store {
                 stats.duplicates += 1;
                 continue;
             }
-            s.write_line(&mut buf).expect("writing to a String cannot fail");
-            buf.push('\n');
+            s.write_line(&mut buf);
+            buf.push(b'\n');
             self.seen.insert(k);
             self.samples.push(*s);
             self.wal_entries += 1;
@@ -755,19 +753,18 @@ fn parse_manifest(text: &str) -> Result<Vec<SegmentRef>, String> {
 }
 
 fn render_segment(samples: &[StoreSample]) -> String {
-    let mut s = String::new();
-    writeln!(s, "{SEGMENT_VERSION}").unwrap();
-    writeln!(s, "samples={}", samples.len()).unwrap();
-    write_lines(&mut s, samples);
-    s
+    render_lines(&format!("{SEGMENT_VERSION}\nsamples={}\n", samples.len()), samples)
 }
 
-/// Append each sample's line, newline-terminated.
-fn write_lines(s: &mut String, samples: &[StoreSample]) {
+/// `header`, then each sample's line, newline-terminated.
+fn render_lines(header: &str, samples: &[StoreSample]) -> String {
+    let mut s = Vec::with_capacity(header.len() + samples.len() * SAMPLE_LINE_BYTES);
+    s.extend_from_slice(header.as_bytes());
     for sample in samples {
-        sample.write_line(s).unwrap();
-        s.push('\n');
+        sample.write_line(&mut s);
+        s.push(b'\n');
     }
+    String::from_utf8(s).expect("the sample codec writes ASCII")
 }
 
 fn parse_segment(text: &str, expect: &SegmentRef) -> Result<Vec<StoreSample>, String> {
@@ -827,19 +824,14 @@ pub struct PublishedSnapshot {
 impl PublishedSnapshot {
     /// Render as the versioned snapshot text format.
     pub fn render(&self) -> String {
-        let mut s = String::new();
-        writeln!(s, "{SNAPSHOT_VERSION}").unwrap();
-        writeln!(
-            s,
-            "hash={:016x} samples={} seed={} model={}",
+        let header = format!(
+            "{SNAPSHOT_VERSION}\nhash={:016x} samples={} seed={} model={}\n",
             self.hash,
             self.samples.len(),
             self.seed,
             model_code(self.model)
-        )
-        .unwrap();
-        write_lines(&mut s, &self.samples);
-        s
+        );
+        render_lines(&header, &self.samples)
     }
 
     /// Parse the [`Self::render`] format, verifying the sample count and
@@ -847,28 +839,8 @@ impl PublishedSnapshot {
     /// any mismatch is corruption, not a torn write).
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
-        match lines.next() {
-            Some(v) if v.trim() == SNAPSHOT_VERSION => {}
-            other => return Err(format!("unknown snapshot header {other:?}")),
-        }
-        let summary = lines.next().ok_or("missing snapshot summary line")?;
-        let (mut hash, mut count, mut seed, mut model) = (None, None, None, None);
-        for field in summary.split_whitespace() {
-            let (key, value) = field.split_once('=').ok_or("malformed summary field")?;
-            match key {
-                "hash" => hash = Some(u64::from_str_radix(value, 16).map_err(|_| "bad hash")?),
-                "samples" => count = Some(value.parse::<usize>().map_err(|_| "bad samples")?),
-                "seed" => seed = Some(value.parse::<u64>().map_err(|_| "bad seed")?),
-                "model" => model = Some(parse_model_code(value)?),
-                _ => return Err(format!("unknown summary field {key:?}")),
-            }
-        }
-        let (hash, count, seed, model) = (
-            hash.ok_or("summary missing hash")?,
-            count.ok_or("summary missing samples")?,
-            seed.ok_or("summary missing seed")?,
-            model.ok_or("summary missing model")?,
-        );
+        let SnapshotHeader { hash, samples: count, seed, model } =
+            parse_header(lines.next(), lines.next())?;
         let mut samples = Vec::with_capacity(count);
         for (i, line) in lines.enumerate() {
             if line.trim().is_empty() {
@@ -894,6 +866,29 @@ impl PublishedSnapshot {
         Self::parse(&text).map_err(|reason| store_err(path, reason))
     }
 
+    /// Read only a snapshot file's two header lines: the identity a
+    /// watcher compares, without parsing, keying or hashing the samples.
+    /// A header is not verified against the body; [`Self::read`] is.
+    pub fn read_header(path: &Path) -> Result<SnapshotHeader, AcicError> {
+        use std::io::BufRead;
+        let file = std::fs::File::open(path).map_err(|e| AcicError::io(path, e))?;
+        let mut lines = std::io::BufReader::new(file).lines();
+        let mut next = || lines.next().transpose().map_err(|e| AcicError::io(path, e));
+        let (version, summary) = (next()?, next()?);
+        parse_header(version.as_deref(), summary.as_deref())
+            .map_err(|reason| store_err(path, reason))
+    }
+
+    /// The identity this snapshot's header declares.
+    pub fn header(&self) -> SnapshotHeader {
+        SnapshotHeader {
+            hash: self.hash,
+            samples: self.samples.len(),
+            seed: self.seed,
+            model: self.model,
+        }
+    }
+
     /// Write atomically (temp file + rename): serving processes watching
     /// the path never observe a half-written snapshot.
     pub fn write(&self, path: &Path) -> Result<(), AcicError> {
@@ -916,12 +911,11 @@ impl PublishedSnapshot {
     /// predictor refit from the snapshot is bit-identical to one fit on
     /// the original database.
     pub fn from_db(db: &TrainingDb, seed: u64, model: ModelKind) -> Self {
-        let campaign = fnv1a(
-            &db.points
-                .iter()
-                .flat_map(|p| point_bits(&SpacePoint { system: p.system, app: p.app }))
-                .collect::<Vec<u64>>(),
-        );
+        let mut h = Fnv64::new();
+        for p in &db.points {
+            h.words(&point_words(&SpacePoint { system: p.system, app: p.app }));
+        }
+        let campaign = h.finish();
         let samples: Vec<StoreSample> = db
             .points
             .iter()
@@ -959,6 +953,45 @@ impl PublishedSnapshot {
     }
 }
 
+/// What a snapshot's version and summary lines declare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotHeader {
+    /// Declared [`hash_samples`] of the body.
+    pub hash: u64,
+    /// Declared sample count.
+    pub samples: usize,
+    /// Seed the model is trained with.
+    pub seed: u64,
+    /// Which model kind to fit.
+    pub model: ModelKind,
+}
+
+/// Parse a snapshot's version line and summary line.
+fn parse_header(version: Option<&str>, summary: Option<&str>) -> Result<SnapshotHeader, String> {
+    match version {
+        Some(v) if v.trim() == SNAPSHOT_VERSION => {}
+        other => return Err(format!("unknown snapshot header {other:?}")),
+    }
+    let summary = summary.ok_or("missing snapshot summary line")?;
+    let (mut hash, mut samples, mut seed, mut model) = (None, None, None, None);
+    for field in summary.split_whitespace() {
+        let (key, value) = field.split_once('=').ok_or("malformed summary field")?;
+        match key {
+            "hash" => hash = Some(u64::from_str_radix(value, 16).map_err(|_| "bad hash")?),
+            "samples" => samples = Some(value.parse::<usize>().map_err(|_| "bad samples")?),
+            "seed" => seed = Some(value.parse::<u64>().map_err(|_| "bad seed")?),
+            "model" => model = Some(parse_model_code(value)?),
+            _ => return Err(format!("unknown summary field {key:?}")),
+        }
+    }
+    Ok(SnapshotHeader {
+        hash: hash.ok_or("summary missing hash")?,
+        samples: samples.ok_or("summary missing samples")?,
+        seed: seed.ok_or("summary missing seed")?,
+        model: model.ok_or("summary missing model")?,
+    })
+}
+
 /// Stable one-word encoding of a model kind for the snapshot header.
 pub fn model_code(kind: ModelKind) -> String {
     match kind {
@@ -985,6 +1018,8 @@ pub fn parse_model_code(code: &str) -> Result<ModelKind, String> {
 mod tests {
     use super::*;
     use crate::space::SpacePoint;
+    use crate::training::oracle;
+    use proptest::prelude::*;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let d = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -1319,6 +1354,104 @@ mod tests {
         let db_text = snap.to_training_db().to_text();
         assert_eq!(fnv_bytes(db_text.as_bytes()), 0xb6dc_6132_5076_2455);
         assert_eq!(PublishedSnapshot::parse(&text).unwrap(), snap);
+    }
+
+    /// The `write!` sample-line writer the digit loops replaced, kept
+    /// verbatim as the byte oracle.
+    fn write_line_oracle(s: &StoreSample, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+        write!(
+            out,
+            "s\t{:016x}\t{:016x}\t{}\t{}\t{}\t",
+            s.key, s.campaign, s.seed, s.index, s.attempts
+        )?;
+        oracle::write_point(out, &s.point)
+    }
+
+    fn oracle_key(p: &TrainingPoint) -> u64 {
+        oracle::fnv1a(&oracle::point_bits(&SpacePoint { system: p.system, app: p.app }))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Sample lines, keys, the set hash and `from_db`'s campaign
+        /// fingerprint equal the `write!` and word-vector oracles' on
+        /// arbitrary bit patterns and full integer ranges, and a line
+        /// parses back to the same bits.
+        #[test]
+        fn sample_codec_matches_the_format_string_oracle(
+            points in prop::collection::vec(oracle::any_point(), 1..4),
+            campaign in 0u64..=u64::MAX,
+            seed in oracle::any_u64(),
+            index in oracle::any_u64(),
+            attempts in oracle::any_u64(),
+        ) {
+            let samples: Vec<StoreSample> = points
+                .iter()
+                .map(|p| StoreSample::new(campaign, seed, index as usize, attempts as u32, *p))
+                .collect();
+            let mut want_hash = Fnv64::new();
+            for s in &samples {
+                prop_assert_eq!(s.key, oracle_key(&s.point));
+                let mut want = String::new();
+                write_line_oracle(s, &mut want).unwrap();
+                prop_assert_eq!(s.to_line(), want.clone());
+                want_hash.bytes(want.as_bytes());
+                want_hash.bytes(b"\n");
+            }
+            prop_assert_eq!(hash_samples(&samples), want_hash.finish());
+
+            let db =
+                TrainingDb { points: points.clone(), collect_secs: 0.0, collect_cost_usd: 0.0 };
+            let words: Vec<u64> = points
+                .iter()
+                .flat_map(|p| oracle::point_bits(&SpacePoint { system: p.system, app: p.app }))
+                .collect();
+            let snap = PublishedSnapshot::from_db(&db, seed, ModelKind::Cart);
+            prop_assert_eq!(snap.samples[0].campaign, oracle::fnv1a(&words));
+
+            let lossless = StoreSample::new(
+                campaign,
+                seed,
+                index as usize,
+                attempts as u32,
+                oracle::lossless(points[0]),
+            );
+            let back = StoreSample::parse(&lossless.to_line(), 1).unwrap();
+            prop_assert_eq!(
+                (back.key, back.campaign, back.seed, back.index, back.attempts),
+                (lossless.key, lossless.campaign, lossless.seed, lossless.index, lossless.attempts)
+            );
+            prop_assert!(oracle::same_bits(&back.point, &lossless.point));
+        }
+    }
+
+    #[test]
+    fn header_read_declares_the_full_reads_identity() {
+        let dir = tmp_dir("snapshot-header");
+        let samples = canonicalize((0..5).map(|i| sample(i, 29, 0.5 + i as f64)).collect());
+        let snap = PublishedSnapshot {
+            hash: hash_samples(&samples),
+            seed: 1234,
+            model: ModelKind::Knn { k: 7 },
+            samples,
+        };
+        let path = dir.join("snap.txt");
+        snap.write(&path).unwrap();
+        let full = PublishedSnapshot::read(&path).unwrap();
+        assert_eq!(PublishedSnapshot::read_header(&path).unwrap(), full.header());
+        assert_eq!(full.header(), snap.header());
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replacen(SNAPSHOT_VERSION, "acic-snapshot v0", 1)).unwrap();
+        match PublishedSnapshot::read_header(&path) {
+            Err(AcicError::Store { reason, .. }) => assert!(reason.contains("header"), "{reason}"),
+            other => panic!("expected Store error, got {other:?}"),
+        }
+        std::fs::write(&path, format!("{SNAPSHOT_VERSION}\n")).unwrap();
+        assert!(matches!(PublishedSnapshot::read_header(&path), Err(AcicError::Store { .. })));
+        let missing = dir.join("absent.txt");
+        assert!(matches!(PublishedSnapshot::read_header(&missing), Err(AcicError::Io { .. })));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::commit::CommitConfig;
 use crate::error::AcicError;
-use crate::features::encode;
+use crate::features::{encode, encode_app_half, encode_system_half, N_FEATURES};
 use crate::journal::{self, CampaignId, JournalEntry, JournalWriter};
 use crate::objective::Objective;
 use crate::obs::Metrics;
@@ -229,7 +229,8 @@ impl Trainer {
     /// list, and the fault/retry configuration (anything that changes the
     /// collected bits changes the fingerprint).
     pub fn campaign_id(&self, points: &[SpacePoint]) -> CampaignId {
-        let mut words: Vec<u64> = vec![
+        let mut h = Fnv64::new();
+        h.words(&[
             self.seed,
             self.faults.phase_fail_prob.to_bits(),
             self.faults.retry_penalty_secs.to_bits(),
@@ -239,11 +240,11 @@ impl Trainer {
             self.retry.backoff_factor.to_bits(),
             self.retry.point_budget_secs.to_bits(),
             points.len() as u64,
-        ];
+        ]);
         for p in points {
-            words.extend(point_bits(p));
+            h.words(&point_words(p));
         }
-        CampaignId { seed: self.seed, points: points.len(), fingerprint: fnv1a(&words) }
+        CampaignId { seed: self.seed, points: points.len(), fingerprint: h.finish() }
     }
 
     /// The full fault-tolerant collection engine: run `points` under the
@@ -320,14 +321,14 @@ impl Trainer {
         // filled-twice races.  Each baseline is a pure function of
         // `(campaign seed, app key)`, so the table is bit-identical to
         // what the old racing cache converged to.
-        let mut apps: BTreeMap<Vec<u64>, AppPoint> = BTreeMap::new();
+        let mut apps: BTreeMap<[u64; 9], AppPoint> = BTreeMap::new();
         for (t, &i) in todo.iter().enumerate() {
             if hits[t].is_none() {
                 apps.entry(app_bits(&points[i].app)).or_insert(points[i].app);
             }
         }
-        let apps: Vec<(Vec<u64>, AppPoint)> = apps.into_iter().collect();
-        let baselines: BTreeMap<Vec<u64>, Arc<BaselineEntry>> = apps
+        let apps: Vec<([u64; 9], AppPoint)> = apps.into_iter().collect();
+        let baselines: BTreeMap<[u64; 9], Arc<BaselineEntry>> = apps
             .into_par_iter()
             .map(|(key, app)| {
                 let entry = self.compute_baseline(&root, &baseline_sys, &app, &key);
@@ -507,7 +508,7 @@ impl Trainer {
         i: usize,
         p: &SpacePoint,
         root: &SplitMix64,
-        baselines: &BTreeMap<Vec<u64>, Arc<BaselineEntry>>,
+        baselines: &BTreeMap<[u64; 9], Arc<BaselineEntry>>,
     ) -> PointRun {
         let app_key = app_bits(&p.app);
         let entry = baselines
@@ -798,52 +799,142 @@ fn cost_fn(sys: &IoSystem) -> impl Fn(f64) -> f64 {
     move |secs: f64| CostModel::default().linear_cost(secs, instances, instance_type)
 }
 
-/// FNV-1a over a word stream (campaign fingerprinting, store sample keys).
-pub(crate) fn fnv1a(words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a state (64-bit).  Campaign fingerprints and configuration keys
+/// fold point words through it, and the store's generation hash folds
+/// rendered sample lines.
+#[derive(Debug)]
+pub(crate) struct Fnv64(u64);
+
+impl Fnv64 {
+    pub(crate) const fn new() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    h
+
+    /// Fold each word's little-endian bytes.
+    pub(crate) fn words(&mut self, words: &[u64]) {
+        for w in words {
+            self.bytes(&w.to_le_bytes());
+        }
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
 }
+
+/// Append `v` in decimal, as `{}` prints it.
+pub(crate) fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    // Most fields are flags and category codes.
+    if v < 10 {
+        out.push(b'0' + v as u8);
+        return;
+    }
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Append `v` as 16 lowercase hex digits, as `{:016x}` prints it.
+pub(crate) fn push_hex16(out: &mut Vec<u8>, v: u64) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut digits = [0u8; 16];
+    for (i, d) in digits.iter_mut().enumerate() {
+        *d = HEX[(v >> (60 - 4 * i)) as usize & 0xf];
+    }
+    out.extend_from_slice(&digits);
+}
+
+/// Append `x` as `{}` prints it.  An integral value below 2^53 in
+/// magnitude prints as its integer digits, `-` first when the sign bit is
+/// set (`-0` included); every other value goes through std `Display`.
+pub(crate) fn push_f64(out: &mut Vec<u8>, x: f64) {
+    const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+    if x.abs() < EXACT && (x as i64) as f64 == x {
+        if x.is_sign_negative() {
+            out.push(b'-');
+        }
+        push_u64(out, (x as i64).unsigned_abs());
+    } else {
+        use std::io::Write as _;
+        write!(out, "{x}").expect("writing to a Vec cannot fail");
+    }
+}
+
+/// Capacity reserved per rendered point line (a grid point's line is
+/// about 100 bytes).
+pub(crate) const POINT_LINE_BYTES: usize = 128;
 
 /// Write one observation as the 17 tab-separated fields shared by the
 /// database text format, the checkpoint journal, and the store's sample
 /// lines — the one place that format is spelled out.
-pub(crate) fn write_point(out: &mut impl std::fmt::Write, p: &TrainingPoint) -> std::fmt::Result {
-    let sys = &p.system;
-    let app = &p.app;
-    write!(
-        out,
-        "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        crate::features::device_code(sys.device) as u8,
-        matches!(sys.fs, acic_fsim::FsType::Pvfs2) as u8,
-        matches!(sys.instance_type, acic_cloudsim::instance::InstanceType::Cc2_8xlarge) as u8,
-        sys.io_servers,
-        matches!(sys.placement, acic_cloudsim::cluster::Placement::Dedicated) as u8,
-        sys.stripe_size,
-        app.nprocs,
-        app.io_procs,
-        crate::features::api_code(app.api) as u8,
-        app.iterations,
-        app.data_size,
-        app.request_size,
-        matches!(app.op, acic_fsim::IoOp::Write) as u8,
-        app.collective as u8,
-        app.shared_file as u8,
-        p.perf_improvement,
-        p.cost_improvement,
-    )
+pub(crate) fn write_point(out: &mut Vec<u8>, p: &TrainingPoint) {
+    use acic_cloudsim::cluster::Placement;
+    use acic_cloudsim::instance::InstanceType;
+    use acic_fsim::{FsType, IoOp};
+
+    let (sys, app) = (&p.system, &p.app);
+    let system_codes = [
+        crate::features::device_code(sys.device) as u64,
+        u64::from(sys.fs == FsType::Pvfs2),
+        u64::from(sys.instance_type == InstanceType::Cc2_8xlarge),
+        sys.io_servers as u64,
+        u64::from(sys.placement == Placement::Dedicated),
+    ];
+    for v in system_codes {
+        push_u64(out, v);
+        out.push(b'\t');
+    }
+    push_f64(out, sys.stripe_size);
+    let app_counts = [
+        app.nprocs as u64,
+        app.io_procs as u64,
+        crate::features::api_code(app.api) as u64,
+        app.iterations as u64,
+    ];
+    for v in app_counts {
+        out.push(b'\t');
+        push_u64(out, v);
+    }
+    for x in [app.data_size, app.request_size] {
+        out.push(b'\t');
+        push_f64(out, x);
+    }
+    let app_flags =
+        [u64::from(app.op == IoOp::Write), u64::from(app.collective), u64::from(app.shared_file)];
+    for v in app_flags {
+        out.push(b'\t');
+        push_u64(out, v);
+    }
+    for x in [p.perf_improvement, p.cost_improvement] {
+        out.push(b'\t');
+        push_f64(out, x);
+    }
 }
 
-/// [`write_point`] into a fresh `String`.
-pub(crate) fn point_to_line(p: &TrainingPoint) -> String {
-    let mut line = String::new();
-    write_point(&mut line, p).expect("writing to a String cannot fail");
-    line
+/// Split `line` at tabs into exactly `N` fields; `None` when it has more
+/// or fewer.
+pub(crate) fn split_fields<const N: usize>(line: &str) -> Option<[&str; N]> {
+    let mut fields = [""; N];
+    let mut it = line.split('\t');
+    for f in &mut fields {
+        *f = it.next()?;
+    }
+    it.next().is_none().then_some(fields)
 }
 
 /// Parse the 17 fields written by [`write_point`].
@@ -904,16 +995,16 @@ impl TrainingDb {
     /// released training data is a similar flat table; no external
     /// serialization dependency needed).
     pub fn to_text(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        writeln!(s, "acic-db v1").unwrap();
-        writeln!(s, "collect_secs={} collect_cost_usd={}", self.collect_secs, self.collect_cost_usd)
-            .unwrap();
+        use std::io::Write;
+        let mut s = Vec::with_capacity(64 + self.points.len() * POINT_LINE_BYTES);
+        let (secs, cost) = (self.collect_secs, self.collect_cost_usd);
+        writeln!(s, "acic-db v1\ncollect_secs={secs} collect_cost_usd={cost}")
+            .expect("writing to a Vec cannot fail");
         for p in &self.points {
-            write_point(&mut s, p).unwrap();
-            s.push('\n');
+            write_point(&mut s, p);
+            s.push(b'\n');
         }
-        s
+        String::from_utf8(s).expect("the point codec writes ASCII")
     }
 
     /// Parse the [`Self::to_text`] format.
@@ -940,7 +1031,8 @@ impl TrainingDb {
             if line.trim().is_empty() {
                 continue;
             }
-            let f: Vec<&str> = line.split('\t').collect();
+            let f: [&str; 17] = split_fields(line)
+                .ok_or_else(|| bad(lineno + 1, "expected 17 tab-separated fields"))?;
             db.points.push(point_from_fields(&f, lineno + 1)?);
         }
         Ok(db)
@@ -948,9 +1040,9 @@ impl TrainingDb {
 }
 
 /// Bit-exact key of an app half (for baseline caching).
-fn app_bits(app: &AppPoint) -> Vec<u64> {
+fn app_bits(app: &AppPoint) -> [u64; 9] {
     let a = app.normalized();
-    vec![
+    [
         a.nprocs as u64,
         a.io_procs as u64,
         crate::features::api_code(a.api) as u64,
@@ -963,10 +1055,20 @@ fn app_bits(app: &AppPoint) -> Vec<u64> {
     ]
 }
 
-/// Bit-exact key of a whole point.
-pub(crate) fn point_bits(p: &SpacePoint) -> Vec<u64> {
-    let mut k: Vec<u64> = encode(&p.system, &p.app).iter().map(|v| v.to_bits()).collect();
-    k.extend(app_bits(&p.app));
+/// Words in a point's bit-exact key: the encoded feature row, then the
+/// app-half key.
+const POINT_WORDS: usize = N_FEATURES + 9;
+
+/// Bit-exact key of a whole point: the feature row's bits, then
+/// [`app_bits`].  Campaign and snapshot fingerprints fold these words for
+/// every point.
+pub(crate) fn point_words(p: &SpacePoint) -> [u64; POINT_WORDS] {
+    let mut k = [0u64; POINT_WORDS];
+    let row = encode_system_half(&p.system).into_iter().chain(encode_app_half(&p.app));
+    for (w, v) in k.iter_mut().zip(row) {
+        *w = v.to_bits();
+    }
+    k[N_FEATURES..].copy_from_slice(&app_bits(&p.app));
     k
 }
 
@@ -976,20 +1078,323 @@ pub(crate) fn point_bits(p: &SpacePoint) -> Vec<u64> {
 /// the trainer's lookup-before-measure path) ask the durable store "has
 /// this exact configuration been measured before?" without re-simulating.
 pub fn point_key(p: &SpacePoint) -> u64 {
-    fnv1a(&point_bits(p))
+    let mut h = Fnv64::new();
+    h.words(&point_words(p));
+    h.finish()
 }
 
 fn dedup_points(points: Vec<SpacePoint>) -> Vec<SpacePoint> {
     let mut seen = std::collections::BTreeSet::new();
     points
         .into_iter()
-        .filter(|p| seen.insert(point_bits(p)))
+        .filter(|p| seen.insert(point_words(p)))
         .collect()
+}
+
+/// The codec the digit loops and word folds replaced, kept verbatim as the
+/// oracle the codec tests compare bytes and keys against, plus generators
+/// of points whose every field varies over its whole domain.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// FNV-1a over a word stream (campaign fingerprinting, store sample keys).
+    pub(crate) fn fnv1a(words: &[u64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Bit-exact key of an app half (for baseline caching).
+    fn app_bits(app: &AppPoint) -> Vec<u64> {
+        let a = app.normalized();
+        vec![
+            a.nprocs as u64,
+            a.io_procs as u64,
+            crate::features::api_code(a.api) as u64,
+            a.iterations as u64,
+            a.data_size.to_bits(),
+            a.request_size.to_bits(),
+            u64::from(a.op == acic_fsim::IoOp::Write),
+            u64::from(a.collective),
+            u64::from(a.shared_file),
+        ]
+    }
+
+    /// Bit-exact key of a whole point.
+    pub(crate) fn point_bits(p: &SpacePoint) -> Vec<u64> {
+        let mut k: Vec<u64> = encode(&p.system, &p.app).iter().map(|v| v.to_bits()).collect();
+        k.extend(app_bits(&p.app));
+        k
+    }
+
+    /// Write one observation as the 17 tab-separated fields shared by the
+    /// database text format, the checkpoint journal, and the store's sample
+    /// lines — the one place that format is spelled out.
+    pub(crate) fn write_point(out: &mut impl std::fmt::Write, p: &TrainingPoint) -> std::fmt::Result {
+        let sys = &p.system;
+        let app = &p.app;
+        write!(
+            out,
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            crate::features::device_code(sys.device) as u8,
+            matches!(sys.fs, acic_fsim::FsType::Pvfs2) as u8,
+            matches!(sys.instance_type, acic_cloudsim::instance::InstanceType::Cc2_8xlarge) as u8,
+            sys.io_servers,
+            matches!(sys.placement, acic_cloudsim::cluster::Placement::Dedicated) as u8,
+            sys.stripe_size,
+            app.nprocs,
+            app.io_procs,
+            crate::features::api_code(app.api) as u8,
+            app.iterations,
+            app.data_size,
+            app.request_size,
+            matches!(app.op, acic_fsim::IoOp::Write) as u8,
+            app.collective as u8,
+            app.shared_file as u8,
+            p.perf_improvement,
+            p.cost_improvement,
+        )
+    }
+
+    /// [`write_point`] into a fresh `String`.
+    pub(crate) fn point_to_line(p: &TrainingPoint) -> String {
+        let mut line = String::new();
+        write_point(&mut line, p).expect("writing to a String cannot fail");
+        line
+    }
+
+    /// Floats every formatter path must agree on: signed zeros,
+    /// infinities, NaN, subnormals, the 2^53 boundary of the integer-digit
+    /// path, and values `{}` prints in long plain notation.
+    const SPECIAL_F64: [f64; 17] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        5e-324,
+        -2.225_073_858_507_201e-308,
+        9_007_199_254_740_991.0,
+        9_007_199_254_740_992.0,
+        9_007_199_254_740_994.0,
+        -9_007_199_254_740_991.0,
+        1e21,
+        1e-7,
+        0.1 + 0.2,
+        -2.5,
+        1.0 / 3.0,
+        f64::MAX,
+    ];
+
+    /// Any `f64`: one of [`SPECIAL_F64`], an arbitrary bit pattern, an
+    /// integral value below 2^53 of either sign, or a short decimal.
+    pub(crate) fn any_f64() -> impl Strategy<Value = f64> {
+        (0..SPECIAL_F64.len() + 4, 0u64..=u64::MAX).prop_map(|(pick, bits)| {
+            match pick.checked_sub(SPECIAL_F64.len()) {
+                None => SPECIAL_F64[pick],
+                Some(0) | Some(1) => f64::from_bits(bits),
+                Some(2) => {
+                    let v = (bits >> 11) as f64;
+                    if bits & 1 == 1 { -v } else { v }
+                }
+                _ => (bits % 2_000_000) as f64 / 1000.0 - 1000.0,
+            }
+        })
+    }
+
+    /// Any `u64`: the whole range, small counts, and the boundaries where
+    /// an `f64` parse stops being exact.
+    pub(crate) fn any_u64() -> impl Strategy<Value = u64> {
+        const SPECIAL: [u64; 7] = [0, 1, 9, 10, (1 << 53) - 1, (1 << 53) + 1, u64::MAX];
+        (0..SPECIAL.len() + 3, 0u64..=u64::MAX).prop_map(|(pick, bits)| {
+            match pick.checked_sub(SPECIAL.len()) {
+                None => SPECIAL[pick],
+                Some(0) => bits,
+                _ => bits % 100_000,
+            }
+        })
+    }
+
+    /// A training point with every field drawn over its whole domain.
+    pub(crate) fn any_point() -> impl Strategy<Value = TrainingPoint> {
+        use acic_cloudsim::cluster::Placement;
+        use acic_cloudsim::device::DeviceKind;
+        use acic_cloudsim::instance::InstanceType;
+        use acic_fsim::{FsType, IoApi, IoOp};
+        let system = (0usize..3, 0u8..8, any_u64(), any_f64());
+        let app = (any_u64(), any_u64(), 0usize..4, any_u64(), any_f64(), any_f64(), 0u8..8);
+        (system, app, any_f64(), any_f64()).prop_map(
+            |((device, sys_flags, io_servers, stripe_size), app, perf, cost)| {
+                let (nprocs, io_procs, api, iterations, data_size, request_size, app_flags) = app;
+                TrainingPoint {
+                    system: SystemConfig {
+                        device: [DeviceKind::Ebs, DeviceKind::Ephemeral, DeviceKind::Ssd][device],
+                        fs: if sys_flags & 1 == 1 { FsType::Pvfs2 } else { FsType::Nfs },
+                        instance_type: if sys_flags & 2 == 2 {
+                            InstanceType::Cc2_8xlarge
+                        } else {
+                            InstanceType::Cc1_4xlarge
+                        },
+                        io_servers: io_servers as usize,
+                        placement: if sys_flags & 4 == 4 {
+                            Placement::Dedicated
+                        } else {
+                            Placement::PartTime
+                        },
+                        stripe_size,
+                    },
+                    app: AppPoint {
+                        nprocs: nprocs as usize,
+                        io_procs: io_procs as usize,
+                        api: [IoApi::Posix, IoApi::MpiIo, IoApi::Hdf5, IoApi::NetCdf][api],
+                        iterations: iterations as usize,
+                        data_size,
+                        request_size,
+                        op: if app_flags & 1 == 1 { IoOp::Write } else { IoOp::Read },
+                        collective: app_flags & 2 == 2,
+                        shared_file: app_flags & 4 == 4,
+                    },
+                    perf_improvement: perf,
+                    cost_improvement: cost,
+                }
+            },
+        )
+    }
+
+    /// `p` moved into the domain the text codec round-trips exactly: its
+    /// integer fields parse through `f64`, so they are kept below 2^53,
+    /// and `{}` prints every NaN as `NaN`, so NaN configuration sizes
+    /// (which the key covers) become 0.  NaN improvements stay; they come
+    /// back as NaN.
+    pub(crate) fn lossless(mut p: TrainingPoint) -> TrainingPoint {
+        let int = |v: usize| v & ((1 << 53) - 1);
+        let size = |x: f64| if x.is_nan() { 0.0 } else { x };
+        p.system.io_servers = int(p.system.io_servers);
+        p.system.stripe_size = size(p.system.stripe_size);
+        p.app.nprocs = int(p.app.nprocs);
+        p.app.io_procs = int(p.app.io_procs);
+        p.app.iterations = int(p.app.iterations);
+        p.app.data_size = size(p.app.data_size);
+        p.app.request_size = size(p.app.request_size);
+        p
+    }
+
+    /// Equal fields, floats compared by bits (any NaN matching any NaN:
+    /// `{}` prints every NaN as `NaN`).
+    pub(crate) fn same_bits(a: &TrainingPoint, b: &TrainingPoint) -> bool {
+        let f = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        a.system.device == b.system.device
+            && a.system.fs == b.system.fs
+            && a.system.instance_type == b.system.instance_type
+            && a.system.io_servers == b.system.io_servers
+            && a.system.placement == b.system.placement
+            && f(a.system.stripe_size, b.system.stripe_size)
+            && a.app.nprocs == b.app.nprocs
+            && a.app.io_procs == b.app.io_procs
+            && a.app.api == b.app.api
+            && a.app.iterations == b.app.iterations
+            && f(a.app.data_size, b.app.data_size)
+            && f(a.app.request_size, b.app.request_size)
+            && a.app.op == b.app.op
+            && a.app.collective == b.app.collective
+            && a.app.shared_file == b.app.shared_file
+            && f(a.perf_improvement, b.perf_improvement)
+            && f(a.cost_improvement, b.cost_improvement)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The digit-loop writer renders every point byte for byte as the
+        /// `write!` oracle does, keys fold exactly the words the
+        /// allocating oracle hashed, and the db text parses back to the
+        /// same bits.
+        #[test]
+        fn point_codec_matches_the_format_string_oracle(
+            p in oracle::any_point(),
+            q in oracle::any_point(),
+            stats in (oracle::any_f64(), oracle::any_f64()),
+        ) {
+            let mut line = Vec::new();
+            write_point(&mut line, &p);
+            prop_assert_eq!(String::from_utf8(line).unwrap(), oracle::point_to_line(&p));
+            let sp = SpacePoint { system: p.system, app: p.app };
+            prop_assert_eq!(point_key(&sp), oracle::fnv1a(&oracle::point_bits(&sp)));
+
+            let db =
+                TrainingDb { points: vec![p, q], collect_secs: stats.0, collect_cost_usd: stats.1 };
+            let want = format!(
+                "acic-db v1\ncollect_secs={} collect_cost_usd={}\n{}\n{}\n",
+                stats.0,
+                stats.1,
+                oracle::point_to_line(&p),
+                oracle::point_to_line(&q)
+            );
+            prop_assert_eq!(db.to_text(), want);
+
+            let lossless = TrainingDb {
+                points: vec![oracle::lossless(p), oracle::lossless(q)],
+                ..db
+            };
+            let back = TrainingDb::from_text(&lossless.to_text()).unwrap();
+            prop_assert_eq!(back.points.len(), 2);
+            for (a, b) in back.points.iter().zip(&lossless.points) {
+                prop_assert!(oracle::same_bits(a, b), "{:?} came back as {:?}", b, a);
+            }
+        }
+
+        /// Campaign fingerprints and point dedup fold the same words the
+        /// word-vector oracle collected.
+        #[test]
+        fn campaign_keys_match_the_word_vector_oracle(
+            points in prop::collection::vec(oracle::any_point(), 0..6),
+            seed in oracle::any_u64(),
+            faults in (oracle::any_f64(), oracle::any_f64(), oracle::any_f64()),
+        ) {
+            let mut points: Vec<SpacePoint> =
+                points.iter().map(|p| SpacePoint { system: p.system, app: p.app }).collect();
+            let trainer = Trainer::with_paper_ranking(seed).with_faults(FaultPlan {
+                phase_fail_prob: faults.0,
+                retry_penalty_secs: faults.1,
+                abort_prob: faults.2,
+            });
+            let mut words = vec![
+                trainer.seed,
+                trainer.faults.phase_fail_prob.to_bits(),
+                trainer.faults.retry_penalty_secs.to_bits(),
+                trainer.faults.abort_prob.to_bits(),
+                u64::from(trainer.retry.max_retries),
+                trainer.retry.backoff_base_secs.to_bits(),
+                trainer.retry.backoff_factor.to_bits(),
+                trainer.retry.point_budget_secs.to_bits(),
+                points.len() as u64,
+            ];
+            for p in &points {
+                words.extend(oracle::point_bits(p));
+            }
+            prop_assert_eq!(trainer.campaign_id(&points).fingerprint, oracle::fnv1a(&words));
+
+            points.extend(points.clone());
+            let mut seen = std::collections::BTreeSet::new();
+            let want: Vec<SpacePoint> =
+                points.iter().copied().filter(|p| seen.insert(oracle::point_bits(p))).collect();
+            // Debug text, so NaN sizes compare equal.
+            prop_assert_eq!(format!("{:?}", dedup_points(points)), format!("{want:?}"));
+        }
+    }
 
     #[test]
     fn paper_ranking_starts_with_data_size_and_op() {
@@ -1018,7 +1423,7 @@ mod tests {
         for p in &pts {
             assert!(p.is_valid());
         }
-        let mut keys: Vec<_> = pts.iter().map(point_bits).collect();
+        let mut keys: Vec<_> = pts.iter().map(point_words).collect();
         let before = keys.len();
         keys.sort();
         keys.dedup();
