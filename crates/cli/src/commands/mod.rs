@@ -11,7 +11,8 @@ pub mod train;
 pub mod walk;
 
 use crate::args::Args;
-use acic::{Acic, Metrics, Objective, PublishedSnapshot, Store, TrainingDb};
+use acic::{Acic, Metrics, Objective, PublishedSnapshot, Store, Trainer, TrainingDb};
+use acic_cart::ModelKind;
 use std::path::Path;
 
 /// Top-level usage text.
@@ -124,32 +125,36 @@ pub fn goal(args: &Args) -> Result<Objective, String> {
 /// What [`acic_from_args`] resolved: the fitted instance plus the
 /// *effective* seed and model kind.  A snapshot is self-describing — its
 /// embedded seed and model win over the command line — and callers that
-/// retrain (hot-swaps, `--model` overrides) must reuse these to reproduce
-/// the same model.
+/// retrain (hot-swaps) must reuse these to reproduce the same model.
 pub struct Bootstrapped {
     pub acic: Acic,
     pub seed: u64,
-    pub model: acic_cart::ModelKind,
+    pub model: ModelKind,
 }
 
 /// Bootstrap an [`Acic`] instance the way `recommend` and `serve` share:
 /// from a `--db` file, a published `--snapshot`, the durable `--store`, or
 /// (none given) by training in-process over the top `--dims` paper-ranked
-/// dimensions.
-pub fn acic_from_args(args: &Args, seed: u64, metrics: &Metrics) -> Result<Bootstrapped, String> {
+/// dimensions.  Every source but the snapshot fits `kind`, once.
+pub fn acic_from_args(
+    args: &Args,
+    seed: u64,
+    kind: ModelKind,
+    metrics: &Metrics,
+) -> Result<Bootstrapped, String> {
     let _span = metrics.span("phase.train");
     let sources = ["db", "snapshot", "store"].iter().filter(|f| args.get(f).is_some()).count()
         + usize::from(args.get("dims").is_some());
     if sources > 1 {
         return Err("--db, --snapshot, --store, and --dims are mutually exclusive".into());
     }
-    let mut effective = (seed, acic_cart::ModelKind::Cart);
+    let mut effective = (seed, kind);
     let acic = match (args.get("db"), args.get("snapshot"), args.get("store")) {
         (Some(path), _, _) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let db = TrainingDb::from_text(&text).map_err(|e| e.to_string())?;
             eprintln!("loaded {} training points from {path}", db.len());
-            Acic::from_db(db, seed).map_err(|e| e.to_string())?
+            Acic::from_db_with(db, seed, kind).map_err(|e| e.to_string())?
         }
         (None, Some(path), _) => {
             let snap = PublishedSnapshot::read(Path::new(path)).map_err(|e| e.to_string())?;
@@ -173,12 +178,17 @@ pub fn acic_from_args(args: &Args, seed: u64, metrics: &Metrics) -> Result<Boots
                 r.segments,
                 if r.repaired() { ", repairs applied" } else { "" }
             );
-            Acic::from_db(store.to_training_db(), seed).map_err(|e| e.to_string())?
+            Acic::from_db_with(store.to_training_db(), seed, kind).map_err(|e| e.to_string())?
         }
         (None, None, None) => {
             let dims: usize = args.parse_or("dims", 10)?;
             eprintln!("no --db given; training in-process over the top {dims} dimensions...");
-            Acic::with_paper_ranking(dims, seed).map_err(|e| e.to_string())?
+            // `Acic::with_paper_ranking` collects the same database but fits
+            // CART; fitting `kind` here keeps it to one fit.
+            let db = Trainer::with_paper_ranking(seed).collect(dims).map_err(|e| e.to_string())?;
+            let mut acic = Acic::from_db_with(db, seed, kind).map_err(|e| e.to_string())?;
+            acic.trained_dims = dims;
+            acic
         }
     };
     let (seed, model) = effective;

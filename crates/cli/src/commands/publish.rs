@@ -55,7 +55,11 @@ pub fn run(args: &Args) -> Result<(), String> {
         return Err(format!("store {store_dir} holds no samples; run `acic train --store` first"));
     }
 
-    if !args.flag("no-compact") {
+    // Compaction hashes the canonical set it leaves in the store; without
+    // it, canonicalize and hash here.
+    let hash = if args.flag("no-compact") {
+        store.canonical_hash()
+    } else {
         let _span = metrics.span("phase.compact");
         let c = store.compact().map_err(|e| e.to_string())?;
         if c.changed {
@@ -64,13 +68,13 @@ pub fn run(args: &Args) -> Result<(), String> {
                 c.segments_merged, c.samples, c.duplicates_dropped
             );
         }
-    }
-
-    let samples = store.canonical();
-    let hash = acic::store::hash_samples(&samples);
+        c.hash
+    };
 
     // Incremental publish: identical (hash, seed, model) means the bytes
     // on disk would come out identical — skip the retrain and the write.
+    // The full read verifies the old file's every line and its hash, so a
+    // snapshot with a corrupt body is rewritten, not kept.
     if !args.flag("force") {
         if let Ok(existing) = PublishedSnapshot::read(Path::new(out)) {
             if existing.hash == hash && existing.seed == seed && existing.model == model {
@@ -83,7 +87,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         }
     }
 
-    let snapshot = PublishedSnapshot { hash, seed, model, samples };
+    let snapshot = PublishedSnapshot { hash, seed, model, samples: store.canonical() };
     {
         // Validation fit: never publish a snapshot the serving layer
         // cannot train from.

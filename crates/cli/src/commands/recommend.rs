@@ -41,20 +41,15 @@ pub fn run(args: &Args) -> Result<(), String> {
     let objective = goal(args)?;
     let model = app_by_name(app_name, procs)?;
 
-    let boot = acic_from_args(args, seed, &metrics)?;
-    let mut acic = boot.acic;
-    metrics.incr("recommend.db.points", acic.db.len() as u64);
-
-    // The snapshot's embedded model already fitted inside acic_from_args;
-    // otherwise an explicit --model retrains over the loaded database.
-    let model_kind = match args.get("model") {
+    // A snapshot fits the model it embeds; every other source fits the
+    // requested one (CART by default).
+    let requested = match args.get("model") {
         Some(word) => crate::commands::publish::parse_model_flag(word)?,
-        None => boot.model,
+        None => acic_cart::ModelKind::Cart,
     };
-    if model_kind != boot.model {
-        let _span = metrics.span("phase.retrain");
-        acic.retrain_with(model_kind).map_err(|e| e.to_string())?;
-    }
+    let boot = acic_from_args(args, seed, requested, &metrics)?;
+    let (acic, model_kind) = (boot.acic, boot.model);
+    metrics.incr("recommend.db.points", acic.db.len() as u64);
 
     let point = {
         let _span = metrics.span("phase.profile");

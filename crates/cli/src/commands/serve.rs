@@ -26,14 +26,24 @@ use crate::args::Args;
 use crate::commands::{acic_from_args, parse_goal};
 use crate::registry::app_by_name;
 use acic::profile::app_point_from;
-use acic::{Metrics, Predictor, PublishedSnapshot};
+use acic::{AppPoint, Metrics, Predictor, PublishedSnapshot};
+use acic_cart::ModelKind;
 use acic_serve::cluster::{harness, Cluster, ClusterConfig, KillPlan, NodeId, ReplayOptions, Trace};
 use acic_serve::{Pending, Request, ServeConfig, Server};
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::Read;
 use std::path::Path;
 
+/// The profiled query point, and the model's name, of every (app, procs)
+/// pair a replay has named so far: a pair's trace is built and profiled
+/// once, however many lines repeat it.
+type Profiles<'a> = HashMap<(&'a str, usize), (&'static str, AppPoint)>;
+
 /// Parse one replay line into a display label and a request.
-fn parse_request_line(line: &str) -> Result<(String, Request), String> {
+fn parse_request_line<'a>(
+    line: &'a str,
+    profiles: &mut Profiles<'a>,
+) -> Result<(String, Request), String> {
     let tokens: Vec<&str> = line.split_whitespace().collect();
     let [app_name, procs, goal_word, k] = tokens.as_slice() else {
         return Err(format!("want `<app> <procs> <goal> <k>`, got {line:?}"));
@@ -41,11 +51,31 @@ fn parse_request_line(line: &str) -> Result<(String, Request), String> {
     let procs: usize = procs.parse().map_err(|_| format!("bad procs {procs:?}"))?;
     let objective = parse_goal(goal_word)?;
     let k: usize = k.parse().map_err(|_| format!("bad k {k:?}"))?;
-    let model = app_by_name(app_name, procs)?;
-    let chars = acic_apps::profile(&model.trace())
-        .ok_or_else(|| format!("{} performs no I/O", model.name()))?;
-    let label = format!("{}-{procs} {goal_word} top{k}", model.name());
-    Ok((label, Request { app: app_point_from(&chars), objective, k }))
+    let (name, app) = match profiles.entry((*app_name, procs)) {
+        Entry::Occupied(known) => *known.get(),
+        Entry::Vacant(slot) => {
+            let model = app_by_name(app_name, procs)?;
+            let chars = acic_apps::profile(&model.trace())
+                .ok_or_else(|| format!("{} performs no I/O", model.name()))?;
+            *slot.insert((model.name(), app_point_from(&chars)))
+        }
+    };
+    let label = format!("{name}-{procs} {goal_word} top{k}");
+    Ok((label, Request { app, objective, k }))
+}
+
+/// Parse a replay's request lines (blank and `#` lines skipped), naming a
+/// bad line by its 1-based request number.
+fn parse_requests(text: &str) -> Result<Vec<(String, Request)>, String> {
+    let mut profiles = Profiles::new();
+    text.lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .enumerate()
+        .map(|(i, l)| {
+            parse_request_line(l, &mut profiles).map_err(|e| format!("request {}: {e}", i + 1))
+        })
+        .collect()
 }
 
 pub fn run(args: &Args) -> Result<(), String> {
@@ -80,7 +110,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         return Err("--nodes needs --trace FILE (record one with --trace-out)".into());
     }
 
-    let boot = acic_from_args(args, seed, &metrics)?;
+    let boot = acic_from_args(args, seed, ModelKind::Cart, &metrics)?;
     let acic = boot.acic;
 
     let text = match args.get("replay") {
@@ -94,14 +124,9 @@ pub fn run(args: &Args) -> Result<(), String> {
             s
         }
     };
-    let requests: Vec<(String, Request)> = {
+    let requests = {
         let _span = metrics.span("phase.parse");
-        text.lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .enumerate()
-            .map(|(i, l)| parse_request_line(l).map_err(|e| format!("request {}: {e}", i + 1)))
-            .collect::<Result<_, _>>()?
+        parse_requests(&text)?
     };
 
     let cfg = ServeConfig {
@@ -213,7 +238,7 @@ fn run_cluster(
         harness::parse_trace(&text).map_err(|e| format!("{trace_path}: {e}"))?
     };
 
-    let boot = acic_from_args(args, seed, metrics)?;
+    let boot = acic_from_args(args, seed, ModelKind::Cart, metrics)?;
     // The model artifact every node replicates: self-describing samples +
     // seed + model kind, verified per node against its content hash.
     let artifact = PublishedSnapshot::from_db(&boot.acic.db, boot.seed, boot.model);
@@ -287,4 +312,33 @@ fn run_cluster(
     }
     cluster.shutdown();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn repeated_lines_reuse_the_first_profile_exactly() {
+        let requests =
+            parse_requests("btio 64 perf 3\n# comment\nflashio 512 cost 3\n\nbtio 64 perf 3\n")
+                .unwrap();
+        assert_eq!(requests.len(), 3);
+        assert_eq!(requests[2], requests[0]);
+        assert_eq!(requests[0].0, "BTIO-64 perf top3");
+        // A line profiled on its own gives the same label and request.
+        let alone = parse_requests("btio 64 perf 3").unwrap();
+        assert_eq!(alone[0], requests[2]);
+    }
+
+    #[test]
+    fn a_bad_line_after_good_ones_reports_its_own_number() {
+        let text = "btio 64 perf 3\nbtio 64 perf 3\n# skipped\nbtio 64 fast 3\n";
+        let err = parse_requests(text).unwrap_err();
+        assert!(err.starts_with("request 3: invalid goal"), "{err}");
+        let err = parse_requests("btio 64 perf 3\nnope 64 perf 3\n").unwrap_err();
+        assert!(err.starts_with("request 2: unknown application"), "{err}");
+        let err = parse_requests("btio 64 perf 3\nbtio 0 perf 3\n").unwrap_err();
+        assert!(err.starts_with("request 2: --procs must be positive"), "{err}");
+    }
 }

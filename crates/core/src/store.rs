@@ -315,6 +315,9 @@ pub struct CompactStats {
     pub segments_merged: usize,
     /// False when the store was already fully compacted (no bytes moved).
     pub changed: bool,
+    /// [`hash_samples`] of the canonical set, which the store now holds
+    /// (what [`Store::canonical_hash`] would recompute).
+    pub hash: u64,
 }
 
 /// The durable training database: immutable segments + WAL in a directory.
@@ -616,6 +619,7 @@ impl Store {
             duplicates_dropped: self.samples.len() - canonical.len(),
             segments_merged: self.segments.len(),
             changed: !(new_refs == self.segments && self.wal_entries == 0),
+            hash,
         };
         if !stats.changed {
             return Ok(stats);
@@ -1114,6 +1118,7 @@ mod tests {
         let cs = store.compact().unwrap();
         assert!(cs.changed);
         assert_eq!(cs.samples, 4);
+        assert_eq!(cs.hash, store.canonical_hash());
         let stats = store.ingest(&batch[4..]).unwrap();
         assert_eq!(stats.appended, 2);
         // Re-ingesting everything is idempotent.
@@ -1133,6 +1138,7 @@ mod tests {
         let mut reopened = reopened;
         let cs = reopened.compact().unwrap();
         assert!(!cs.changed);
+        assert_eq!(cs.hash, hash, "a no-op compaction still reports the set's hash");
     }
 
     #[test]

@@ -176,38 +176,16 @@ impl Trainer {
     }
 
     /// The sampled grid over the `top_n` most important parameters
-    /// (deduplicated after normalization, invalid points dropped).
+    /// (deduplicated after normalization, invalid points dropped), in
+    /// odometer order: the first-ranked parameter varies fastest.
+    ///
+    /// One streaming pass: each candidate is normalized, validated and
+    /// deduplicated as the odometer yields it, so memory stays
+    /// proportional to the returned grid rather than to the raw candidate
+    /// count (1,769,472 at 15 dimensions, for 380,304 points).
     pub fn sample_points(&self, top_n: usize) -> Vec<SpacePoint> {
         let dims: Vec<ParamId> = self.ranking.iter().copied().take(top_n).collect();
-        let mut points = Vec::new();
-        let mut counters = vec![0usize; dims.len()];
-        loop {
-            let mut p = SpacePoint::default_point();
-            for (d, &ix) in dims.iter().zip(&counters) {
-                d.apply(ix, &mut p);
-            }
-            let p = p.normalized();
-            if p.is_valid() {
-                points.push(p);
-            }
-            // Odometer increment over the per-dimension value counts.
-            let mut carry = true;
-            for (d, c) in dims.iter().zip(counters.iter_mut()) {
-                if !carry {
-                    break;
-                }
-                *c += 1;
-                if *c == d.value_count() {
-                    *c = 0;
-                } else {
-                    carry = false;
-                }
-            }
-            if carry {
-                break;
-            }
-        }
-        dedup_points(points)
+        dedup_points(Odometer::new(&dims).map(SpacePoint::normalized).filter(SpacePoint::is_valid))
     }
 
     /// Run the sampled grid and build the database.  Every sampled point
@@ -1083,21 +1061,191 @@ pub fn point_key(p: &SpacePoint) -> u64 {
     h.finish()
 }
 
-fn dedup_points(points: Vec<SpacePoint>) -> Vec<SpacePoint> {
-    let mut seen = std::collections::BTreeSet::new();
-    points
-        .into_iter()
-        .filter(|p| seen.insert(point_words(p)))
-        .collect()
+/// Every combination of sampled values over `dims`, the first dimension
+/// varying fastest, each applied to [`SpacePoint::default_point`].
+///
+/// A step re-applies only the digits that changed.  A parameter listed
+/// twice takes its value from the later dimension, as applying every
+/// dimension in order does, so only that dimension is ever re-applied.
+struct Odometer<'a> {
+    dims: &'a [ParamId],
+    /// Whether `dims[i]` is the last dimension that sets its field.
+    sets_field: Vec<bool>,
+    digits: Vec<usize>,
+    point: SpacePoint,
+    done: bool,
+}
+
+impl<'a> Odometer<'a> {
+    fn new(dims: &'a [ParamId]) -> Self {
+        let mut point = SpacePoint::default_point();
+        for d in dims {
+            d.apply(0, &mut point);
+        }
+        let sets_field = (0..dims.len()).map(|i| !dims[i + 1..].contains(&dims[i])).collect();
+        Self { dims, sets_field, digits: vec![0; dims.len()], point, done: false }
+    }
+}
+
+impl Iterator for Odometer<'_> {
+    type Item = SpacePoint;
+
+    fn next(&mut self) -> Option<SpacePoint> {
+        if self.done {
+            return None;
+        }
+        let current = self.point;
+        // Increment with carry; every digit wrapped means the grid is done.
+        self.done = true;
+        let dims = self.dims.iter().zip(&self.sets_field);
+        for ((d, &sets_field), digit) in dims.zip(&mut self.digits) {
+            *digit = (*digit + 1) % d.value_count();
+            if sets_field {
+                d.apply(*digit, &mut self.point);
+            }
+            if *digit != 0 {
+                self.done = false;
+                break;
+            }
+        }
+        Some(current)
+    }
+}
+
+/// The first of the points with equal [`point_words`], in input order.
+fn dedup_points(points: impl IntoIterator<Item = SpacePoint>) -> Vec<SpacePoint> {
+    dedup_points_by(points, mix_words)
+}
+
+/// [`dedup_points`] with the slot hash as a parameter, so a test can force
+/// every point into one slot.
+///
+/// A map holds the index of the first kept point per hash.  A point that
+/// finds its slot taken is a duplicate if the kept point has the same
+/// field bits or, failing that, the same words.  A point that differs from
+/// its slot's holder (a true hash collision) is deduplicated through an
+/// exact side set of words instead.  Memory is the output plus one map
+/// entry per kept point and the words of the colliding points.
+///
+/// The output keeps its growth capacity.  Shrinking it made `bench_e2e`
+/// `scale_cold`'s peak RSS 14–17 MiB higher: glibc raises its mmap
+/// threshold to the size of each mapped block freed, and a 26 MiB plan
+/// freed by the caller moved later large buffers onto the heap.
+fn dedup_points_by(
+    points: impl IntoIterator<Item = SpacePoint>,
+    hash: impl Fn(&[u64; POINT_WORDS]) -> u64,
+) -> Vec<SpacePoint> {
+    use std::collections::hash_map::Entry;
+    let mut kept = Vec::new();
+    let mut first_kept = std::collections::HashMap::new();
+    let mut collided = std::collections::BTreeSet::new();
+    for p in points {
+        let words = point_words(&p);
+        match first_kept.entry(hash(&words)) {
+            Entry::Vacant(slot) => {
+                slot.insert(kept.len());
+                kept.push(p);
+            }
+            Entry::Occupied(slot) => {
+                let holder = &kept[*slot.get()];
+                let duplicate = same_field_bits(holder, &p) || point_words(holder) == words;
+                if !duplicate && collided.insert(words) {
+                    kept.push(p);
+                }
+            }
+        }
+    }
+    kept
+}
+
+/// An in-memory mix of a point's words (not a persisted key: that is
+/// [`point_key`], whose byte-wise FNV costs several times as much).
+fn mix_words(words: &[u64; POINT_WORDS]) -> u64 {
+    let h =
+        words.iter().fold(0u64, |h, &w| (h.rotate_left(5) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    h ^ (h >> 29)
+}
+
+/// Equal fields, floats compared by bits: such points have equal
+/// [`point_words`], which are a function of the fields alone.
+fn same_field_bits(a: &SpacePoint, b: &SpacePoint) -> bool {
+    let (s, t) = (&a.system, &b.system);
+    let (x, y) = (&a.app, &b.app);
+    s.device == t.device
+        && s.fs == t.fs
+        && s.instance_type == t.instance_type
+        && s.io_servers == t.io_servers
+        && s.placement == t.placement
+        && s.stripe_size.to_bits() == t.stripe_size.to_bits()
+        && x.nprocs == y.nprocs
+        && x.io_procs == y.io_procs
+        && x.api == y.api
+        && x.iterations == y.iterations
+        && x.data_size.to_bits() == y.data_size.to_bits()
+        && x.request_size.to_bits() == y.request_size.to_bits()
+        && x.op == y.op
+        && x.collective == y.collective
+        && x.shared_file == y.shared_file
 }
 
 /// The codec the digit loops and word folds replaced, kept verbatim as the
-/// oracle the codec tests compare bytes and keys against, plus generators
-/// of points whose every field varies over its whole domain.
+/// oracle the codec tests compare bytes and keys against; the planner the
+/// streaming pass replaced, kept verbatim as the oracle the planner tests
+/// compare plans against; and generators of points whose every field
+/// varies over its whole domain.
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::*;
     use proptest::prelude::*;
+
+    /// Every valid candidate of the grid over the trainer's `top_n` first
+    /// parameters, in odometer order, duplicates included.
+    pub(crate) fn candidates(trainer: &Trainer, top_n: usize) -> Vec<SpacePoint> {
+        let dims: Vec<ParamId> = trainer.ranking.iter().copied().take(top_n).collect();
+        let mut points = Vec::new();
+        let mut counters = vec![0usize; dims.len()];
+        loop {
+            let mut p = SpacePoint::default_point();
+            for (d, &ix) in dims.iter().zip(&counters) {
+                d.apply(ix, &mut p);
+            }
+            let p = p.normalized();
+            if p.is_valid() {
+                points.push(p);
+            }
+            // Odometer increment over the per-dimension value counts.
+            let mut carry = true;
+            for (d, c) in dims.iter().zip(counters.iter_mut()) {
+                if !carry {
+                    break;
+                }
+                *c += 1;
+                if *c == d.value_count() {
+                    *c = 0;
+                } else {
+                    carry = false;
+                }
+            }
+            if carry {
+                break;
+            }
+        }
+        points
+    }
+
+    /// The first of the points with equal words, through a `BTreeSet`.
+    pub(crate) fn dedup_points(points: Vec<SpacePoint>) -> Vec<SpacePoint> {
+        let mut seen = std::collections::BTreeSet::new();
+        points
+            .into_iter()
+            .filter(|p| seen.insert(point_words(p)))
+            .collect()
+    }
+
+    /// The planned grid: the whole candidate list, then the dedup.
+    pub(crate) fn sample_points(trainer: &Trainer, top_n: usize) -> Vec<SpacePoint> {
+        dedup_points(candidates(trainer, top_n))
+    }
 
     /// FNV-1a over a word stream (campaign fingerprinting, store sample keys).
     pub(crate) fn fnv1a(words: &[u64]) -> u64 {
@@ -1393,6 +1541,98 @@ mod tests {
                 points.iter().copied().filter(|p| seen.insert(oracle::point_bits(p))).collect();
             // Debug text, so NaN sizes compare equal.
             prop_assert_eq!(format!("{:?}", dedup_points(points)), format!("{want:?}"));
+        }
+    }
+
+    /// Same length, and the same fields at every position, floats by bits.
+    fn same_plan(a: &[SpacePoint], b: &[SpacePoint]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(p, q)| same_field_bits(p, q))
+    }
+
+    /// A ranking of up to eight parameters, drawn with repeats.
+    fn ranking_with_repeats() -> impl Strategy<Value = Vec<ParamId>> {
+        prop::collection::vec(0usize..ParamId::ALL.len(), 0..9)
+            .prop_map(|ix| ix.into_iter().map(|i| ParamId::ALL[i]).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Under any ranking, the streaming planner plans the oracle's
+        /// points in the oracle's order at every `top_n` up to 8.
+        #[test]
+        fn streaming_plan_matches_the_list_then_set_oracle(
+            keys in prop::collection::vec(0u64..=u64::MAX, ParamId::ALL.len()),
+        ) {
+            let mut ranking: Vec<(u64, ParamId)> = keys.into_iter().zip(ParamId::ALL).collect();
+            ranking.sort();
+            let t = Trainer::new(ranking.into_iter().map(|(_, p)| p).collect(), 1);
+            for top_n in 0..=8 {
+                let got = t.sample_points(top_n);
+                prop_assert!(same_plan(&got, &oracle::sample_points(&t, top_n)), "top_n {}", top_n);
+            }
+        }
+
+        /// A parameter ranked twice takes its later dimension's value, as
+        /// applying every dimension in order does.
+        #[test]
+        fn repeated_parameters_plan_as_the_oracle_does(ranking in ranking_with_repeats()) {
+            let t = Trainer::new(ranking, 1);
+            let n = t.ranking.len();
+            prop_assert!(same_plan(&t.sample_points(n), &oracle::sample_points(&t, n)));
+        }
+
+        /// With every point forced into one slot, or two, the dedup keeps
+        /// exactly the oracle's points, NaN sizes and signed zeros included;
+        /// normalized copies have equal words but different fields.
+        #[test]
+        fn forced_collisions_dedup_arbitrary_points_as_the_oracle_does(
+            points in prop::collection::vec(oracle::any_point(), 0..8),
+        ) {
+            let mut points: Vec<SpacePoint> =
+                points.iter().map(|p| SpacePoint { system: p.system, app: p.app }).collect();
+            let normalized: Vec<SpacePoint> = points.iter().map(|p| p.normalized()).collect();
+            points.extend(normalized);
+            points.extend(points.clone());
+            let want = oracle::dedup_points(points.clone());
+            prop_assert!(same_plan(&dedup_points_by(points.clone(), |_| 0), &want));
+            prop_assert!(same_plan(&dedup_points_by(points.clone(), |w| w[0] & 1), &want));
+            prop_assert!(same_plan(&dedup_points(points), &want));
+        }
+    }
+
+    #[test]
+    fn paper_plans_match_the_list_then_set_oracle() {
+        let t = Trainer::with_paper_ranking(1);
+        for top_n in 0..=12 {
+            let want = oracle::sample_points(&t, top_n);
+            assert!(same_plan(&t.sample_points(top_n), &want), "top_n {top_n}");
+        }
+    }
+
+    #[test]
+    fn forced_collisions_dedup_the_paper_grid_as_the_oracle_does() {
+        let t = Trainer::with_paper_ranking(1);
+        for top_n in 0..=6 {
+            let candidates = oracle::candidates(&t, top_n);
+            let want = oracle::dedup_points(candidates.clone());
+            assert!(same_plan(&dedup_points_by(candidates, |_| 0), &want), "{top_n}");
+        }
+    }
+
+    /// The point counts and campaign fingerprints the list-then-set
+    /// planner gave the paper-ranked grid at campaign scale.
+    #[test]
+    fn paper_plans_keep_their_campaign_fingerprints() {
+        let t = Trainer::with_paper_ranking(20131117);
+        for (dims, points, fingerprint) in [
+            (12, 12_768, 0xf8c1_9cb6_8d42_a74a),
+            (13, 38_304, 0xc762_4697_a9a6_577e),
+            (14, 190_152, 0xeb3e_6ed9_e9ef_8361),
+            (15, 380_304, 0xbac2_f047_b4d9_f4d3),
+        ] {
+            let id = t.campaign_id(&t.sample_points(dims));
+            assert_eq!((id.points, id.fingerprint), (points, fingerprint), "{dims} dims");
         }
     }
 
