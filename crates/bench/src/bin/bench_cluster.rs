@@ -1,7 +1,6 @@
 //! Emit `BENCH_cluster.json` at the repo root: deterministic replay,
-//! kill → rejoin → republish equivalence, snapshot-replication
-//! verification, and aggregate throughput of the `acic-serve` cluster
-//! tier.
+//! kill → rejoin → republish equivalence, and snapshot-replication
+//! verification of the `acic-serve` cluster tier.
 //!
 //! The heart of the benchmark is the determinism gate: a seeded
 //! million-request trace replayed through 1-, 2-, and 4-node
@@ -12,10 +11,8 @@
 //! it, republishes, and must match a clean run over exactly the non-shed
 //! requests.
 //!
-//! Throughput follows `bench_serve`'s stall-overlap method (the box may
-//! have one core): each request carries a fixed simulated downstream
-//! stall, so req/s at 4 nodes over 1 node measures how the tier's worker
-//! lanes overlap latency.  Gate: ≥ 2x aggregate throughput at 4 nodes.
+//! The replays record their harness throughput; serve throughput is
+//! measured end to end by `bench_e2e`, not gated here.
 //!
 //! `ACIC_CLUSTER_TRACE_LEN` overrides the trace length for quick local
 //! runs; the default is the full million.
@@ -25,17 +22,14 @@ use acic_cart::ModelKind;
 use acic_cloudsim::instance::InstanceType;
 use acic_serve::cluster::harness::{replay, KillPlan, ReplayOptions, Trace};
 use acic_serve::cluster::{Cluster, ClusterConfig, NodeId};
-use acic_serve::{Request, ServeConfig};
+use acic_serve::ServeConfig;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-const STALL: Duration = Duration::from_micros(500);
 const TRACE_SEED: u64 = 20130942;
 const POOL: usize = 512;
 
-/// Per-node shape used by the replay scenarios (no stall: replays measure
-/// correctness and raw pipeline speed, not latency overlap).
+/// Per-node shape used by the replay scenarios.
 fn replay_node_cfg() -> ServeConfig {
     ServeConfig { workers: 2, queue_depth: 256, ..Default::default() }
 }
@@ -52,45 +46,6 @@ fn verification(c: &Cluster) -> (u64, u64) {
         c.metrics().counter("cluster.snapshots_verified"),
         c.metrics().counter("cluster.snapshot_verify_failures"),
     )
-}
-
-/// Closed-loop aggregate throughput at `nodes` nodes under the fixed
-/// per-request stall, over a warm cache.
-fn throughput_run(artifact: &PublishedSnapshot, nodes: usize, reqs: &[Request]) -> (f64, u64, u64) {
-    let node =
-        ServeConfig { workers: 2, queue_depth: 256, service_stall: STALL, ..Default::default() };
-    let cluster = start(artifact, nodes, node);
-    let client = cluster.client();
-    for r in reqs {
-        client.query(*r).expect("warmup query");
-    }
-    let lanes = 2 * nodes; // worker threads across the tier
-    let clients = 2 * lanes;
-    let total = 600 * lanes;
-    let served = AtomicUsize::new(0);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let client = client.clone();
-                let served = &served;
-                s.spawn(move || {
-                    let mut i = c * reqs.len() / clients;
-                    while served.fetch_add(1, Ordering::Relaxed) < total {
-                        client.submit_blocking(reqs[i % reqs.len()]).unwrap().wait().unwrap();
-                        i += 1;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let (verified, failures) = verification(&cluster);
-    cluster.shutdown();
-    (total as f64 / wall, verified, failures)
 }
 
 fn main() {
@@ -230,26 +185,13 @@ fn main() {
          {surviving_counters_match}"
     );
 
-    // --- scenario 3: aggregate throughput ----------------------------------
-    let stall_us = STALL.as_secs_f64() * 1e6;
-    let ws: Vec<Request> = trace.pool().iter().copied().take(128).collect();
-    eprintln!("throughput: closed-loop warm-cache load, {stall_us:.0}us stall per request ...");
-    let (rps_1, v1, f1) = throughput_run(&artifact, 1, &ws);
-    let (rps_4, v4, f4) = throughput_run(&artifact, 4, &ws);
-    verified_total += v1 + v4;
-    failures_total += f1 + f4;
-    let speedup = rps_4 / rps_1;
-    eprintln!("  1 node:  {rps_1:.0} req/s");
-    eprintln!("  4 nodes: {rps_4:.0} req/s  ({speedup:.2}x)");
-
     let json = format!(
-        "{{\n  \"bench\": \"cluster\",\n  \"model\": {{ \"dims\": {dims}, \"db_points\": {db_points}, \"seed\": {seed} }},\n  \"replay\": {{\n    \"trace_len\": {trace_len},\n    \"pool\": {POOL},\n    \"republish_at\": {republish_at},\n    \"digest_nodes_1\": \"{d1:016x}\",\n    \"digest_nodes_2\": \"{d2:016x}\",\n    \"digest_nodes_4\": \"{d4:016x}\",\n    \"replay_digests_equal\": {digests_equal},\n    \"harness_rps_nodes_4\": {rr4:.0}\n  }},\n  \"kill_rejoin\": {{\n    \"nodes\": 4,\n    \"kill_node\": 1,\n    \"kill_at\": {kill_at},\n    \"rejoin_at\": {rejoin_at},\n    \"republish_at\": {kill_republish_at},\n    \"shed\": {shed_count},\n    \"kill_rejoin_digest_match\": {kill_digest_match},\n    \"surviving_cache_counters_match\": {surviving_counters_match}\n  }},\n  \"verification\": {{ \"snapshots_verified\": {verified_total}, \"verify_failures\": {failures_total} }},\n  \"throughput\": {{\n    \"stall_us\": {stall_us:.0},\n    \"working_set\": {ws_len},\n    \"nodes_1_rps\": {rps_1:.0},\n    \"nodes_4_rps\": {rps_4:.0},\n    \"speedup\": {speedup:.2}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"cluster\",\n  \"model\": {{ \"dims\": {dims}, \"db_points\": {db_points}, \"seed\": {seed} }},\n  \"replay\": {{\n    \"trace_len\": {trace_len},\n    \"pool\": {POOL},\n    \"republish_at\": {republish_at},\n    \"digest_nodes_1\": \"{d1:016x}\",\n    \"digest_nodes_2\": \"{d2:016x}\",\n    \"digest_nodes_4\": \"{d4:016x}\",\n    \"replay_digests_equal\": {digests_equal},\n    \"harness_rps_nodes_4\": {rr4:.0}\n  }},\n  \"kill_rejoin\": {{\n    \"nodes\": 4,\n    \"kill_node\": 1,\n    \"kill_at\": {kill_at},\n    \"rejoin_at\": {rejoin_at},\n    \"republish_at\": {kill_republish_at},\n    \"shed\": {shed_count},\n    \"kill_rejoin_digest_match\": {kill_digest_match},\n    \"surviving_cache_counters_match\": {surviving_counters_match}\n  }},\n  \"verification\": {{ \"snapshots_verified\": {verified_total}, \"verify_failures\": {failures_total} }}\n}}\n",
         db_points = db.len(),
         d1 = digests[0],
         d2 = digests[1],
         d4 = digests[2],
         rr4 = replay_rps[2],
-        ws_len = ws.len(),
     );
 
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -262,9 +204,4 @@ fn main() {
     assert!(kill_digest_match, "kill -> rejoin -> republish run diverged from the clean run");
     assert!(surviving_counters_match, "a surviving node's cache state was disturbed by the kill");
     assert_eq!(failures_total, 0, "snapshot verification failed during replication");
-    assert!(
-        speedup >= 2.0,
-        "4 nodes must give >= 2x single-node aggregate throughput on a warm cache \
-         (got {speedup:.2}x: {rps_1:.0} -> {rps_4:.0} req/s)"
-    );
 }

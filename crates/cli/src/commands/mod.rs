@@ -122,6 +122,20 @@ pub fn goal(args: &Args) -> Result<Objective, String> {
         .map_err(|e| e.replacen("invalid goal", "invalid --goal", 1))
 }
 
+/// Write a whole output file (`train --out`, `serve --trace-out`).  A
+/// regular file (or a new path) is replaced atomically, so a kill leaves
+/// the old file or the new one, never a torn one; anything else
+/// (`/dev/null`, a pipe, a symlink) is written straight through.
+pub fn write_output(path: &str, text: &str) -> Result<(), String> {
+    let regular = std::fs::symlink_metadata(path).map_or(true, |m| m.is_file());
+    let written = if regular {
+        acic::record::write_atomic(Path::new(path), text).map_err(|e| e.to_string())
+    } else {
+        std::fs::write(path, text).map_err(|e| e.to_string())
+    };
+    written.map_err(|e| format!("writing {path}: {e}"))
+}
+
 /// What [`acic_from_args`] resolved: the fitted instance plus the
 /// *effective* seed and model kind.  A snapshot is self-describing — its
 /// embedded seed and model win over the command line — and callers that

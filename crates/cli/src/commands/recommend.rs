@@ -11,6 +11,7 @@ use crate::args::Args;
 use crate::commands::{acic_from_args, goal};
 use crate::registry::app_by_name;
 use acic::profile::app_point_from;
+use acic::verify::verify_top_k;
 use acic::{Metrics, Recommendation};
 use acic_serve::Request;
 
@@ -86,14 +87,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     // Optional verification probes over the top-k list (paper §5.3's
     // piggy-backed benchmarking runs).
     if args.flag("verify") {
-        use acic::profile::app_point_from;
-        use acic::verify::verify_top_k;
-        use acic_apps::profile;
         let app_run_secs: f64 = args.parse_or("app-run-secs", 0.0)?;
-        let point = {
-            let _span = metrics.span("phase.profile");
-            app_point_from(&profile(&model.trace()).ok_or("application performs no I/O")?)
-        };
         let ranked: Vec<(acic::SystemConfig, f64)> =
             recs.iter().map(|r| (r.config, r.predicted_improvement)).collect();
         let v = {

@@ -99,7 +99,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         let trace_seed: u64 = args.parse_or("trace-seed", 20131117)?;
         let pool: usize = args.parse_or("trace-pool", Trace::DEFAULT_POOL)?;
         let trace = Trace::with_pool(trace_seed, len, pool);
-        std::fs::write(path, trace.render()).map_err(|e| format!("writing {path}: {e}"))?;
+        crate::commands::write_output(path, &trace.render())?;
         eprintln!("recorded {len}-request trace (seed {trace_seed}, pool {pool}) to {path}");
         return Ok(());
     }

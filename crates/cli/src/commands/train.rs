@@ -216,7 +216,7 @@ pub fn run(args: &Args) -> Result<(), String> {
 
     match args.get("out") {
         Some(path) => {
-            std::fs::write(path, db.to_text()).map_err(|e| format!("writing {path}: {e}"))?;
+            crate::commands::write_output(path, &db.to_text())?;
             eprintln!("database written to {path}");
         }
         None => print!("{}", db.to_text()),

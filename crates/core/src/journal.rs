@@ -9,7 +9,7 @@
 //! a resumed campaign reconstructs the *bit-identical* database an
 //! uninterrupted run would have produced.
 //!
-//! Format (line-oriented, reusing the `TrainingDb::to_text` row framing):
+//! Format (an append-only log in the [`crate::record`] framing):
 //!
 //! ```text
 //! acic-journal v2
@@ -18,19 +18,15 @@
 //! skip	<index>	<attempts>	<secs>	<cost>	<reason>
 //! ```
 //!
-//! A torn final line (the process died mid-append) is tolerated and
-//! ignored; any other malformed content is a typed [`AcicError::Journal`].
-//! An unterminated final line is *never* trusted, even when its prefix
-//! happens to parse — a tear inside a numeric field can leave a shorter
-//! number that still parses, silently corrupting the restored value.  The
-//! loader reports how many bytes were valid ([`JournalState::valid_bytes`])
-//! and a resuming writer must truncate to that length before appending
-//! ([`JournalWriter::resume`]); appending straight after a torn fragment
-//! would concatenate the first new entry onto the fragment, producing a
-//! newline-terminated garbage line that poisons the *next* resume.
+//! A torn final line (the process died mid-append) is dropped, never
+//! trusted; any other malformed content is a typed [`AcicError::Journal`].
+//! The loader reports the valid prefix ([`JournalState::valid_bytes`]),
+//! and a resuming writer truncates to it before appending
+//! ([`JournalWriter::resume`]).
 
 use crate::commit::{CommitConfig, CommitPlane, CommitStats};
 use crate::error::AcicError;
+use crate::record::{self, Reader, Tail, Writer};
 use crate::training::{
     point_from_fields, push_f64, push_u64, split_fields, write_point, TrainingPoint,
     POINT_LINE_BYTES,
@@ -61,10 +57,10 @@ pub struct CampaignId {
 
 impl CampaignId {
     fn header(&self) -> String {
-        format!(
-            "{JOURNAL_VERSION}\ncampaign seed={} points={} fingerprint={:016x}\n",
-            self.seed, self.points, self.fingerprint
-        )
+        let fingerprint = format!("{:016x}", self.fingerprint);
+        let summary: [(&str, &dyn std::fmt::Display); 3] =
+            [("seed", &self.seed), ("points", &self.points), ("fingerprint", &fingerprint)];
+        Writer::new(JOURNAL_VERSION, 96).summary("campaign", &summary).finish()
     }
 }
 
@@ -282,8 +278,7 @@ impl JournalWriter {
     /// at any worker count.
     pub fn append_seq(&self, seq: u64, entry: &JournalEntry) {
         let mut line = Vec::with_capacity(POINT_LINE_BYTES + 64);
-        entry.write_line(&mut line);
-        line.push(b'\n');
+        record::push(&mut line, |out| entry.write_line(out));
         self.plane.submit(seq, String::from_utf8(line).expect("journal lines are UTF-8"));
     }
 
@@ -302,38 +297,16 @@ pub fn load(path: &Path, expected: &CampaignId) -> Result<JournalState, AcicErro
         .map_err(|reason| AcicError::Journal { path: path.display().to_string(), reason })
 }
 
-/// Read a journal without knowing its campaign up front (durable-store
-/// ingest): returns the embedded campaign identity with the restored
-/// state.  Entry indices are validated against the embedded point count.
-pub fn inspect(path: &Path) -> Result<(CampaignId, JournalState), AcicError> {
-    let text = std::fs::read_to_string(path).map_err(|e| AcicError::io(path, e))?;
-    let journal_err =
-        |reason: String| AcicError::Journal { path: path.display().to_string(), reason };
-    let mut lines = text.split_inclusive('\n');
-    let _version = lines.next().ok_or_else(|| journal_err("empty journal".into()))?;
-    let campaign = lines
-        .next()
-        .filter(|l| l.ends_with('\n'))
-        .ok_or_else(|| journal_err("missing campaign line".into()))?;
-    let id = parse_campaign_line(campaign.trim_end()).map_err(|e| journal_err(e.to_string()))?;
-    let state = parse(&text, &id).map_err(journal_err)?;
-    Ok((id, state))
-}
-
 fn parse(text: &str, expected: &CampaignId) -> Result<JournalState, String> {
-    let mut raw_lines = text.split_inclusive('\n');
-    let version = raw_lines.next().ok_or("empty journal")?;
-    if !version.ends_with('\n') {
-        return Err("truncated version header".into());
-    }
-    if version.trim() != JOURNAL_VERSION {
-        return Err(format!("unknown version header {:?}", version.trim_end()));
-    }
-    let campaign = raw_lines.next().ok_or("missing campaign line")?;
-    if !campaign.ends_with('\n') {
-        return Err("truncated campaign line".into());
-    }
-    let written = parse_campaign_line(campaign.trim_end())?;
+    let mut file = Reader::new(text, Tail::Torn);
+    file.version(JOURNAL_VERSION)?;
+    let [seed, points, fingerprint] =
+        file.summary("campaign", ["seed", "points", "fingerprint"])?;
+    let written = CampaignId {
+        seed: seed.parse().map_err(|_| "bad seed")?,
+        points: points.parse().map_err(|_| "bad points")?,
+        fingerprint: u64::from_str_radix(fingerprint, 16).map_err(|_| "bad fingerprint")?,
+    };
     if written != *expected {
         return Err(format!(
             "journal belongs to a different campaign \
@@ -349,23 +322,10 @@ fn parse(text: &str, expected: &CampaignId) -> Result<JournalState, String> {
         ));
     }
 
+    // The reader stops before a torn final line: it is never trusted.
     let mut state = JournalState::default();
-    state.valid_bytes = (version.len() + campaign.len()) as u64;
-    let mut lineno = 2usize;
-    for raw in raw_lines {
-        lineno += 1;
-        if !raw.ends_with('\n') {
-            // The process died mid-append.  An unterminated final line is
-            // never trusted, even when its prefix parses: a tear inside a
-            // numeric field can leave a shorter number that still parses.
-            state.torn_bytes = raw.len() as u64;
-            break;
-        }
-        let line = raw.trim_end();
-        if line.is_empty() {
-            state.valid_bytes += raw.len() as u64;
-            continue;
-        }
+    for record in &mut file {
+        let (lineno, line) = record?;
         let entry = JournalEntry::parse(line, lineno)?;
         if entry.index() >= expected.points {
             return Err(format!(
@@ -375,32 +335,10 @@ fn parse(text: &str, expected: &CampaignId) -> Result<JournalState, String> {
             ));
         }
         state.entries.entry(entry.index()).or_insert(entry);
-        state.valid_bytes += raw.len() as u64;
     }
+    state.valid_bytes = file.valid_bytes();
+    state.torn_bytes = file.torn_bytes();
     Ok(state)
-}
-
-fn parse_campaign_line(line: &str) -> Result<CampaignId, String> {
-    let rest = line.strip_prefix("campaign ").ok_or("malformed campaign line")?;
-    let mut seed = None;
-    let mut points = None;
-    let mut fingerprint = None;
-    for field in rest.split_whitespace() {
-        let (key, value) = field.split_once('=').ok_or("malformed campaign field")?;
-        match key {
-            "seed" => seed = Some(value.parse::<u64>().map_err(|_| "bad seed")?),
-            "points" => points = Some(value.parse::<usize>().map_err(|_| "bad points")?),
-            "fingerprint" => {
-                fingerprint = Some(u64::from_str_radix(value, 16).map_err(|_| "bad fingerprint")?)
-            }
-            _ => return Err(format!("unknown campaign field {key:?}")),
-        }
-    }
-    Ok(CampaignId {
-        seed: seed.ok_or("missing seed")?,
-        points: points.ok_or("missing points")?,
-        fingerprint: fingerprint.ok_or("missing fingerprint")?,
-    })
 }
 
 #[cfg(test)]
@@ -456,6 +394,20 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+
+        // The whole file the writer leaves: header, then one line each.
+        let path = tmp_dir().join("golden.journal");
+        let w = JournalWriter::create(&path, &id()).unwrap();
+        w.append(&ok).unwrap();
+        w.append(&skip).unwrap();
+        w.finish().unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "acic-journal v2\ncampaign seed=7 points=4 fingerprint=00000000deadbeef\n\
+             ok\t2\t3\t123.456\t0.789\t0\t0\t1\t1\t1\t0\t64\t64\t1\t10\t16777216\t4194304\
+             \t1\t0\t1\t1.25\t0.75\nskip\t3\t4\t70.5\t0.25\tlost connection with tab\n"
+        );
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

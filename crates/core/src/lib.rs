@@ -39,6 +39,8 @@
 //! their observations in the durable, deduplicating [`store`] (append-only
 //! WAL compacted into content-addressed segments), from which `acic
 //! publish` cuts [`store::PublishedSnapshot`]s for the serving layer.
+//! Every durable text file (journal, WAL, segments, MANIFEST, snapshot,
+//! `--db` text, cluster trace) shares the one framing of [`record`].
 
 pub mod acic;
 pub mod candidates;
@@ -50,6 +52,7 @@ pub mod objective;
 pub mod obs;
 pub mod predictor;
 pub mod profile;
+pub mod record;
 pub mod reducer;
 pub mod resilience;
 pub mod space;

@@ -8,7 +8,7 @@
 //! segments listed by a manifest, and `acic publish` turns the canonical
 //! sample set into a [`PublishedSnapshot`] that `acic serve` hot-swaps in.
 //!
-//! ## On-disk layout (all files line-oriented text, like the rest of ACIC)
+//! ## On-disk layout (every file in the [`crate::record`] framing)
 //!
 //! ```text
 //! <dir>/MANIFEST          acic-store v1
@@ -32,13 +32,12 @@
 //! ## Invariants
 //!
 //! * **Append-only WAL, torn tails truncated-and-reported.**  Ingest
-//!   coalesces fresh sample lines into group commits — up to
-//!   `commit.batch` whole lines per `write_all` — so a kill still tears
-//!   at most the final line.  [`Store::open`] drops (and physically
-//!   truncates) an unterminated tail, reporting the byte count in
-//!   [`OpenReport::torn_wal_bytes`] — never an error.  *Complete* garbage
-//!   lines, or damage to a segment, are real corruption and raise
-//!   [`AcicError::Store`]: segments are written atomically and promised
+//!   coalesces fresh sample lines into group commits of whole lines, so a
+//!   kill tears at most the final line, which [`Store::open`] truncates
+//!   and reports in [`OpenReport::torn_wal_bytes`] (the WAL is a
+//!   [`Tail::Torn`] log).  *Complete* garbage lines, or damage to a
+//!   segment, are real corruption and raise [`AcicError::Store`]:
+//!   segments are written atomically ([`Tail::Reject`]) and promised
 //!   immutable, so no crash can legitimately produce them.
 //! * **Canonicalization is order-independent.**  The canonical sample set
 //!   keeps, per configuration key, the minimum sample under a total order
@@ -58,6 +57,7 @@
 use crate::commit::CommitConfig;
 use crate::error::AcicError;
 use crate::journal;
+use crate::record::{self, write_atomic, Reader, Tail, Writer};
 use crate::resilience::Collection;
 use crate::space::SpacePoint;
 use crate::training::{point_from_fields, point_key, point_words, push_hex16, push_u64,
@@ -65,7 +65,6 @@ use crate::training::{point_from_fields, point_key, point_words, push_hex16, pus
                       POINT_LINE_BYTES};
 use acic_cart::ModelKind;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -349,8 +348,7 @@ impl Store {
         if manifest_path.exists() {
             let text = std::fs::read_to_string(&manifest_path)
                 .map_err(|e| AcicError::io(&manifest_path, e))?;
-            store.segments =
-                parse_manifest(&text).map_err(|reason| store_err(&manifest_path, reason))?;
+            store.segments = parse_manifest(&text).map_err(|e| store_err(&manifest_path, e))?;
         } else {
             write_atomic(&manifest_path, &render_manifest(&[], 0))?;
         }
@@ -359,8 +357,7 @@ impl Store {
             let path = store.dir.join(&seg.file);
             let text =
                 std::fs::read_to_string(&path).map_err(|e| AcicError::io(&path, e))?;
-            let samples =
-                parse_segment(&text, seg).map_err(|reason| store_err(&path, reason))?;
+            let samples = parse_segment(&text, seg).map_err(|e| store_err(&path, e))?;
             store.report.segment_samples += samples.len();
             for s in samples {
                 store.seen.insert(order_key(&s));
@@ -393,52 +390,41 @@ impl Store {
 
     fn load_wal(&mut self) -> Result<(), AcicError> {
         let path = self.wal_path();
-        if !path.exists() {
-            write_atomic(&path, &format!("{WAL_VERSION}\n"))?;
-            return Ok(());
-        }
-        let text = std::fs::read_to_string(&path).map_err(|e| AcicError::io(&path, e))?;
-        let mut lines = text.split_inclusive('\n');
-        let header = lines.next().unwrap_or("");
-        if !header.ends_with('\n') {
-            // The only way to tear the header is dying during first-ever
-            // creation, before any sample was acknowledged: reset.
-            self.report.torn_wal_bytes += text.len() as u64;
-            write_atomic(&path, &format!("{WAL_VERSION}\n"))?;
-            return Ok(());
-        }
-        if header.trim() != WAL_VERSION {
-            return Err(store_err(&path, format!("unknown WAL header {:?}", header.trim_end())));
-        }
-        let mut valid = header.len() as u64;
-        let mut lineno = 1usize;
-        for raw in lines {
-            lineno += 1;
-            if !raw.ends_with('\n') {
-                // Killed mid-append: never trust an unterminated line.
-                self.report.torn_wal_bytes += raw.len() as u64;
-                break;
+        let text = if path.exists() {
+            std::fs::read_to_string(&path).map_err(|e| AcicError::io(&path, e))?
+        } else {
+            String::new()
+        };
+        let mut wal = Reader::new(&text, Tail::Torn);
+        match wal.version(WAL_VERSION) {
+            // The only way to tear (or miss) the header is dying during
+            // the WAL's first creation, before any sample was
+            // acknowledged: reset.
+            Err(e) if e.torn => {
+                self.report.torn_wal_bytes += text.len() as u64;
+                return reset_wal(&path);
             }
-            let line = raw.trim_end();
-            if !line.is_empty() {
-                let sample = StoreSample::parse(line, lineno)
-                    .map_err(|reason| store_err(&path, reason))?;
-                self.wal_entries += 1;
-                if self.seen.insert(order_key(&sample)) {
-                    self.samples.push(sample);
-                    self.report.wal_samples += 1;
-                } else {
-                    self.report.wal_duplicates += 1;
-                }
-            }
-            valid += raw.len() as u64;
+            header => header.map_err(|e| store_err(&path, e))?,
         }
-        if self.report.torn_wal_bytes > 0 {
+        for record in &mut wal {
+            let (lineno, line) = record.map_err(|e| store_err(&path, e))?;
+            let sample = StoreSample::parse(line, lineno).map_err(|e| store_err(&path, e))?;
+            self.wal_entries += 1;
+            if self.seen.insert(order_key(&sample)) {
+                self.samples.push(sample);
+                self.report.wal_samples += 1;
+            } else {
+                self.report.wal_duplicates += 1;
+            }
+        }
+        if wal.torn_bytes() > 0 {
+            // Killed mid-append: cut the unterminated line off.
+            self.report.torn_wal_bytes += wal.torn_bytes();
             let file = std::fs::OpenOptions::new()
                 .append(true)
                 .open(&path)
                 .map_err(|e| AcicError::io(&path, e))?;
-            file.set_len(valid).map_err(|e| AcicError::io(&path, e))?;
+            file.set_len(wal.valid_bytes()).map_err(|e| AcicError::io(&path, e))?;
         }
         Ok(())
     }
@@ -530,8 +516,7 @@ impl Store {
                 stats.duplicates += 1;
                 continue;
             }
-            s.write_line(&mut buf);
-            buf.push(b'\n');
+            record::push(&mut buf, |out| s.write_line(out));
             self.seen.insert(k);
             self.samples.push(*s);
             self.wal_entries += 1;
@@ -571,28 +556,6 @@ impl Store {
         commit: CommitConfig,
     ) -> Result<IngestStats, AcicError> {
         self.ingest_with(&samples_from_collection(id, collection)?, commit)
-    }
-
-    /// Ingest a checkpoint journal directly (e.g. a campaign that was
-    /// killed and never resumed): completed entries become samples under
-    /// the journal's embedded campaign identity.
-    pub fn ingest_journal(&mut self, path: &Path) -> Result<IngestStats, AcicError> {
-        let (id, state) = journal::inspect(path)?;
-        let samples: Vec<StoreSample> = state
-            .entries
-            .values()
-            .filter_map(|e| match e {
-                journal::JournalEntry::Ok { index, attempts, point, .. } => Some(StoreSample::new(
-                    id.fingerprint,
-                    id.seed,
-                    *index,
-                    *attempts,
-                    *point,
-                )),
-                journal::JournalEntry::Skip { .. } => None,
-            })
-            .collect();
-        self.ingest(&samples)
     }
 
     /// Fold every segment and the WAL into a single canonical segment and
@@ -635,7 +598,7 @@ impl Store {
                 std::fs::remove_file(&path).map_err(|e| AcicError::io(&path, e))?;
             }
         }
-        write_atomic(&self.wal_path(), &format!("{WAL_VERSION}\n"))?;
+        reset_wal(&self.wal_path())?;
 
         self.segments = new_refs;
         self.seen = canonical.iter().map(order_key).collect();
@@ -674,79 +637,48 @@ pub fn samples_from_collection(
         .collect())
 }
 
-fn store_err(path: &Path, reason: String) -> AcicError {
-    AcicError::Store { path: path.display().to_string(), reason }
+fn store_err(path: &Path, reason: impl std::fmt::Display) -> AcicError {
+    AcicError::Store { path: path.display().to_string(), reason: reason.to_string() }
 }
 
-/// Write through a hidden sibling temp file plus rename, so readers (and
-/// crashes) see either the old contents or the new, never a tear.  The
-/// temp file is synced before the rename and the directory after it, so
-/// once this returns the new contents survive a power loss — compaction
-/// relies on that before it resets the WAL that held the same samples.
-fn write_atomic(path: &Path, contents: &str) -> Result<(), AcicError> {
-    let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-    let tmp = path.with_file_name(format!(".tmp-{name}"));
-    let mut file = std::fs::File::create(&tmp).map_err(|e| AcicError::io(&tmp, e))?;
-    file.write_all(contents.as_bytes())
-        .and_then(|()| file.sync_all())
-        .map_err(|e| AcicError::io(&tmp, e))?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| AcicError::io(path, e))?;
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => Path::new("."),
-    };
-    std::fs::File::open(dir).and_then(|d| d.sync_all()).map_err(|e| AcicError::io(dir, e))
+/// Replace the WAL with its bare version line.
+fn reset_wal(path: &Path) -> Result<(), AcicError> {
+    write_atomic(path, &Writer::new(WAL_VERSION, 16).finish())
 }
 
 fn render_manifest(segments: &[SegmentRef], hash: u64) -> String {
     let total: usize = segments.iter().map(|s| s.count).sum();
     let hash = if segments.is_empty() { hash_samples(&[]) } else { hash };
-    let mut s = String::new();
-    writeln!(s, "{STORE_VERSION}").unwrap();
-    writeln!(s, "samples={total} hash={hash:016x}").unwrap();
+    let mut file = Writer::new(STORE_VERSION, 128)
+        .summary("", &[("samples", &total), ("hash", &format!("{hash:016x}"))]);
     for seg in segments {
-        writeln!(s, "segment\t{}\t{}\t{:016x}", seg.file, seg.count, seg.hash).unwrap();
+        let line = format!("segment\t{}\t{}\t{:016x}", seg.file, seg.count, seg.hash);
+        file.record(|out| out.extend_from_slice(line.as_bytes()));
     }
-    s
+    file.finish()
 }
 
+/// Parse the manifest, checking that its segments add up to its summary.
 fn parse_manifest(text: &str) -> Result<Vec<SegmentRef>, String> {
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(v) if v.trim() == STORE_VERSION => {}
-        other => return Err(format!("unknown manifest header {other:?}")),
-    }
-    let summary = lines.next().ok_or("missing manifest summary line")?;
-    let mut total = None;
-    for field in summary.split_whitespace() {
-        let (key, value) = field.split_once('=').ok_or("malformed summary field")?;
-        match key {
-            "samples" => total = Some(value.parse::<usize>().map_err(|_| "bad samples count")?),
-            "hash" => {
-                u64::from_str_radix(value, 16).map_err(|_| "bad hash")?;
-            }
-            _ => return Err(format!("unknown summary field {key:?}")),
-        }
-    }
-    let total = total.ok_or("summary missing samples count")?;
+    let mut file = Reader::new(text, Tail::Reject);
+    file.version(STORE_VERSION)?;
+    let [total, hash] = file.summary("", ["samples", "hash"])?;
+    let total: usize = total.parse().map_err(|_| "bad samples count")?;
+    u64::from_str_radix(hash, 16).map_err(|_| "bad hash")?;
     let mut segments = Vec::new();
-    for (i, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let bad = |what: &str| format!("manifest line {}: {what}", i + 3);
-        let f: Vec<&str> = line.split('\t').collect();
-        if f.len() != 4 || f[0] != "segment" {
+    for record in file {
+        let (lineno, line) = record?;
+        let bad = |what: &str| format!("manifest line {lineno}: {what}");
+        let Some(["segment", name, count, hash]) = split_fields(line) else {
             return Err(bad("expected segment\\t<file>\\t<count>\\t<hash>"));
-        }
-        if f[1].contains('/') || f[1].contains("..") {
+        };
+        if name.contains('/') || name.contains("..") {
             return Err(bad("segment file must be a plain name"));
         }
         segments.push(SegmentRef {
-            file: f[1].to_string(),
-            count: f[2].parse().map_err(|_| bad("bad count"))?,
-            hash: u64::from_str_radix(f[3], 16).map_err(|_| bad("bad hash"))?,
+            file: name.to_string(),
+            count: count.parse().map_err(|_| bad("bad count"))?,
+            hash: u64::from_str_radix(hash, 16).map_err(|_| bad("bad hash"))?,
         });
     }
     let listed: usize = segments.iter().map(|s| s.count).sum();
@@ -757,54 +689,47 @@ fn parse_manifest(text: &str) -> Result<Vec<SegmentRef>, String> {
 }
 
 fn render_segment(samples: &[StoreSample]) -> String {
-    render_lines(&format!("{SEGMENT_VERSION}\nsamples={}\n", samples.len()), samples)
+    let file = Writer::new(SEGMENT_VERSION, 32 + samples.len() * SAMPLE_LINE_BYTES)
+        .summary("", &[("samples", &samples.len())]);
+    sample_file(file, samples)
 }
 
-/// `header`, then each sample's line, newline-terminated.
-fn render_lines(header: &str, samples: &[StoreSample]) -> String {
-    let mut s = Vec::with_capacity(header.len() + samples.len() * SAMPLE_LINE_BYTES);
-    s.extend_from_slice(header.as_bytes());
+/// Finish a segment or snapshot: one record per sample.
+fn sample_file(mut file: Writer, samples: &[StoreSample]) -> String {
     for sample in samples {
-        sample.write_line(&mut s);
-        s.push(b'\n');
+        file.record(|out| sample.write_line(out));
     }
-    String::from_utf8(s).expect("the sample codec writes ASCII")
+    file.finish()
+}
+
+/// Parse the sample records of a segment or snapshot and check them
+/// against the count and content hash its header or manifest declares.
+fn parse_samples(file: Reader<'_>, count: usize, hash: u64) -> Result<Vec<StoreSample>, String> {
+    let mut samples = Vec::with_capacity(count.min(1 << 20));
+    for record in file {
+        let (lineno, line) = record?;
+        samples.push(StoreSample::parse(line, lineno)?);
+    }
+    if samples.len() != count {
+        return Err(format!("holds {} samples, header says {count}", samples.len()));
+    }
+    let actual = hash_samples(&samples);
+    if actual != hash {
+        return Err(format!("content hash {actual:016x} does not match the declared {hash:016x}"));
+    }
+    Ok(samples)
 }
 
 fn parse_segment(text: &str, expect: &SegmentRef) -> Result<Vec<StoreSample>, String> {
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(v) if v.trim() == SEGMENT_VERSION => {}
-        other => return Err(format!("unknown segment header {other:?}")),
+    let mut file = Reader::new(text, Tail::Reject);
+    file.version(SEGMENT_VERSION)?;
+    let [count] = file.summary("", ["samples"])?;
+    if count.parse() != Ok(expect.count) {
+        return Err(format!("segment header says {count} samples, manifest says {}", expect.count));
     }
-    let count_line = lines.next().ok_or("missing segment count line")?;
-    let count: usize = count_line
-        .strip_prefix("samples=")
-        .and_then(|v| v.parse().ok())
-        .ok_or("malformed segment count line")?;
-    let mut samples = Vec::with_capacity(count);
-    for (i, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        samples.push(StoreSample::parse(line, i + 3)?);
-    }
-    if samples.len() != count || count != expect.count {
-        return Err(format!(
-            "segment holds {} samples, header says {count}, manifest says {}",
-            samples.len(),
-            expect.count
-        ));
-    }
-    let hash = hash_samples(&samples);
-    if hash != expect.hash {
-        return Err(format!(
-            "segment content hash {hash:016x} does not match manifest {:016x} \
-             (segments are immutable; this is corruption, not a torn write)",
-            expect.hash
-        ));
-    }
-    Ok(samples)
+    parse_samples(file, expect.count, expect.hash).map_err(|e| {
+        format!("segment {e} (segments are immutable; this is corruption, not a torn write)")
+    })
 }
 
 /// A published model snapshot: the canonical sample set frozen together
@@ -828,46 +753,28 @@ pub struct PublishedSnapshot {
 impl PublishedSnapshot {
     /// Render as the versioned snapshot text format.
     pub fn render(&self) -> String {
-        let header = format!(
-            "{SNAPSHOT_VERSION}\nhash={:016x} samples={} seed={} model={}\n",
-            self.hash,
-            self.samples.len(),
-            self.seed,
-            model_code(self.model)
-        );
-        render_lines(&header, &self.samples)
+        let (hash, model) = (format!("{:016x}", self.hash), model_code(self.model));
+        let samples = self.samples.len();
+        let summary: [(&str, &dyn std::fmt::Display); 4] =
+            [("hash", &hash), ("samples", &samples), ("seed", &self.seed), ("model", &model)];
+        let file = Writer::new(SNAPSHOT_VERSION, 128 + samples * SAMPLE_LINE_BYTES);
+        sample_file(file.summary("", &summary), &self.samples)
     }
 
     /// Parse the [`Self::render`] format, verifying the sample count and
     /// recomputing the content hash (snapshots are written atomically, so
     /// any mismatch is corruption, not a torn write).
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let SnapshotHeader { hash, samples: count, seed, model } =
-            parse_header(lines.next(), lines.next())?;
-        let mut samples = Vec::with_capacity(count);
-        for (i, line) in lines.enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            samples.push(StoreSample::parse(line, i + 3)?);
-        }
-        if samples.len() != count {
-            return Err(format!("snapshot holds {} samples, header says {count}", samples.len()));
-        }
-        let actual = hash_samples(&samples);
-        if actual != hash {
-            return Err(format!(
-                "snapshot content hash {actual:016x} does not match header {hash:016x}"
-            ));
-        }
+        let mut file = Reader::new(text, Tail::Reject);
+        let SnapshotHeader { hash, samples, seed, model } = SnapshotHeader::read(&mut file)?;
+        let samples = parse_samples(file, samples, hash).map_err(|e| format!("snapshot {e}"))?;
         Ok(PublishedSnapshot { hash, seed, model, samples })
     }
 
     /// Read a snapshot file.
     pub fn read(path: &Path) -> Result<Self, AcicError> {
         let text = std::fs::read_to_string(path).map_err(|e| AcicError::io(path, e))?;
-        Self::parse(&text).map_err(|reason| store_err(path, reason))
+        Self::parse(&text).map_err(|e| store_err(path, e))
     }
 
     /// Read only a snapshot file's two header lines: the identity a
@@ -876,11 +783,11 @@ impl PublishedSnapshot {
     pub fn read_header(path: &Path) -> Result<SnapshotHeader, AcicError> {
         use std::io::BufRead;
         let file = std::fs::File::open(path).map_err(|e| AcicError::io(path, e))?;
-        let mut lines = std::io::BufReader::new(file).lines();
-        let mut next = || lines.next().transpose().map_err(|e| AcicError::io(path, e));
-        let (version, summary) = (next()?, next()?);
-        parse_header(version.as_deref(), summary.as_deref())
-            .map_err(|reason| store_err(path, reason))
+        let (mut lines, mut head) = (std::io::BufReader::new(file), String::new());
+        for _ in 0..2 {
+            lines.read_line(&mut head).map_err(|e| AcicError::io(path, e))?;
+        }
+        SnapshotHeader::read(&mut Reader::new(&head, Tail::Reject)).map_err(|e| store_err(path, e))
     }
 
     /// The identity this snapshot's header declares.
@@ -970,30 +877,19 @@ pub struct SnapshotHeader {
     pub model: ModelKind,
 }
 
-/// Parse a snapshot's version line and summary line.
-fn parse_header(version: Option<&str>, summary: Option<&str>) -> Result<SnapshotHeader, String> {
-    match version {
-        Some(v) if v.trim() == SNAPSHOT_VERSION => {}
-        other => return Err(format!("unknown snapshot header {other:?}")),
+impl SnapshotHeader {
+    /// Read a snapshot's version line and summary line.
+    fn read(file: &mut Reader<'_>) -> Result<Self, String> {
+        file.version(SNAPSHOT_VERSION)?;
+        let [hash, samples, seed, model] =
+            file.summary("", ["hash", "samples", "seed", "model"])?;
+        Ok(SnapshotHeader {
+            hash: u64::from_str_radix(hash, 16).map_err(|_| "bad hash")?,
+            samples: samples.parse().map_err(|_| "bad samples")?,
+            seed: seed.parse().map_err(|_| "bad seed")?,
+            model: parse_model_code(model)?,
+        })
     }
-    let summary = summary.ok_or("missing snapshot summary line")?;
-    let (mut hash, mut samples, mut seed, mut model) = (None, None, None, None);
-    for field in summary.split_whitespace() {
-        let (key, value) = field.split_once('=').ok_or("malformed summary field")?;
-        match key {
-            "hash" => hash = Some(u64::from_str_radix(value, 16).map_err(|_| "bad hash")?),
-            "samples" => samples = Some(value.parse::<usize>().map_err(|_| "bad samples")?),
-            "seed" => seed = Some(value.parse::<u64>().map_err(|_| "bad seed")?),
-            "model" => model = Some(parse_model_code(value)?),
-            _ => return Err(format!("unknown summary field {key:?}")),
-        }
-    }
-    Ok(SnapshotHeader {
-        hash: hash.ok_or("summary missing hash")?,
-        samples: samples.ok_or("summary missing samples")?,
-        seed: seed.ok_or("summary missing seed")?,
-        model: model.ok_or("summary missing model")?,
-    })
 }
 
 /// Stable one-word encoding of a model kind for the snapshot header.
@@ -1283,6 +1179,17 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_corrupt_sample_count_is_a_typed_error_not_an_allocation() {
+        let declared = usize::MAX / 2;
+        let text = format!(
+            "{SNAPSHOT_VERSION}\nhash={:016x} samples={declared} seed=7 model=cart\n",
+            hash_samples(&[])
+        );
+        let err = PublishedSnapshot::parse(&text).unwrap_err();
+        assert!(err.contains("header says"), "{err}");
+    }
+
     /// Samples whose every field formats differently: wide hex keys and
     /// campaigns, large seeds and indices, and improvements with long,
     /// tiny, huge, negative, and integral decimal forms.
@@ -1360,6 +1267,22 @@ mod tests {
         let db_text = snap.to_training_db().to_text();
         assert_eq!(fnv_bytes(db_text.as_bytes()), 0xb6dc_6132_5076_2455);
         assert_eq!(PublishedSnapshot::parse(&text).unwrap(), snap);
+
+        // The WAL and MANIFEST a store writes for the same samples.
+        let dir = tmp_dir("golden-bytes");
+        let mut store = Store::open(&dir).unwrap();
+        let read = |file: &str| std::fs::read_to_string(dir.join(file)).unwrap();
+        assert_eq!(read(WAL_FILE), "acic-wal v1\n");
+        assert_eq!(read(MANIFEST_FILE), "acic-store v1\nsamples=0 hash=cbf29ce484222325\n");
+        store.ingest(&samples).unwrap();
+        assert_eq!(fnv_bytes(read(WAL_FILE).as_bytes()), 0x24e4_5cbb_c4d4_36f5);
+        store.compact().unwrap();
+        assert_eq!(
+            read(MANIFEST_FILE),
+            "acic-store v1\nsamples=24 hash=72c2df9d338b18f9\n\
+             segment\tseg-72c2df9d338b18f9.txt\t24\t72c2df9d338b18f9\n"
+        );
+        assert_eq!(fnv_bytes(read("seg-72c2df9d338b18f9.txt").as_bytes()), 0xf92f_04c0_b45c_18b2);
     }
 
     /// The `write!` sample-line writer the digit loops replaced, kept

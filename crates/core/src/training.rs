@@ -22,6 +22,7 @@ use crate::features::{encode, encode_app_half, encode_system_half, N_FEATURES};
 use crate::journal::{self, CampaignId, JournalEntry, JournalWriter};
 use crate::objective::Objective;
 use crate::obs::Metrics;
+use crate::record::{Corrupt, Reader, Tail, Writer};
 use crate::resilience::{Collection, CollectionReport, PointProvenance, RetryPolicy, SkippedPoint};
 use crate::space::{AppPoint, ParamId, SpacePoint, SystemConfig};
 use acic_cart::Dataset;
@@ -968,50 +969,40 @@ pub(crate) fn point_from_fields(f: &[&str], lineno: usize) -> Result<TrainingPoi
     })
 }
 
+/// Version line of the [`TrainingDb::to_text`] format.
+const DB_VERSION: &str = "acic-db v1";
+
 impl TrainingDb {
     /// Serialize as a versioned, line-oriented text format (the paper's
     /// released training data is a similar flat table; no external
-    /// serialization dependency needed).
+    /// serialization dependency needed), in the [`crate::record`] framing.
     pub fn to_text(&self) -> String {
-        use std::io::Write;
-        let mut s = Vec::with_capacity(64 + self.points.len() * POINT_LINE_BYTES);
-        let (secs, cost) = (self.collect_secs, self.collect_cost_usd);
-        writeln!(s, "acic-db v1\ncollect_secs={secs} collect_cost_usd={cost}")
-            .expect("writing to a Vec cannot fail");
+        let (secs, cost) = (&self.collect_secs, &self.collect_cost_usd);
+        let mut file = Writer::new(DB_VERSION, 64 + self.points.len() * POINT_LINE_BYTES)
+            .summary("", &[("collect_secs", secs), ("collect_cost_usd", cost)]);
         for p in &self.points {
-            write_point(&mut s, p);
-            s.push(b'\n');
+            file.record(|out| write_point(out, p));
         }
-        String::from_utf8(s).expect("the point codec writes ASCII")
+        file.finish()
     }
 
-    /// Parse the [`Self::to_text`] format.
+    /// Parse the [`Self::to_text`] format.  The text is written whole, so
+    /// an unterminated final line is rejected, never parsed.
     pub fn from_text(text: &str) -> Result<TrainingDb, AcicError> {
         let bad = |line: usize, reason: &str| AcicError::Codec { line, reason: reason.into() };
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or_else(|| bad(1, "empty input"))?;
-        if header.trim() != "acic-db v1" {
-            return Err(bad(1, "unknown version header"));
-        }
-        let (_, stats) = lines.next().ok_or_else(|| bad(2, "missing stats line"))?;
-        let mut db = TrainingDb::default();
-        for field in stats.split_whitespace() {
-            let (key, value) = field.split_once('=').ok_or_else(|| bad(2, "malformed stats"))?;
-            let value: f64 = value.parse().map_err(|_| bad(2, "bad stats number"))?;
-            match key {
-                "collect_secs" => db.collect_secs = value,
-                "collect_cost_usd" => db.collect_cost_usd = value,
-                _ => return Err(bad(2, "unknown stats key")),
-            }
-        }
-
-        for (lineno, line) in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let f: [&str; 17] = split_fields(line)
-                .ok_or_else(|| bad(lineno + 1, "expected 17 tab-separated fields"))?;
-            db.points.push(point_from_fields(&f, lineno + 1)?);
+        let framing = |e: Corrupt| AcicError::Codec { line: e.line, reason: e.reason };
+        let mut file = Reader::new(text, Tail::Reject);
+        file.version(DB_VERSION).map_err(framing)?;
+        let [secs, cost] =
+            file.summary("", ["collect_secs", "collect_cost_usd"]).map_err(framing)?;
+        let stat = |v: &str| v.parse().map_err(|_| bad(2, "bad stats number"));
+        let (collect_secs, collect_cost_usd) = (stat(secs)?, stat(cost)?);
+        let mut db = TrainingDb { points: Vec::new(), collect_secs, collect_cost_usd };
+        for record in file {
+            let (line, text) = record.map_err(framing)?;
+            let f: [&str; 17] =
+                split_fields(text).ok_or_else(|| bad(line, "expected 17 tab-separated fields"))?;
+            db.points.push(point_from_fields(&f, line)?);
         }
         Ok(db)
     }
@@ -1735,6 +1726,10 @@ mod tests {
         let bad_num = "acic-db v1\ncollect_secs=0 collect_cost_usd=0\n\
                        x\t0\t1\t1\t1\t0\t64\t64\t1\t10\t1e6\t1e6\t1\t0\t1\t1.0\t1.0\n";
         assert!(TrainingDb::from_text(bad_num).is_err());
+        // A db cut inside its last field: the shorter number would parse.
+        let text = Trainer::with_paper_ranking(5).collect(3).unwrap().to_text();
+        let cut = TrainingDb::from_text(&text[..text.len() - 3]);
+        assert!(matches!(cut, Err(AcicError::Codec { .. })), "{cut:?}");
     }
 
     #[test]

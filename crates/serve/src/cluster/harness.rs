@@ -29,6 +29,7 @@
 use super::transport::ClusterError;
 use super::{Cluster, NodeId};
 use crate::server::{Pending, Request, Response};
+use acic::record::{Reader, Tail, Writer};
 use acic::{AcicError, Objective};
 use acic_fsim::{IoApi, IoOp};
 use std::collections::{HashSet, VecDeque};
@@ -210,34 +211,27 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     Ok(Request { app, objective, k: int(10, "k")? })
 }
 
-/// Render a request sequence as a recordable trace file.
+/// Render a request sequence as a recordable trace file: the
+/// [`acic::record`] framing with the request count on the version line.
 pub fn render_trace(requests: impl IntoIterator<Item = Request>) -> String {
-    let mut lines = Vec::new();
-    for req in requests {
-        lines.push(render_request(&req));
+    let requests: Vec<Request> = requests.into_iter().collect();
+    let header = format!("{TRACE_VERSION} {}", requests.len());
+    let mut file = Writer::new(&header, header.len() + 64 * requests.len());
+    for req in &requests {
+        file.record(|out| out.extend_from_slice(render_request(req).as_bytes()));
     }
-    let mut out = format!("{TRACE_VERSION} {}\n", lines.len());
-    for line in &lines {
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
+    file.finish()
 }
 
-/// Parse a [`render_trace`] file back into its request sequence.
+/// Parse a [`render_trace`] file back into its request sequence.  The
+/// file is written whole, so an unterminated final line is rejected.
 pub fn parse_trace(text: &str) -> Result<Vec<Request>, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty trace file")?;
-    let count: usize = match header.split_whitespace().collect::<Vec<_>>()[..] {
-        [TRACE_VERSION, n] => n.parse().map_err(|_| format!("bad trace count {n:?}"))?,
-        _ => return Err(format!("unknown trace header {header:?}")),
-    };
-    let mut requests = Vec::with_capacity(count);
-    for (i, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        requests.push(parse_request(line).map_err(|e| format!("trace line {}: {e}", i + 2))?);
+    let mut file = Reader::new(text, Tail::Reject);
+    let count = file.counted_version(TRACE_VERSION)?;
+    let mut requests = Vec::new();
+    for record in file {
+        let (line, text) = record?;
+        requests.push(parse_request(text).map_err(|e| format!("trace line {line}: {e}"))?);
     }
     if requests.len() != count {
         return Err(format!("trace holds {} requests, header says {count}", requests.len()));
@@ -479,6 +473,9 @@ mod tests {
         }
         // And rendering the parsed sequence reproduces the bytes.
         assert_eq!(render_trace(parsed), rendered);
+        let mut bytes = Digest::new();
+        bytes.update(rendered.as_bytes());
+        assert_eq!((bytes.value(), rendered.len()), (0x2e5b_8be2_8d69_5461, 12_729));
     }
 
     #[test]
@@ -486,10 +483,20 @@ mod tests {
         assert!(parse_trace("").is_err());
         assert!(parse_trace("acic-trace-v9 1\n").is_err());
         assert!(parse_trace("acic-trace-v1 2\n").is_err(), "count mismatch");
+        // A trace is written whole: an unterminated final line is a tear.
+        let rendered = Trace::new(3, 4).render();
+        assert!(parse_trace(&rendered[..rendered.len() - 1]).is_err(), "final newline removed");
+        assert!(parse_trace(&rendered[..rendered.len() - 2]).is_err(), "last digit removed");
         assert!(parse_request("4 2 posix 1").is_err(), "too few fields");
         let good = render_request(&Trace::new(3, 1).request(0));
         assert!(parse_request(&good).is_ok());
         assert!(parse_request(&good.replace("posix", "poxis").replace("mpiio", "poxis")).is_err());
+    }
+
+    #[test]
+    fn a_corrupt_request_count_is_a_typed_error_not_an_allocation() {
+        let err = parse_trace(&format!("acic-trace-v1 {}\n", usize::MAX)).unwrap_err();
+        assert!(err.contains("header says"), "{err}");
     }
 
     #[test]

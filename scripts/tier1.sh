@@ -174,14 +174,16 @@ rm -rf "$STORE" target/tier1-store.journal target/tier1-snap*.txt \
   target/tier1-publish1.log target/tier1-publish2.log target/tier1-publish3.log
 
 # Serve benchmark artifact (BENCH_serve.json at the repo root); its own
-# asserts gate throughput scaling, shedding, and hot-swap correctness.
+# asserts gate admission shedding, hot-swap correctness, and the batched
+# drain's payloads.  (Serve throughput is measured end to end by
+# bench_e2e, not by a synthetic-stall lane.)
 cargo run --release --offline -p acic-bench --bin bench_serve
 
 # Cluster benchmark artifact (BENCH_cluster.json at the repo root): replays
-# a million-request trace bit-identically across 1/2/4 nodes, proves the
-# kill → rejoin → republish run equals the clean run over the non-shed
-# requests, and gates >= 2x aggregate throughput at 4 nodes (the binary
-# asserts all of it; the greps pin the artifact's verification fields).
+# a million-request trace bit-identically across 1/2/4 nodes and proves
+# the kill → rejoin → republish run equals the clean run over the
+# non-shed requests (the binary asserts all of it; the greps pin the
+# artifact's verification fields).
 cargo run --release --offline -p acic-bench --bin bench_cluster
 grep -q '"replay_digests_equal": true' BENCH_cluster.json
 grep -q '"kill_rejoin_digest_match": true' BENCH_cluster.json
