@@ -1,4 +1,4 @@
-//! Emit `BENCH_cart.json` at the repo root: what the CART fit that every
+//! Emit `BENCH_cart.json` beside the executable: what the CART fit that every
 //! publish runs costs on the data a publish fits.
 //!
 //! The dataset is the seeded 12-parameter grid campaign (12,768 points,
@@ -17,7 +17,6 @@ use acic::training::CollectOptions;
 use acic::{Objective, Predictor, Trainer, TrainingDb};
 use acic_bench::stats::{median, quantile};
 use acic_cart::{Model, ModelKind, Tree};
-use std::path::Path;
 use std::time::Instant;
 
 const SEED: u64 = acic_bench::EXPERIMENT_SEED;
@@ -88,8 +87,7 @@ fn main() {
         cost = tree(Objective::Cost),
     );
 
-    // Repo root = two levels above this crate's manifest.
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_cart.json");
+    let out = acic_bench::beside_exe("BENCH_cart.json");
     std::fs::write(&out, &json).expect("write BENCH_cart.json");
     println!("{json}");
     println!("wrote {}", out.display());

@@ -1,4 +1,4 @@
-//! Emit `BENCH_cluster.json` at the repo root: deterministic replay,
+//! Emit `BENCH_cluster.json` beside the executable: deterministic replay,
 //! kill → rejoin → republish equivalence, and snapshot-replication
 //! verification of the `acic-serve` cluster tier.
 //!
@@ -23,7 +23,6 @@ use acic_cloudsim::instance::InstanceType;
 use acic_serve::cluster::harness::{replay, KillPlan, ReplayOptions, Trace};
 use acic_serve::cluster::{Cluster, ClusterConfig, NodeId};
 use acic_serve::ServeConfig;
-use std::path::Path;
 use std::time::Instant;
 
 const TRACE_SEED: u64 = 20130942;
@@ -194,8 +193,7 @@ fn main() {
         rr4 = replay_rps[2],
     );
 
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = root.join("BENCH_cluster.json");
+    let out = acic_bench::beside_exe("BENCH_cluster.json");
     std::fs::write(&out, &json).expect("write BENCH_cluster.json");
     println!("{json}");
     println!("wrote {}", out.display());

@@ -1,4 +1,4 @@
-//! Emit `BENCH_predict.json` at the repo root: the ranking path vs the
+//! Emit `BENCH_predict.json` beside the executable: the ranking path vs the
 //! interpreted reference oracle on the paper-shaped query — rank every
 //! candidate I/O configuration for an application (§4.2's "full
 //! exploration of system configuration space").
@@ -25,7 +25,6 @@ use acic_bench::stats::median;
 use acic_cloudsim::instance::InstanceType;
 use acic_cloudsim::units::{kib, mib};
 use std::hint::black_box;
-use std::path::Path;
 use std::time::Instant;
 
 /// The query grid: a spread of application I/O shapes crossed with every
@@ -178,8 +177,7 @@ fn main() {
         nq = grid.len(),
     );
 
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = root.join("BENCH_predict.json");
+    let out = acic_bench::beside_exe("BENCH_predict.json");
     std::fs::write(&out, &json).expect("write BENCH_predict.json");
     println!("{json}");
     println!("wrote {}", out.display());

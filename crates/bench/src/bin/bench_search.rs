@@ -1,4 +1,4 @@
-//! Emit `BENCH_search.json` at the repo root: the adaptive campaign
+//! Emit `BENCH_search.json` beside the executable: the adaptive campaign
 //! planner against the exhaustive full-grid campaign.
 //!
 //! The headline gate is the tentpole claim: a model-guided strategy
@@ -20,7 +20,6 @@ use acic::{Metrics, Objective, Trainer};
 use acic_search::{run_search, Budget, SearchConfig, Strategy};
 use std::fmt::Write as _;
 use std::fs;
-use std::path::Path;
 
 const DIMS: usize = 5;
 const SEEDS: [u64; 2] = [7, 20131117];
@@ -284,8 +283,7 @@ fn main() {
         warm_priors = warm.plan.warm_priors,
     );
 
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = root.join("BENCH_search.json");
+    let out = acic_bench::beside_exe("BENCH_search.json");
     fs::write(&out, &json).expect("write BENCH_search.json");
     println!("{json}");
     println!("wrote {}", out.display());

@@ -1,4 +1,4 @@
-//! Emit `BENCH_serve.json` at the repo root: admission control, hot-swap
+//! Emit `BENCH_serve.json` beside the executable: admission control, hot-swap
 //! correctness, and the batched drain of the `acic-serve` subsystem.
 //!
 //! Every scenario cross-checks the served payloads against the direct
@@ -14,7 +14,6 @@ use acic::{AppPoint, Metrics, Objective, Predictor, SystemConfig, Trainer, Train
 use acic_cloudsim::instance::InstanceType;
 use acic_cloudsim::units::mib;
 use acic_serve::{Request, ServeConfig, Server};
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -244,8 +243,7 @@ fn main() {
         ws = reqs.len(),
     );
 
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = root.join("BENCH_serve.json");
+    let out = acic_bench::beside_exe("BENCH_serve.json");
     std::fs::write(&out, &json).expect("write BENCH_serve.json");
     println!("{json}");
     println!("wrote {}", out.display());

@@ -1,4 +1,4 @@
-//! Emit `BENCH_sim.json` at the repo root: what the flow simulator costs
+//! Emit `BENCH_sim.json` beside the executable: what the flow simulator costs
 //! per training point on real campaign points, production core vs the
 //! verbatim oracle loop.
 //!
@@ -29,7 +29,6 @@ use acic_bench::stats::median;
 use acic_cloudsim::rng::SplitMix64;
 use acic_cloudsim::{arena, oracle, set_engine_override, SimEngine};
 use acic_fsim::FaultPlan;
-use std::path::Path;
 use std::time::Instant;
 
 const SEED: u64 = 20131117;
@@ -136,8 +135,7 @@ fn main() {
         rows.join(",\n"),
     );
 
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = root.join("BENCH_sim.json");
+    let out = acic_bench::beside_exe("BENCH_sim.json");
     std::fs::write(&out, &json).expect("write BENCH_sim.json");
     println!("{json}");
     println!("wrote {}", out.display());

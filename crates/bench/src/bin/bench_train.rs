@@ -1,4 +1,4 @@
-//! Emit `BENCH_train.json` at the repo root: campaign collection
+//! Emit `BENCH_train.json` beside the executable: campaign collection
 //! throughput with the pipelined writer plane against the per-point
 //! durable oracle.
 //!
@@ -25,7 +25,7 @@ use acic::{CommitConfig, Store, Trainer};
 use acic_cart::ModelKind;
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 const DIMS: usize = 5;
@@ -34,10 +34,6 @@ const PAIRS: usize = 5;
 const FULL_FLOOR: f64 = 3.0; // speedup gate when durability is real
 const CHEAP_FLOOR: f64 = 0.9; // no-regression gate when sync is ~free
 const CHEAP_SYNC_US: f64 = 20.0;
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
 
 /// Median microseconds of a write+sync pair in `dir` — the same
 /// filesystem the benchmark runs on (`std::env::temp_dir` may be tmpfs
@@ -128,8 +124,7 @@ fn diverging(a: &ModeRun, b: &ModeRun) -> Vec<&'static str> {
 }
 
 fn main() {
-    let root = repo_root();
-    let work = root.join("target/bench-train");
+    let work = acic_bench::beside_exe("bench-train");
     fs::create_dir_all(&work).unwrap();
     let fsync_us = probe_fsync_us(&work);
     let (gate_mode, floor) = if fsync_us >= CHEAP_SYNC_US {
@@ -238,7 +233,7 @@ fn main() {
         diverged.len(),
     );
 
-    let out = root.join("BENCH_train.json");
+    let out = acic_bench::beside_exe("BENCH_train.json");
     fs::write(&out, &json).expect("write BENCH_train.json");
     println!("{json}");
     println!("wrote {}", out.display());

@@ -2,16 +2,28 @@
 //!
 //! One binary per table/figure of the paper's evaluation (see DESIGN.md §4
 //! for the index), plus the `bench_*` binaries that write the `BENCH_*.json`
-//! artifacts.
+//! artifacts (beside themselves, under the target directory; see
+//! [`beside_exe`]).
 //! This library holds the pieces the binaries share: the registry of the
 //! nine evaluated application runs, and small table-printing helpers.
 
 pub mod stats;
 
+use std::path::PathBuf;
+
 use acic::sweep::Spectrum;
 use acic::AcicError;
 use acic_apps::{AppModel, Btio, FlashIo, MadBench2, MpiBlast};
 use acic_cloudsim::instance::InstanceType;
+
+/// Where a `bench_*` binary writes its artifact or scratch directory
+/// `name`: beside the running executable, inside the target directory it
+/// was built into.  A run never rewrites the reference `BENCH_*.json`
+/// copies committed at the repo root, nor files of another checkout.
+pub fn beside_exe(name: &str) -> PathBuf {
+    let exe = std::env::current_exe().expect("path of the running executable");
+    exe.parent().expect("executable inside a directory").join(name)
+}
 
 /// Root seed for all experiment binaries (determinism across runs).
 pub const EXPERIMENT_SEED: u64 = 20131117; // SC '13 started Nov 17, 2013.

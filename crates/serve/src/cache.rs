@@ -13,11 +13,14 @@
 //! a shard holding nothing stale falls back to plain LRU.  Each shard
 //! keeps one LRU list per live generation, so a hit relinks one entry and
 //! choosing a victim compares the lists' heads: O(live generations), not
-//! O(shard size).
+//! O(shard size).  A shard's map hashes `(key, version)` from the key's
+//! stored [`CacheKey::stable_hash`] with one multiply-and-rotate per word
+//! ([`KeyHasher`]) instead of SipHash.
 
 use acic::{CacheKey, SystemConfig};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -28,6 +31,35 @@ pub type CachedTopK = Arc<Vec<(SystemConfig, f64)>>;
 
 /// Link sentinel: no entry.
 const NIL: usize = usize::MAX;
+
+/// The shard map's hasher.  `(CacheKey, u64)` hashes as two words, the
+/// key's stable hash and the version, and each word costs one multiply and
+/// one rotate.  Mixing matters: every key in a shard shares the low bits
+/// that [`CacheKey::shard`] picked the shard by, and the map indexes its
+/// buckets by the low bits of the hash, so the finish rotates the well
+/// mixed high bits of the last product down.  The hash is not keyed, but
+/// a shard holds at most `capacity / shards` entries, so crafted
+/// collisions cost at most a scan of one shard.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(26) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 #[derive(Debug)]
 struct Entry {
@@ -54,7 +86,7 @@ struct Generation {
 
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<(CacheKey, u64), usize>,
+    map: HashMap<(CacheKey, u64), usize, BuildHasherDefault<KeyHasher>>,
     entries: Vec<Entry>,
     free: Vec<usize>,
     /// Generation lists by slot; a slot whose list has emptied is reused
@@ -512,6 +544,22 @@ mod tests {
             }
             assert!(generations >= 3, "seed {seed}: the replay must span 3+ generations");
         }
+    }
+
+    #[test]
+    fn a_shards_keys_spread_over_the_map_buckets() {
+        // Every key of one shard shares `stable_hash % shards`.  The map
+        // indexes buckets by the low bits of its hash, so those bits must
+        // differ between the shard's keys.
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<KeyHasher>::default();
+        let keys: Vec<CacheKey> =
+            (1..=4096).map(|n| key(n, 3)).filter(|k| k.shard(8) == 0).take(256).collect();
+        assert_eq!(keys.len(), 256);
+        let buckets: std::collections::BTreeSet<u64> =
+            keys.iter().map(|k| build.hash_one((*k, 1u64)) & 63).collect();
+        assert!(buckets.len() >= 48, "256 keys of one shard fill {} of 64 buckets", buckets.len());
+        assert_ne!(build.hash_one((keys[0], 1u64)), build.hash_one((keys[0], 2u64)));
     }
 
     #[test]

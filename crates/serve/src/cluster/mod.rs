@@ -43,7 +43,7 @@ pub use ring::{NodeId, Ring};
 pub use transport::{ClusterError, Loopback};
 
 use crate::server::{Pending, Request, Response, ServeConfig, Server};
-use acic::{AcicError, CacheKey, Metrics, Predictor, PublishedSnapshot};
+use acic::{AcicError, CacheKey, CounterHandle, Metrics, Predictor, PublishedSnapshot};
 use acic_cloudsim::instance::InstanceType;
 use std::sync::Arc;
 
@@ -187,7 +187,7 @@ impl Cluster {
         ClusterClient {
             ring: self.ring.clone(),
             transport: Arc::clone(&self.transport),
-            metrics: self.metrics.clone(),
+            shed_node_down: self.metrics.counter_handle("cluster.requests_shed_node_down"),
             instance_type: self.node_cfg.instance_type,
         }
     }
@@ -296,7 +296,10 @@ impl Cluster {
 pub struct ClusterClient {
     ring: Ring,
     transport: Arc<Loopback>,
-    metrics: Metrics,
+    /// `cluster.requests_shed_node_down` in the cluster registry,
+    /// registered once per [`Cluster::client`]: a shed counts itself
+    /// without the registry lock.
+    shed_node_down: CounterHandle,
     /// The nodes' candidate instance type: the one canonical keys are
     /// built on.
     instance_type: InstanceType,
@@ -336,7 +339,7 @@ impl ClusterClient {
 
     fn account(&self, e: ClusterError) -> ClusterError {
         if matches!(e, ClusterError::NodeDown { .. }) {
-            self.metrics.incr("cluster.requests_shed_node_down", 1);
+            self.shed_node_down.incr(1);
         }
         e
     }

@@ -8,7 +8,8 @@
 //!
 //! * [`snapshot`] — versioned, immutable model snapshots with atomic
 //!   hot-swap: a retrain publishes a new generation while requests keep
-//!   flowing, and in-flight requests finish on the generation they loaded.
+//!   flowing, and in-flight requests finish on the generation they were
+//!   admitted under.
 //! * [`queue`] — bounded MPMC shard queues: the admission-control
 //!   mechanism (typed [`ServeError::Overloaded`] rejection + shed
 //!   counters) that keeps an overloaded server's memory flat.

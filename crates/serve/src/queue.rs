@@ -19,6 +19,13 @@
 //! A thread counts itself in before it waits and out after it wakes, both
 //! under the mutex, so a signaller that sees zero cannot miss a waiter.
 //! [`BoundedQueue::close`] still wakes everyone.
+//!
+//! A marker ([`BoundedQueue::push_marker`]) keeps its place in the FIFO
+//! but bypasses the bound: it is never refused for capacity, never counted
+//! in [`BoundedQueue::len`] or toward a drain's `max`, and never shed.  The
+//! serve pool queues a published snapshot generation this way, so a
+//! publish never waits behind a full queue and never takes a request's
+//! slot.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -35,7 +42,11 @@ pub enum PushError<T> {
 
 #[derive(Debug)]
 struct Inner<T> {
-    items: VecDeque<T>,
+    /// Each queued item, and whether it counts toward the bound (a
+    /// marker does not).
+    items: VecDeque<(T, bool)>,
+    /// Queued items that count toward the bound.
+    bounded: usize,
     closed: bool,
     shed: u64,
     /// Consumers parked on `not_empty`.
@@ -60,6 +71,7 @@ impl<T> BoundedQueue<T> {
         Self {
             inner: Mutex::new(Inner {
                 items: VecDeque::with_capacity(capacity),
+                bounded: 0,
                 closed: false,
                 shed: 0,
                 parked_consumers: 0,
@@ -79,9 +91,10 @@ impl<T> BoundedQueue<T> {
     /// was empty.  A push into a non-empty queue wakes nobody: every
     /// consumer parked since the queue was last empty was signalled by the
     /// push that filled it, and the one it woke passes the signal on.
-    fn push_locked(&self, mut inner: MutexGuard<'_, Inner<T>>, item: T) {
+    fn push_locked(&self, mut inner: MutexGuard<'_, Inner<T>>, item: T, bounded: bool) {
         let was_empty = inner.items.is_empty();
-        inner.items.push_back(item);
+        inner.items.push_back((item, bounded));
+        inner.bounded += usize::from(bounded);
         let wake = was_empty && inner.parked_consumers > 0;
         drop(inner);
         if wake {
@@ -95,12 +108,22 @@ impl<T> BoundedQueue<T> {
         if inner.closed {
             return Err(PushError::Closed(item));
         }
-        if inner.items.len() >= self.capacity {
+        if inner.bounded >= self.capacity {
             inner.shed += 1;
             return Err(PushError::Full(item));
         }
-        self.push_locked(inner, item);
+        self.push_locked(inner, item, true);
         Ok(())
+    }
+
+    /// Enqueue a marker behind everything already queued, past the bound:
+    /// never refused for capacity, never counted in [`Self::len`] or
+    /// toward a drain's `max`, never shed.  A closed queue drops it.
+    pub fn push_marker(&self, item: T) {
+        let inner = self.lock();
+        if !inner.closed {
+            self.push_locked(inner, item, false);
+        }
     }
 
     /// Lossless push: block while the queue is full.  Returns the item
@@ -111,8 +134,8 @@ impl<T> BoundedQueue<T> {
             if inner.closed {
                 return Err(item);
             }
-            if inner.items.len() < self.capacity {
-                self.push_locked(inner, item);
+            if inner.bounded < self.capacity {
+                self.push_locked(inner, item, true);
                 return Ok(());
             }
             inner.parked_producers += 1;
@@ -121,27 +144,35 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Dequeue up to `max` items in FIFO order, blocking while the queue
-    /// is empty and open.  An empty result means the queue was closed and
-    /// has been fully drained — the consumer should exit.
+    /// Move up to `max` bounded items into `out` in FIFO order, with every
+    /// marker queued ahead of the last of them, blocking while the queue
+    /// is empty and open; returns how many bounded items moved.  The
+    /// consumer owns `out`, so a drain allocates nothing once it has
+    /// grown.  Nothing moved means the queue was closed and has been fully
+    /// drained — the consumer should exit.
     ///
-    /// `max == 0` is a degenerate poll: it returns an empty batch
-    /// **immediately, without blocking and without consulting the closed
-    /// flag** — so a zero-`max` empty result carries *no* shutdown meaning.
-    /// Only a `max ≥ 1` call can observe the closed+drained condition.
-    /// (Consumers that spin on `pop_batch(0)` would busy-loop; the serve
-    /// config validates `batch ≥ 1` so its workers never can.)
-    pub fn pop_batch(&self, max: usize) -> Vec<T> {
+    /// `max == 0` is a degenerate poll: it returns **immediately, without
+    /// blocking, moving nothing and without consulting the closed flag** —
+    /// so a zero-`max` empty drain carries *no* shutdown meaning.  Only a
+    /// `max ≥ 1` call can observe the closed+drained condition.
+    /// (Consumers that spin on `pop_batch(0, ..)` would busy-loop; the
+    /// serve config validates `batch ≥ 1` so its workers never can.)
+    pub fn pop_batch(&self, max: usize, out: &mut Vec<T>) -> usize {
         if max == 0 {
-            return Vec::new();
+            return 0;
         }
         let mut inner = self.lock();
         loop {
             if !inner.items.is_empty() {
-                let was_full = inner.items.len() >= self.capacity;
-                let n = inner.items.len().min(max);
-                let batch: Vec<T> = inner.items.drain(..n).collect();
-                let wake_producers = was_full && inner.parked_producers > 0;
+                let was_full = inner.bounded >= self.capacity;
+                let mut moved = 0;
+                while moved < max {
+                    let Some((item, bounded)) = inner.items.pop_front() else { break };
+                    moved += usize::from(bounded);
+                    out.push(item);
+                }
+                inner.bounded -= moved;
+                let wake_producers = was_full && moved > 0 && inner.parked_producers > 0;
                 let wake_consumer = !inner.items.is_empty() && inner.parked_consumers > 0;
                 drop(inner);
                 if wake_producers {
@@ -151,10 +182,10 @@ impl<T> BoundedQueue<T> {
                 if wake_consumer {
                     self.not_empty.notify_one();
                 }
-                return batch;
+                return moved;
             }
             if inner.closed {
-                return Vec::new();
+                return 0;
             }
             inner.parked_consumers += 1;
             inner = self.not_empty.wait(inner).unwrap_or_else(PoisonError::into_inner);
@@ -170,12 +201,12 @@ impl<T> BoundedQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Items currently queued.
+    /// Items currently queued toward the bound (markers excluded).
     pub fn len(&self) -> usize {
-        self.lock().items.len()
+        self.lock().bounded
     }
 
-    /// True when nothing is queued.
+    /// True when no item is queued toward the bound.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -213,6 +244,13 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// One drain into a fresh buffer.
+    fn pop<T>(q: &BoundedQueue<T>, max: usize) -> Vec<T> {
+        let mut out = Vec::new();
+        q.pop_batch(max, &mut out);
+        out
+    }
+
     #[test]
     fn fifo_order_and_batch_drain() {
         let q = BoundedQueue::new(8);
@@ -220,8 +258,8 @@ mod tests {
             q.try_push(i).unwrap();
         }
         assert_eq!(q.len(), 5);
-        assert_eq!(q.pop_batch(3), vec![0, 1, 2]);
-        assert_eq!(q.pop_batch(10), vec![3, 4]);
+        assert_eq!(pop(&q, 3), vec![0, 1, 2]);
+        assert_eq!(pop(&q, 10), vec![3, 4]);
     }
 
     #[test]
@@ -242,9 +280,50 @@ mod tests {
         q.close();
         assert_eq!(q.try_push(8), Err(PushError::Closed(8)));
         assert_eq!(q.push_wait(9), Err(9));
-        assert_eq!(q.pop_batch(4), vec![7], "remainder drains after close");
-        assert!(q.pop_batch(4).is_empty(), "then consumers see the closed state");
+        assert_eq!(pop(&q, 4), vec![7], "remainder drains after close");
+        assert!(pop(&q, 4).is_empty(), "then consumers see the closed state");
         assert_eq!(q.shed_count(), 0, "closed refusals are not sheds");
+    }
+
+    #[test]
+    fn markers_bypass_the_bound_and_keep_their_place() {
+        let q = BoundedQueue::new(2);
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
+        // A full queue still takes a marker: not refused, not shed, not
+        // counted toward the bound.
+        q.push_marker(-1);
+        assert_eq!((q.len(), q.shed_count()), (2, 0));
+        assert_eq!(q.try_push(3), Err(PushError::Full(3)));
+        // Markers do not count toward `max`: a drain of two moves both
+        // bounded items and stops there, leaving the marker at the front.
+        let mut out = Vec::new();
+        assert_eq!(q.pop_batch(2, &mut out), 2);
+        assert_eq!(out, vec![1, 2]);
+        // With the marker queued, the queue still admits exactly its bound.
+        q.try_push(4).unwrap();
+        q.try_push(5).unwrap();
+        assert_eq!(q.try_push(6), Err(PushError::Full(6)));
+        assert_eq!(q.shed_count(), 2);
+        // The marker comes out ahead of what was queued behind it.
+        out.clear();
+        assert_eq!(q.pop_batch(1, &mut out), 1);
+        assert_eq!(out, vec![-1, 4]);
+        // A marker behind the drain's last bounded item waits for the
+        // next drain, which moves no bounded item yet is not the closed
+        // signal.  A closed queue drops markers.
+        q.push_marker(-2);
+        out.clear();
+        assert_eq!(q.pop_batch(1, &mut out), 1);
+        assert_eq!(out, vec![5]);
+        out.clear();
+        assert_eq!(q.pop_batch(4, &mut out), 0);
+        assert_eq!(out, vec![-2]);
+        q.close();
+        q.push_marker(-3);
+        out.clear();
+        assert_eq!(q.pop_batch(4, &mut out), 0);
+        assert!(out.is_empty(), "closed and drained");
     }
 
     #[test]
@@ -252,15 +331,15 @@ mod tests {
         let q = BoundedQueue::new(4);
         q.try_push(1).unwrap();
         // Non-blocking, consumes nothing — even with items queued.
-        assert!(q.pop_batch(0).is_empty());
+        assert!(pop(&q, 0).is_empty());
         assert_eq!(q.len(), 1, "a zero-max poll must not consume");
         // And it does NOT signal closed+drained: the queue is still open
         // and a real drain still sees the item.
-        assert_eq!(q.pop_batch(1), vec![1]);
+        assert_eq!(pop(&q, 1), vec![1]);
         // On a closed queue it is still just an empty poll (same shape as
         // the drained signal, which is why consumers must use max >= 1).
         q.close();
-        assert!(q.pop_batch(0).is_empty());
+        assert!(pop(&q, 0).is_empty());
         assert_eq!(q.shed_count(), 0);
     }
 
@@ -274,9 +353,9 @@ mod tests {
         };
         // The producer is blocked on a full queue; draining unblocks it.
         std::thread::sleep(std::time::Duration::from_millis(10));
-        assert_eq!(q.pop_batch(1), vec![0]);
+        assert_eq!(pop(&q, 1), vec![0]);
         assert!(producer.join().unwrap());
-        assert_eq!(q.pop_batch(1), vec![1]);
+        assert_eq!(pop(&q, 1), vec![1]);
     }
 
     #[test]
@@ -284,7 +363,7 @@ mod tests {
         let q = Arc::new(BoundedQueue::<u32>::new(4));
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch(4))
+            std::thread::spawn(move || pop(&q, 4))
         };
         std::thread::sleep(std::time::Duration::from_millis(10));
         q.try_push(42).unwrap();
@@ -305,7 +384,7 @@ mod tests {
                     std::thread::spawn(move || {
                         let mut got = Vec::new();
                         loop {
-                            let batch = q.pop_batch(1 + c);
+                            let batch = pop(&q, 1 + c);
                             if batch.is_empty() {
                                 return got;
                             }
@@ -346,13 +425,16 @@ mod tests {
             let consumers: Vec<_> = (0..2)
                 .map(|_| {
                     let q = Arc::clone(&q);
-                    std::thread::spawn(move || q.pop_batch(1))
+                    std::thread::spawn(move || pop(&q, 1))
                 })
                 .collect();
             while q.lock().parked_consumers < 2 {
                 std::thread::yield_now();
             }
-            q.lock().items.extend([1, 2]);
+            let mut inner = q.lock();
+            inner.items.extend([(1, true), (2, true)]);
+            inner.bounded += 2;
+            drop(inner);
             q.not_empty.notify_one();
             consumers.into_iter().flat_map(|h| h.join().unwrap()).collect::<Vec<_>>()
         });
@@ -368,7 +450,7 @@ mod tests {
             full.try_push(0u32).unwrap();
             let consumer = {
                 let q = Arc::clone(&empty);
-                std::thread::spawn(move || q.pop_batch(4))
+                std::thread::spawn(move || pop(&q, 4))
             };
             let producer = {
                 let q = Arc::clone(&full);

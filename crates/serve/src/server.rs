@@ -4,26 +4,33 @@
 //! Requests are canonicalized into a [`CacheKey`] at the door and routed
 //! to a worker shard by the key's run-stable hash, so repeated queries for
 //! the same application always meet their own cache shard and batch
-//! together.  Every request also captures its snapshot generation **at
-//! admission** (the `Arc<ModelSnapshot>` rides in the job), so each
-//! request is answered from the exact generation it was admitted under no
-//! matter how batching or hot-swaps interleave.  Admission control is the
-//! bounded shard queue: [`ServeHandle::submit`] returns a typed
-//! [`ServeError::Overloaded`] instead of queueing without bound.
+//! together.  Each request is answered from the exact snapshot generation
+//! it was admitted under, no matter how batching or hot-swaps interleave,
+//! yet carries no reference to it: each worker is handed the first
+//! generation when it is spawned, and [`Server::publish`] queues every
+//! later one into every shard queue as a marker, so a job is answered from
+//! the last marker ahead of it.  Admission touches neither the snapshot
+//! store nor a shared reference count.  Admission control is the bounded
+//! shard queue: [`ServeHandle::submit`] returns a typed
+//! [`ServeError::Overloaded`] instead of queueing without bound; markers
+//! bypass the bound.
 //!
-//! Workers drain up to `batch` queued jobs per wakeup and answer them in
-//! one pass, in admission order: each job probes the versioned cache and,
-//! on a miss, is scored on the generation it was admitted under
-//! (`ModelSnapshot::answer`, one candidate-grid walk per query) and
-//! inserted at once, so duplicate keys within a batch are computed once;
-//! then it is replied to before the next job starts.  At `batch: 1` every
-//! drain holds one job, so the same code answers request by request;
-//! payloads and cache accounting are identical at any batch size.
+//! Workers drain up to `batch` queued jobs per wakeup, into a buffer each
+//! worker owns, and answer them in one pass, in admission order: each job
+//! probes the versioned cache and, on a miss, is scored on the generation
+//! it was admitted under (`ModelSnapshot::answer`, one candidate-grid walk
+//! per query) and inserted at once, so duplicate keys within a batch are
+//! computed once; then it is replied to before the next job starts.  At
+//! `batch: 1` every drain holds one job, so the same code answers request
+//! by request; payloads and cache accounting are identical at any batch
+//! size.
 //!
 //! The drain's bookkeeping stays off the request's critical path: each
 //! worker records through metric handles it registered once (no registry
 //! lock, no name lookup), reads the clock once per batch and once per job,
-//! and a reply signals its client only when the client is parked.
+//! and a reply signals its client only when the client is parked.  A
+//! client polls its reply slot for about 1.4 µs before it parks, so most
+//! replies land while it polls and cost the worker no wake.
 //!
 //! Determinism: a response's payload is a pure function of (snapshot
 //! version, canonical key).  Thread scheduling, batching boundaries, and
@@ -35,6 +42,7 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::snapshot::{ModelSnapshot, SnapshotStore};
 use acic::{Acic, AppPoint, CacheKey, CounterHandle, LatencyHandle, Metrics, Objective, Predictor};
 use acic_cloudsim::instance::InstanceType;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -55,7 +63,8 @@ pub struct ServeConfig {
     pub instance_type: InstanceType,
     /// Simulated per-request downstream stall (serialization, network,
     /// follow-up I/O in a real deployment).  Zero in production paths;
-    /// `bench_serve` sets it to measure how the pool overlaps latency.
+    /// tests and `bench_serve`'s admission and hot-swap lanes set it so
+    /// that queues fill and publishes race queued requests.
     pub service_stall: Duration,
 }
 
@@ -176,13 +185,26 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// A single-use reply slot the submitting thread parks on.  The waiter
-/// marks the slot `Waiting` before it parks, so a reply that lands first
-/// (the common case under load) skips the condvar signal.
+/// How many times [`OneShot::wait`] polls for its reply before it parks:
+/// about 1.4 µs on a 2-vCPU Xeon VM (13.5–14.3 ns per poll and
+/// `spin_loop`).  A
+/// saturated worker replies within that budget to most clients that have
+/// caught up with it, and each reply that lands while its client polls
+/// spares the worker a `futex` wake.
+const REPLY_SPINS: u32 = 100;
+
+/// A single-use reply slot the submitting thread waits on.  The waiter
+/// first polls `settled`, then marks the slot `Waiting` before it parks,
+/// so a reply that lands first (the common case under load) skips the
+/// condvar signal.
 #[derive(Debug, Default)]
 struct OneShot {
     slot: Mutex<OneShotState>,
     ready: Condvar,
+    /// Raised once the slot is settled, after its lock is released: a
+    /// hint that ends the waiter's polling.  The state under the lock
+    /// stays the only truth.
+    settled: AtomicBool,
 }
 
 #[derive(Debug, Default)]
@@ -208,6 +230,7 @@ impl OneShot {
             *slot = next;
         }
         drop(slot);
+        self.settled.store(true, Ordering::Release);
         if parked {
             self.ready.notify_one();
         }
@@ -222,6 +245,12 @@ impl OneShot {
     }
 
     fn wait(&self) -> Result<Response, ServeError> {
+        for _ in 0..REPLY_SPINS {
+            if self.settled.load(Ordering::Acquire) {
+                break;
+            }
+            std::hint::spin_loop();
+        }
         let mut slot = self.lock();
         loop {
             match std::mem::take(&mut *slot) {
@@ -236,18 +265,28 @@ impl OneShot {
     }
 }
 
-/// A queued unit of work.  The snapshot is captured **at admission**
-/// ([`ServeHandle::make_job`]), so a request is answered from the exact
-/// generation it was admitted under — a hot-swap between admission and
-/// batch processing never retroactively rebinds in-flight requests, and a
-/// drained batch can span generations without blurring them.  Dropping an
-/// unanswered job (e.g. a worker unwinding mid-shutdown) closes its reply
-/// slot so the waiting client gets [`ServeError::ShuttingDown`] instead
-/// of parking forever.
+/// What a shard queue carries.
+#[derive(Debug)]
+enum Work {
+    /// A request, counted toward the queue's bound.
+    Job(Job),
+    /// A generation published by [`Server::publish`], queued past the
+    /// bound: the jobs behind it are answered from it.
+    Generation(Arc<ModelSnapshot>),
+}
+
+/// A queued request.  It carries no snapshot: its worker answers it from
+/// the last [`Work::Generation`] queued ahead of it, or from the
+/// generation the worker was spawned with, so a request is answered from
+/// the exact generation it was admitted under — a hot-swap between
+/// admission and batch processing never retroactively rebinds in-flight
+/// requests, and a drained batch can span generations without blurring
+/// them.  Dropping an unanswered job (e.g. a worker unwinding
+/// mid-shutdown) closes its reply slot so the waiting client gets
+/// [`ServeError::ShuttingDown`] instead of parking forever.
 #[derive(Debug)]
 struct Job {
     key: CacheKey,
-    snapshot: Arc<ModelSnapshot>,
     enqueued: Instant,
     reply: Option<Arc<OneShot>>,
 }
@@ -272,9 +311,12 @@ impl Drop for Job {
 #[derive(Debug)]
 struct Shared {
     store: SnapshotStore,
-    queues: Vec<Arc<BoundedQueue<Job>>>,
+    queues: Vec<BoundedQueue<Work>>,
     cache: ResultCache,
     metrics: Metrics,
+    /// `serve.requests_shed`, registered once: a refused request counts
+    /// itself without the registry lock.
+    shed: CounterHandle,
     cfg: ServeConfig,
 }
 
@@ -311,15 +353,19 @@ impl Server {
         metrics: Metrics,
         version: u64,
     ) -> Result<Self, acic::AcicError> {
-        Self::start_with_spawner(predictor, db_points, cfg, metrics, version, |w, shared| {
+        Self::start_with_spawner(predictor, db_points, cfg, metrics, version, |w, shared, first| {
             std::thread::Builder::new()
                 .name(format!("acic-serve-{w}"))
-                .spawn(move || worker_loop(&shared, w))
+                .spawn(move || worker_loop(&shared, w, first))
         })
     }
 
     /// [`Self::start_at`] with an injectable thread spawner, so tests can
-    /// exercise spawn failures without exhausting real OS threads.
+    /// exercise spawn failures without exhausting real OS threads.  Each
+    /// worker is handed the first generation here, when it is spawned: a
+    /// worker that read the store once its thread ran could answer
+    /// requests queued before an early publish from the published
+    /// generation.
     ///
     /// Regression (bugfix): spawning used to `.expect("spawn serve
     /// worker")`, so an OS thread-spawn failure on worker `w` panicked the
@@ -333,19 +379,25 @@ impl Server {
         cfg: ServeConfig,
         metrics: Metrics,
         version: u64,
-        mut spawn: impl FnMut(usize, Arc<Shared>) -> std::io::Result<std::thread::JoinHandle<()>>,
+        mut spawn: impl FnMut(
+            usize,
+            Arc<Shared>,
+            Arc<ModelSnapshot>,
+        ) -> std::io::Result<std::thread::JoinHandle<()>>,
     ) -> Result<Self, acic::AcicError> {
         cfg.validate()?;
         let shared = Arc::new(Shared {
             store: SnapshotStore::with_version(predictor, cfg.instance_type, db_points, version),
-            queues: (0..cfg.workers).map(|_| Arc::new(BoundedQueue::new(cfg.queue_depth))).collect(),
+            queues: (0..cfg.workers).map(|_| BoundedQueue::new(cfg.queue_depth)).collect(),
             cache: ResultCache::new(cfg.cache_capacity, cfg.cache_shards),
+            shed: metrics.counter_handle("serve.requests_shed"),
             metrics,
             cfg,
         });
+        let first = shared.store.load();
         let mut workers = Vec::with_capacity(shared.cfg.workers);
         for w in 0..shared.cfg.workers {
-            match spawn(w, Arc::clone(&shared)) {
+            match spawn(w, Arc::clone(&shared), Arc::clone(&first)) {
                 Ok(handle) => workers.push(handle),
                 Err(io) => {
                     for q in &shared.queues {
@@ -376,11 +428,19 @@ impl Server {
     }
 
     /// Hot-swap: atomically publish a freshly trained predictor as the new
-    /// current snapshot; returns its version.  Requests already in flight
-    /// finish on the generation they loaded; new batches (and the cache
-    /// keys they use) move to the new version immediately.
+    /// current snapshot; returns its version.  The generation is queued
+    /// into every shard queue as a marker before this returns, past the
+    /// bound, so a publish never waits for a full queue and never sheds.
+    /// Requests queued before it finish on the generation they were
+    /// admitted under; every request submitted after it returns is
+    /// answered (and cached) under the new version.
     pub fn publish(&self, predictor: Predictor, db_points: usize) -> u64 {
-        let v = self.shared.store.publish(predictor, db_points);
+        let queues = &self.shared.queues;
+        let v = self.shared.store.publish(predictor, db_points, |next| {
+            for q in queues {
+                q.push_marker(Work::Generation(Arc::clone(next)));
+            }
+        });
         self.shared.metrics.incr("serve.snapshots_published", 1);
         // Sweep cache entries from superseded generations now instead of
         // waiting for LRU pressure; keep the previous generation because
@@ -395,7 +455,8 @@ impl Server {
         self.shared.store.version()
     }
 
-    /// The current snapshot (diagnostics; requests load their own).
+    /// The current snapshot (diagnostics; each worker holds the
+    /// generation its queue has reached).
     pub fn snapshot(&self) -> Arc<ModelSnapshot> {
         self.shared.store.load()
     }
@@ -452,14 +513,7 @@ impl ServeHandle {
     fn make_job(&self, key: CacheKey) -> (usize, Job, Arc<OneShot>) {
         let shard = key.shard(self.shared.queues.len());
         let reply = Arc::new(OneShot::default());
-        // Admission stamps the generation: this request will be answered
-        // from exactly this snapshot, whatever publishes race past it.
-        let snapshot = self.shared.store.load();
-        (
-            shard,
-            Job { key, snapshot, enqueued: Instant::now(), reply: Some(Arc::clone(&reply)) },
-            reply,
-        )
+        (shard, Job { key, enqueued: Instant::now(), reply: Some(Arc::clone(&reply)) }, reply)
     }
 
     /// Admission-controlled submit: enqueue or fail fast with
@@ -474,10 +528,10 @@ impl ServeHandle {
     /// hands it over here instead of canonicalizing twice).
     pub(crate) fn submit_key(&self, key: CacheKey) -> Result<Pending, ServeError> {
         let (shard, job, reply) = self.make_job(key);
-        match self.shared.queues[shard].try_push(job) {
+        match self.shared.queues[shard].try_push(Work::Job(job)) {
             Ok(()) => Ok(Pending { reply }),
             Err(PushError::Full(_)) => {
-                self.shared.metrics.incr("serve.requests_shed", 1);
+                self.shared.shed.incr(1);
                 Err(ServeError::Overloaded { queue_depth: self.shared.cfg.queue_depth })
             }
             Err(PushError::Closed(_)) => Err(ServeError::ShuttingDown),
@@ -493,7 +547,7 @@ impl ServeHandle {
     /// [`Self::submit_blocking`] for an already canonicalized request.
     pub(crate) fn submit_blocking_key(&self, key: CacheKey) -> Result<Pending, ServeError> {
         let (shard, job, reply) = self.make_job(key);
-        match self.shared.queues[shard].push_wait(job) {
+        match self.shared.queues[shard].push_wait(Work::Job(job)) {
             Ok(()) => Ok(Pending { reply }),
             Err(_) => Err(ServeError::ShuttingDown),
         }
@@ -512,7 +566,8 @@ pub struct Pending {
 }
 
 impl Pending {
-    /// Park until the worker answers (or the server shuts down first).
+    /// Wait until the worker answers (or the server shuts down first):
+    /// poll briefly, then park.
     pub fn wait(self) -> Result<Response, ServeError> {
         self.reply.wait()
     }
@@ -548,33 +603,38 @@ impl DrainMetrics {
     }
 }
 
-fn worker_loop(shared: &Shared, w: usize) {
+/// Serve shard `w` until its queue is closed and drained, answering from
+/// `generation` until a marker queued ahead of a job moves it on.
+fn worker_loop(shared: &Shared, w: usize, mut generation: Arc<ModelSnapshot>) {
     let queue = &shared.queues[w];
     let metrics = DrainMetrics::register(&shared.metrics);
     // This worker's largest drain so far.  A drain holds at most `batch`
     // jobs, so `serve.fused_batch.max_requests` is raised by name only the
     // few times it grows.
     let mut max_batch = 0;
+    let mut drained = Vec::with_capacity(shared.cfg.batch);
     loop {
-        let batch = queue.pop_batch(shared.cfg.batch);
-        if batch.is_empty() {
+        let jobs = queue.pop_batch(shared.cfg.batch, &mut drained);
+        if drained.is_empty() {
             return; // closed and drained
         }
-        if batch.len() > max_batch {
-            max_batch = batch.len();
+        if jobs > max_batch {
+            max_batch = jobs;
             shared.metrics.record_max("serve.fused_batch.max_requests", max_batch as u64);
         }
-        serve_batch(shared, &metrics, batch);
+        serve_batch(shared, &metrics, &mut generation, jobs, &mut drained);
     }
 }
 
-/// The batched drain: one pass over the batch in admission order.  Each
-/// job probes the versioned cache; on a miss it is scored with
-/// [`ModelSnapshot::answer`] on the generation it was admitted under and
-/// inserted at once, so a duplicate later in the batch hits it.  The cache
-/// sees exactly the gets and inserts a one-job drain would, so payloads and
-/// hit/miss counts do not depend on batching.  Then the job's downstream
-/// stall is applied and it is replied to.
+/// The batched drain: one pass over the `jobs` jobs in `batch`, in
+/// admission order, leaving `batch` empty.  A generation marker moves
+/// `generation` on for the jobs behind it.  Each job probes the versioned
+/// cache; on a miss it is scored with [`ModelSnapshot::answer`] on the
+/// generation it was admitted under and inserted at once, so a duplicate
+/// later in the batch hits it.  The cache sees exactly the gets and
+/// inserts a one-job drain would, so payloads and hit/miss counts do not
+/// depend on batching.  Then the job's downstream stall is applied and it
+/// is replied to.  A drain of markers alone is not a batch.
 ///
 /// The clock is read once per batch (every job's `serve.queue_wait` ends
 /// there) and once per job, when its answer is ready.  A job's service
@@ -582,19 +642,36 @@ fn worker_loop(shared: &Shared, w: usize) {
 /// miss its scoring and insert) plus the drain's bookkeeping and the reply
 /// of the job before it, but never the simulated stall.  Timing the probe
 /// alone would take a second clock read per job.
-fn serve_batch(shared: &Shared, m: &DrainMetrics, batch: Vec<Job>) {
-    m.batches.incr(1);
-    m.served.incr(batch.len() as u64);
-    let mut stamp = Instant::now();
-    for job in &batch {
-        m.queue_wait.observe(stamp.saturating_duration_since(job.enqueued));
+fn serve_batch(
+    shared: &Shared,
+    m: &DrainMetrics,
+    generation: &mut Arc<ModelSnapshot>,
+    jobs: usize,
+    batch: &mut Vec<Work>,
+) {
+    if jobs > 0 {
+        m.batches.incr(1);
+        m.served.incr(jobs as u64);
     }
-    for mut job in batch {
-        let version = job.snapshot.version();
+    let mut stamp = Instant::now();
+    for work in batch.iter() {
+        if let Work::Job(job) = work {
+            m.queue_wait.observe(stamp.saturating_duration_since(job.enqueued));
+        }
+    }
+    for work in batch.drain(..) {
+        let mut job = match work {
+            Work::Job(job) => job,
+            Work::Generation(next) => {
+                *generation = next;
+                continue;
+            }
+        };
+        let version = generation.version();
         let (top, cache_hit) = match shared.cache.get(&job.key, version) {
             Some(top) => (top, true),
             None => {
-                let top: CachedTopK = Arc::new(job.snapshot.answer(&job.key));
+                let top: CachedTopK = Arc::new(generation.answer(&job.key));
                 shared.cache.insert(job.key, version, Arc::clone(&top));
                 (top, false)
             }
@@ -821,7 +898,7 @@ mod tests {
         let cfg = ServeConfig { workers: 3, ..Default::default() };
         let mut started = 0usize;
         let mut observed: Option<Arc<Shared>> = None;
-        let err = Server::start_with_spawner(p, n, cfg, Metrics::new(), 1, |w, shared| {
+        let err = Server::start_with_spawner(p, n, cfg, Metrics::new(), 1, |w, shared, first| {
             observed = Some(Arc::clone(&shared));
             if w == 2 {
                 return Err(std::io::Error::new(
@@ -832,7 +909,7 @@ mod tests {
             started += 1;
             std::thread::Builder::new()
                 .name(format!("acic-serve-{w}"))
-                .spawn(move || worker_loop(&shared, w))
+                .spawn(move || worker_loop(&shared, w, first))
         })
         .expect_err("worker 2's spawn failure must surface as an error");
         match err {
@@ -849,22 +926,132 @@ mod tests {
         // proves the joins completed) and new work is refused.
         let shared = observed.expect("spawner saw the shared state");
         for q in &shared.queues {
-            let probe = Job {
+            let probe = Work::Job(Job {
                 key: CacheKey::new(
                     &SpacePoint::default_point().app,
                     Objective::Performance,
                     InstanceType::Cc2_8xlarge,
                     1,
                 ),
-                snapshot: shared.store.load(),
                 enqueued: Instant::now(),
                 reply: None,
-            };
+            });
             assert!(
                 matches!(q.try_push(probe), Err(PushError::Closed(_))),
                 "every queue must be closed after rollback"
             );
         }
+    }
+
+    #[test]
+    fn the_first_generation_is_bound_at_spawn() {
+        // The worker thread is held at a barrier while a request queues
+        // and generation 2 is published behind it.  The request was
+        // admitted under generation 1, so it must be answered from it; a
+        // worker that read the store once its thread ran would answer it
+        // from generation 2.
+        let (p1, n1) = predictor(3, 3);
+        let (p2, n2) = predictor(11, 4);
+        let app = SpacePoint::default_point().app;
+        let direct = move |p: &Predictor| {
+            p.top_k(&app, Objective::Performance, InstanceType::Cc2_8xlarge, 5)
+        };
+        assert_ne!(direct(&p1), direct(&p2), "the generations must disagree on the probe");
+        crate::queue::watchdog("first generation bound at spawn", move || {
+            let gate = Arc::new(std::sync::Barrier::new(2));
+            let hold = Arc::clone(&gate);
+            let server = Server::start_with_spawner(
+                p1.clone(),
+                n1,
+                ServeConfig::default(),
+                Metrics::new(),
+                1,
+                move |w, shared, first| {
+                    let hold = Arc::clone(&hold);
+                    std::thread::Builder::new().spawn(move || {
+                        hold.wait();
+                        worker_loop(&shared, w, first)
+                    })
+                },
+            )
+            .unwrap();
+            let h = server.handle();
+            let before = h.submit(request(5)).unwrap();
+            assert_eq!(server.publish(p2.clone(), n2), 2);
+            let after = h.submit(request(5)).unwrap();
+            gate.wait();
+            let resp = before.wait().unwrap();
+            assert_eq!(resp.snapshot_version, 1, "admitted before the publish");
+            assert_eq!(*resp.top, direct(&p1));
+            let resp = after.wait().unwrap();
+            assert_eq!(resp.snapshot_version, 2, "admitted after the publish");
+            assert_eq!(*resp.top, direct(&p2));
+            server.shutdown();
+        });
+    }
+
+    #[test]
+    fn a_publish_into_a_full_shard_queue_neither_waits_nor_sheds() {
+        // One worker stalled on its first request, a depth-2 queue filled
+        // behind it: the publish's marker goes past the bound.  Each step
+        // below runs inside one job's 250 ms stall.
+        let (p1, n1) = predictor(3, 3);
+        let (p2, n2) = predictor(11, 4);
+        crate::queue::watchdog("publish into a full queue", move || {
+            let cfg = ServeConfig {
+                workers: 1,
+                queue_depth: 2,
+                batch: 1,
+                service_stall: Duration::from_millis(250),
+                ..Default::default()
+            };
+            let server = Server::start(p1.clone(), n1, cfg, Metrics::new()).unwrap();
+            let h = server.handle();
+            let queue = &server.shared.queues[0];
+            let until_drained = || {
+                while !queue.is_empty() {
+                    std::thread::yield_now();
+                }
+            };
+            let stalled = h.submit(request(1)).unwrap();
+            until_drained();
+            let queued: Vec<Pending> = [2, 3].map(|k| h.submit(request(k)).unwrap()).into();
+            assert!(matches!(h.submit(request(4)), Err(ServeError::Overloaded { queue_depth: 2 })));
+            assert_eq!(server.shed_count(), 1);
+            assert_eq!(server.publish(p2.clone(), n2), 2);
+            assert_eq!(
+                server.metrics().counter("serve.requests_served"),
+                1,
+                "the publish returned while the worker was still stalled"
+            );
+            assert_eq!((server.shed_count(), queue.len()), (1, 2), "the marker took no slot");
+            assert_eq!(server.metrics().counter("serve.requests_shed"), 1);
+            // Once the worker has taken both queued requests, the marker
+            // still waits at the front, and the queue admits exactly its
+            // bound.
+            assert_eq!(stalled.wait().unwrap().snapshot_version, 1);
+            let mut queued = queued.into_iter();
+            let second = queued.next().unwrap().wait().unwrap();
+            until_drained();
+            let later: Vec<Pending> = [5, 6].map(|k| h.submit(request(k)).unwrap()).into();
+            assert!(matches!(h.submit(request(7)), Err(ServeError::Overloaded { queue_depth: 2 })));
+            assert_eq!(server.shed_count(), 2);
+            let third = queued.next().unwrap().wait().unwrap();
+            let app = SpacePoint::default_point().app;
+            let direct = |p: &Predictor, k| {
+                p.top_k(&app, Objective::Performance, InstanceType::Cc2_8xlarge, k)
+            };
+            for (resp, k) in [(second, 2), (third, 3)] {
+                assert_eq!(resp.snapshot_version, 1, "k={k} was queued before the publish");
+                assert_eq!(*resp.top, direct(&p1, k));
+            }
+            for (pend, k) in later.into_iter().zip([5, 6]) {
+                let resp = pend.wait().unwrap();
+                assert_eq!(resp.snapshot_version, 2, "k={k} was queued after the publish");
+                assert_eq!(*resp.top, direct(&p2, k));
+            }
+            server.shutdown();
+        });
     }
 
     #[test]
@@ -992,6 +1179,64 @@ mod tests {
             slot.put(reply(2));
             assert_eq!(waiter.join().unwrap(), Ok(reply(2)));
         });
+    }
+
+    /// Pass `n` replies from a replier thread to this one through fresh
+    /// reply slots; returns how many of the waits parked.  The waiter
+    /// announces each slot and waits on it; the replier answers as soon as
+    /// it sees the announcement, so the reply usually lands while the
+    /// waiter polls, but every 16th time it first sleeps past the polling
+    /// budget, so the waiter parks.  The replier busy-polls for the
+    /// announcement: a replier that yielded could share one core with the
+    /// waiter indefinitely, and then never run while the waiter polls.
+    fn handoff_round(n: usize) -> usize {
+        let slots: Arc<Vec<OneShot>> = Arc::new((0..n).map(|_| OneShot::default()).collect());
+        let announced = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let replier = {
+            let (slots, announced) = (Arc::clone(&slots), Arc::clone(&announced));
+            std::thread::spawn(move || {
+                let mut parked = 0;
+                for (i, slot) in slots.iter().enumerate() {
+                    while announced.load(Ordering::Acquire) <= i {
+                        std::hint::spin_loop();
+                    }
+                    if i % 16 == 0 {
+                        std::thread::sleep(Duration::from_micros(50));
+                    }
+                    parked += usize::from(matches!(*slot.lock(), OneShotState::Waiting));
+                    slot.put(reply(i as u64));
+                }
+                parked
+            })
+        };
+        for (i, slot) in slots.iter().enumerate() {
+            announced.store(i + 1, Ordering::Release);
+            assert_eq!(slot.wait(), Ok(reply(i as u64)), "reply {i}");
+        }
+        replier.join().unwrap()
+    }
+
+    #[test]
+    fn the_spin_then_park_handoff_loses_no_wakeup() {
+        // Every reply must reach its waiter, whether it lands while the
+        // waiter polls or after it parked.  A host too busy to run both
+        // threads at once (other tests scoring on every core) can make
+        // every waiter park, so rounds of 100,000 replies repeat, up to
+        // eight, until both paths have run.
+        const REPLIES: usize = 100_000;
+        let (replies, parked) = crate::queue::watchdog("spin → park handoff", || {
+            let (mut replies, mut parked) = (0, 0);
+            while replies < 8 * REPLIES && (replies == 0 || parked == 0 || parked == replies) {
+                parked += handoff_round(REPLIES);
+                replies += REPLIES;
+            }
+            (replies, parked)
+        });
+        assert!(parked > 0, "no waiter parked in {replies} replies: the park path never ran");
+        assert!(
+            parked < replies,
+            "every waiter parked in {replies} replies: the polling path never ran"
+        );
     }
 
     #[test]

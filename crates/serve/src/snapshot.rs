@@ -4,12 +4,15 @@
 //! incrementally retrained as users contribute training points (§2
 //! "expandability"), and the serving layer keeps answering while that
 //! happens.  The store holds the current [`ModelSnapshot`] behind an
-//! `Arc`; readers clone the `Arc` (a refcount bump under a briefly-held
-//! read lock) and then work entirely lock-free on an immutable snapshot,
-//! while [`SnapshotStore::publish`] swaps the slot atomically.  In-flight
-//! requests finish on the snapshot they loaded; the version id stamped
-//! into every snapshot is what keys the result cache, so a publish
-//! invalidates cached results logically without any stop-the-world flush.
+//! `Arc`, and [`SnapshotStore::publish`] swaps the slot atomically; a
+//! snapshot is immutable, so whoever holds its `Arc` reads it lock-free.
+//! Requests do not load the store.  The serve pool hands each worker the
+//! first generation when it spawns it, and each publish's announcement
+//! queues the next generation to every worker, so a request is answered
+//! from the last generation queued ahead of it (see [`crate::server`]).
+//! The version id stamped into every snapshot is what keys the result
+//! cache, so a publish invalidates cached results logically without any
+//! stop-the-world flush.
 
 use acic::{Acic, CacheKey, Predictor, SystemConfig};
 use acic_cloudsim::instance::InstanceType;
@@ -101,27 +104,37 @@ impl SnapshotStore {
         Self::new(acic.predictor.clone(), InstanceType::Cc2_8xlarge, acic.db.len())
     }
 
-    /// Load the current snapshot.  The returned `Arc` keeps that
-    /// generation alive for as long as the request needs it, regardless of
-    /// how many publishes happen in the meantime.
+    /// Load the current snapshot (diagnostics and the serve pool's
+    /// spawn).  The returned `Arc` keeps that generation alive for as long
+    /// as its holder needs it, regardless of how many publishes happen in
+    /// the meantime.
     pub fn load(&self) -> Arc<ModelSnapshot> {
         self.slot.read().clone()
     }
 
     /// Atomically replace the current snapshot with a freshly trained
-    /// predictor; returns the new version id.  Readers that already hold
-    /// the old `Arc` are unaffected (no torn reads — a snapshot is
-    /// immutable after construction).
-    pub fn publish(&self, predictor: Predictor, db_points: usize) -> u64 {
+    /// predictor; returns the new version id.  Holders of the old `Arc`
+    /// are unaffected (no torn reads — a snapshot is immutable after
+    /// construction).  `announce` sees the new generation before the swap,
+    /// while the slot is write-locked: publishes are serialized, so each
+    /// announcement follows the previous one, and [`Self::version`] never
+    /// reads a generation that is not announced yet.
+    pub fn publish(
+        &self,
+        predictor: Predictor,
+        db_points: usize,
+        announce: impl FnOnce(&Arc<ModelSnapshot>),
+    ) -> u64 {
         let mut slot = self.slot.write();
-        let next = ModelSnapshot {
+        let next = Arc::new(ModelSnapshot {
             version: slot.version + 1,
             predictor,
             instance_type: slot.instance_type,
             db_points,
-        };
+        });
+        announce(&next);
         let version = next.version;
-        *slot = Arc::new(next);
+        *slot = next;
         version
     }
 
@@ -149,7 +162,7 @@ mod tests {
         assert_eq!(store.version(), 1);
         let held = store.load();
         let (p2, n2) = predictor(6);
-        assert_eq!(store.publish(p2, n2), 2);
+        assert_eq!(store.publish(p2, n2, |_| {}), 2);
         assert_eq!(store.version(), 2);
         // The old generation stays alive and answers on its own model.
         assert_eq!(held.version(), 1);
@@ -190,7 +203,7 @@ mod tests {
             }
             if round == 0 {
                 let (p2, n2) = predictor(6);
-                store.publish(p2, n2);
+                store.publish(p2, n2, |_| {});
             }
         }
     }
