@@ -17,6 +17,7 @@
 use acic::store::{samples_from_collection, SampleLookup};
 use acic::training::CollectOptions;
 use acic::{Metrics, Objective, Trainer};
+use acic_bench::db_bytes;
 use acic_search::{run_search, Budget, SearchConfig, Strategy};
 use std::fmt::Write as _;
 use std::fs;
@@ -248,7 +249,7 @@ fn main() {
     let a = run_search(&trainer, &points, &det_cfg).unwrap();
     let b = run_search(&trainer, &points, &det_cfg).unwrap();
     let plans_identical = a.plan.render() == b.plan.render()
-        && a.collection.db.to_text() == b.collection.db.to_text();
+        && db_bytes(&a.collection.db) == db_bytes(&b.collection.db);
 
     let journal = std::env::temp_dir().join("acic_bench_search.journal");
     let _ = fs::remove_file(&journal);
@@ -258,7 +259,7 @@ fn main() {
     fs::write(&journal, kill_halfway(&bytes)).unwrap();
     let resumed = run_search(&trainer, &points, &j_cfg).unwrap();
     let resume_identical = resumed.plan.render() == truth.plan.render()
-        && resumed.collection.db.to_text() == truth.collection.db.to_text();
+        && db_bytes(&resumed.collection.db) == db_bytes(&truth.collection.db);
     let _ = fs::remove_file(&journal);
 
     let pass = within >= 2

@@ -25,6 +25,7 @@
 use acic::space::SpacePoint;
 use acic::training::CollectOptions;
 use acic::{RetryPolicy, Trainer, TrainingDb};
+use acic_bench::db_bytes;
 use acic_bench::stats::median;
 use acic_cloudsim::rng::SplitMix64;
 use acic_cloudsim::{arena, oracle, set_engine_override, SimEngine};
@@ -100,8 +101,8 @@ fn main() {
         mismatched += oracle::mismatched_runs() - m0;
         let production = collect(&trainer, &points, SimEngine::Production);
         let reference = collect(&trainer, &points, SimEngine::Oracle);
-        let text = production.to_text();
-        dbs_identical &= text == reference.to_text() && text == checked.to_text();
+        let bytes = db_bytes(&production);
+        dbs_identical &= bytes == db_bytes(&reference) && bytes == db_bytes(&checked);
 
         eprintln!("timing {} ({} points, {} runs) ...", shape.name, points.len(), runs);
         let (mut prod, mut orc) = (Vec::new(), Vec::new());

@@ -7,7 +7,7 @@
 //! sustain **≥3× the campaign points/sec of the per-point oracle**
 //! (`--commit-batch 1`: one write+sync pair per journal entry and per
 //! WAL line) on the 96-point seeded campaign — while every byte on disk
-//! stays identical: journal, database text, store MANIFEST, and the
+//! stays identical: journal, database, store MANIFEST, and the
 //! published snapshot are compared across modes, and a kill→resume
 //! mid-campaign must reproduce the clean run's bytes exactly.
 //!
@@ -22,6 +22,7 @@
 
 use acic::training::CollectOptions;
 use acic::{CommitConfig, Store, Trainer};
+use acic_bench::db_bytes;
 use acic_cart::ModelKind;
 use std::fs;
 use std::io::Write as _;
@@ -62,7 +63,7 @@ struct ModeRun {
     group_commits: usize,
     wal_batches: usize,
     journal: String,
-    db_text: String,
+    db: (String, u64, u64),
     manifest: Vec<u8>,
     snapshot: String,
 }
@@ -99,7 +100,7 @@ fn run_mode(dir: &Path, batch: usize) -> ModeRun {
         group_commits: collection.report.group_commits,
         wal_batches: stats.batches,
         journal: fs::read_to_string(&journal_path).unwrap(),
-        db_text: collection.db.to_text(),
+        db: db_bytes(&collection.db),
         manifest: fs::read(store_dir.join("MANIFEST")).unwrap(),
         snapshot,
     }
@@ -111,7 +112,7 @@ fn diverging(a: &ModeRun, b: &ModeRun) -> Vec<&'static str> {
     if a.journal != b.journal {
         d.push("journal");
     }
-    if a.db_text != b.db_text {
+    if a.db != b.db {
         d.push("db");
     }
     if a.manifest != b.manifest {
@@ -203,8 +204,7 @@ fn main() {
     };
     let resumed = trainer.collect_with(&points, &opts).unwrap();
     let resumed_journal = fs::read_to_string(&journal_path).unwrap();
-    let resume_identical =
-        resumed_journal == oracle.journal && resumed.db.to_text() == oracle.db_text;
+    let resume_identical = resumed_journal == oracle.journal && db_bytes(&resumed.db) == oracle.db;
     assert!(resumed.report.resumed > 0, "the chopped journal must restore some points");
     eprintln!(
         "kill→resume at byte {cut}/{}: {} restored, identical={resume_identical}",

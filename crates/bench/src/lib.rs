@@ -12,8 +12,9 @@ pub mod stats;
 use std::path::PathBuf;
 
 use acic::sweep::Spectrum;
-use acic::AcicError;
+use acic::{AcicError, PublishedSnapshot, TrainingDb};
 use acic_apps::{AppModel, Btio, FlashIo, MadBench2, MpiBlast};
+use acic_cart::ModelKind;
 use acic_cloudsim::instance::InstanceType;
 
 /// Where a `bench_*` binary writes its artifact or scratch directory
@@ -23,6 +24,14 @@ use acic_cloudsim::instance::InstanceType;
 pub fn beside_exe(name: &str) -> PathBuf {
     let exe = std::env::current_exe().expect("path of the running executable");
     exe.parent().expect("executable inside a directory").join(name)
+}
+
+/// Everything a collected database holds, as comparable bytes: the
+/// snapshot it renders to (every point's digits, in collection order) and
+/// the bits of both collection stats, which a snapshot does not carry.
+pub fn db_bytes(db: &TrainingDb) -> (String, u64, u64) {
+    let snapshot = PublishedSnapshot::from_db(db, 0, ModelKind::Cart).render();
+    (snapshot, db.collect_secs.to_bits(), db.collect_cost_usd.to_bits())
 }
 
 /// Root seed for all experiment binaries (determinism across runs).

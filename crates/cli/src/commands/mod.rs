@@ -11,7 +11,7 @@ pub mod train;
 pub mod walk;
 
 use crate::args::Args;
-use acic::{Acic, Metrics, Objective, PublishedSnapshot, Store, Trainer, TrainingDb};
+use acic::{Acic, Metrics, Objective, PublishedSnapshot, Store, Trainer};
 use acic_cart::ModelKind;
 use std::path::Path;
 
@@ -32,7 +32,9 @@ USAGE:
                    [--plateau N] [--goal perf|cost] [--warm-start DIR]
                    [--plan-out FILE]]
         Collect an IOR training database over the top N ranked dimensions
-        and optionally save it as shareable text.  --faults injects the
+        and write it as a snapshot (to --out FILE, else stdout) that
+        `recommend` and `serve` load with --snapshot; its header names the
+        sample count, content hash and --seed.  --faults injects the
         paper's observed connection-loss rate (runs are retried on derived
         seeds, unsalvageable points skipped); --resume checkpoints every
         finished point to an append-only journal and restarts bit-identically
@@ -58,13 +60,15 @@ USAGE:
         already matches (content hash, seed, model), nothing is retrained
         or rewritten; --force republishes regardless.
 
-  acic recommend  --app NAME --procs N [--db FILE | --snapshot FILE |
-                  --store DIR | --dims N] [--goal perf|cost]
+  acic recommend  --app NAME --procs N [--snapshot FILE | --store DIR |
+                  --dims N] [--goal perf|cost]
                   [--top K] [--seed N] [--model cart|forest|knn]
                   [--verify [--app-run-secs S]] [--report]
         Profile the application and rank all candidate I/O configurations;
         --verify replays the top-k as IOR probes and re-ranks by
-        measurement, accounting residual-hour piggybacking.
+        measurement, accounting residual-hour piggybacking.  A snapshot's
+        embedded seed wins over --seed; --model picks the kind fitted to
+        its samples (default: the kind it embeds).
 
   acic profile    (--app NAME --procs N | --trace FILE) [--emit-trace FILE]
         Print the nine Table-1 I/O characteristics of an application model
@@ -76,7 +80,7 @@ USAGE:
   acic sweep      --app NAME --procs N [--goal perf|cost] [--seed N] [--report]
         Exhaustively measure every candidate configuration (ground truth).
 
-  acic serve      [--db FILE | --snapshot FILE | --store DIR | --dims N]
+  acic serve      [--snapshot FILE | --store DIR | --dims N]
                   [--seed N] [--workers N] [--queue N] [--batch N] [--cache N]
                   [--replay FILE] [--swap-at N] [--watch] [--report]
         Run the concurrent recommendation service over a replay file (or
@@ -122,10 +126,11 @@ pub fn goal(args: &Args) -> Result<Objective, String> {
         .map_err(|e| e.replacen("invalid goal", "invalid --goal", 1))
 }
 
-/// Write a whole output file (`train --out`, `serve --trace-out`).  A
-/// regular file (or a new path) is replaced atomically, so a kill leaves
-/// the old file or the new one, never a torn one; anything else
-/// (`/dev/null`, a pipe, a symlink) is written straight through.
+/// Write a whole output file: `train --out` and `--plan-out`, `serve
+/// --trace-out` and `--replay-out`, and `profile --emit-trace`.  A regular
+/// file (or a new path) is replaced atomically, so a kill leaves the old
+/// file or the new one, never a torn one; anything else (`/dev/null`, a
+/// pipe, a symlink) is written straight through.
 pub fn write_output(path: &str, text: &str) -> Result<(), String> {
     let regular = std::fs::symlink_metadata(path).map_or(true, |m| m.is_file());
     let written = if regular {
@@ -138,8 +143,9 @@ pub fn write_output(path: &str, text: &str) -> Result<(), String> {
 
 /// What [`acic_from_args`] resolved: the fitted instance plus the
 /// *effective* seed and model kind.  A snapshot is self-describing — its
-/// embedded seed and model win over the command line — and callers that
-/// retrain (hot-swaps) must reuse these to reproduce the same model.
+/// embedded seed wins over the command line, and so does its model unless
+/// one is requested — and callers that retrain (hot-swaps) must reuse
+/// these to reproduce the same model.
 pub struct Bootstrapped {
     pub acic: Acic,
     pub seed: u64,
@@ -147,30 +153,23 @@ pub struct Bootstrapped {
 }
 
 /// Bootstrap an [`Acic`] instance the way `recommend` and `serve` share:
-/// from a `--db` file, a published `--snapshot`, the durable `--store`, or
-/// (none given) by training in-process over the top `--dims` paper-ranked
-/// dimensions.  Every source but the snapshot fits `kind`, once.
+/// from a `--snapshot` file (what `acic publish` and `acic train --out`
+/// write), the durable `--store`, or (neither given) by training
+/// in-process over the top `--dims` paper-ranked dimensions.  Fits
+/// `kind`, once; without it, a snapshot's embedded kind, else CART.
 pub fn acic_from_args(
     args: &Args,
     seed: u64,
-    kind: ModelKind,
+    kind: Option<ModelKind>,
     metrics: &Metrics,
 ) -> Result<Bootstrapped, String> {
     let _span = metrics.span("phase.train");
-    let sources = ["db", "snapshot", "store"].iter().filter(|f| args.get(f).is_some()).count()
-        + usize::from(args.get("dims").is_some());
+    let sources = ["snapshot", "store", "dims"].iter().filter(|f| args.get(f).is_some()).count();
     if sources > 1 {
-        return Err("--db, --snapshot, --store, and --dims are mutually exclusive".into());
+        return Err("--snapshot, --store, and --dims are mutually exclusive".into());
     }
-    let mut effective = (seed, kind);
-    let acic = match (args.get("db"), args.get("snapshot"), args.get("store")) {
-        (Some(path), _, _) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let db = TrainingDb::from_text(&text).map_err(|e| e.to_string())?;
-            eprintln!("loaded {} training points from {path}", db.len());
-            Acic::from_db_with(db, seed, kind).map_err(|e| e.to_string())?
-        }
-        (None, Some(path), _) => {
+    let (db, seed, model) = match (args.get("snapshot"), args.get("store")) {
+        (Some(path), _) => {
             let snap = PublishedSnapshot::read(Path::new(path)).map_err(|e| e.to_string())?;
             eprintln!(
                 "loaded snapshot {path}: {} samples, hash {:016x}, seed {}, model {}",
@@ -179,11 +178,9 @@ pub fn acic_from_args(
                 snap.seed,
                 snap.model
             );
-            effective = (snap.seed, snap.model);
-            Acic::from_db_with(snap.to_training_db(), snap.seed, snap.model)
-                .map_err(|e| e.to_string())?
+            (snap.to_training_db(), snap.seed, kind.unwrap_or(snap.model))
         }
-        (None, None, Some(dir)) => {
+        (None, Some(dir)) => {
             let store = Store::open(Path::new(dir)).map_err(|e| e.to_string())?;
             let r = store.open_report();
             eprintln!(
@@ -192,19 +189,17 @@ pub fn acic_from_args(
                 r.segments,
                 if r.repaired() { ", repairs applied" } else { "" }
             );
-            Acic::from_db_with(store.to_training_db(), seed, kind).map_err(|e| e.to_string())?
+            (store.to_training_db(), seed, kind.unwrap_or(ModelKind::Cart))
         }
-        (None, None, None) => {
+        (None, None) => {
             let dims: usize = args.parse_or("dims", 10)?;
-            eprintln!("no --db given; training in-process over the top {dims} dimensions...");
+            eprintln!("no --snapshot or --store; training in-process over the top {dims} dims...");
             // `Acic::with_paper_ranking` collects the same database but fits
             // CART; fitting `kind` here keeps it to one fit.
             let db = Trainer::with_paper_ranking(seed).collect(dims).map_err(|e| e.to_string())?;
-            let mut acic = Acic::from_db_with(db, seed, kind).map_err(|e| e.to_string())?;
-            acic.trained_dims = dims;
-            acic
+            (db, seed, kind.unwrap_or(ModelKind::Cart))
         }
     };
-    let (seed, model) = effective;
+    let acic = Acic::from_db_with(db, seed, model).map_err(|e| e.to_string())?;
     Ok(Bootstrapped { acic, seed, model })
 }

@@ -22,7 +22,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     };
 
     if let Some(path) = args.get("emit-trace") {
-        std::fs::write(path, trace.to_log()).map_err(|e| format!("writing {path}: {e}"))?;
+        crate::commands::write_output(path, &trace.to_log())?;
         eprintln!("trace log written to {path} ({} records)", trace.records.len());
     }
 

@@ -19,7 +19,6 @@ pub fn run(args: &Args) -> Result<(), String> {
     args.reject_unknown(&[
         "app",
         "procs",
-        "db",
         "dims",
         "snapshot",
         "store",
@@ -31,9 +30,6 @@ pub fn run(args: &Args) -> Result<(), String> {
         "model",
         "report",
     ])?;
-    if args.get("snapshot").is_some() && args.get("model").is_some() {
-        return Err("--model conflicts with --snapshot (the snapshot embeds its model kind)".into());
-    }
     let metrics = Metrics::new();
     let app_name = args.get("app").ok_or("--app is required")?;
     let procs: usize = args.parse_or("procs", 64)?;
@@ -42,12 +38,10 @@ pub fn run(args: &Args) -> Result<(), String> {
     let objective = goal(args)?;
     let model = app_by_name(app_name, procs)?;
 
-    // A snapshot fits the model it embeds; every other source fits the
-    // requested one (CART by default).
-    let requested = match args.get("model") {
-        Some(word) => crate::commands::publish::parse_model_flag(word)?,
-        None => acic_cart::ModelKind::Cart,
-    };
+    // Without --model, a snapshot fits the kind it embeds and every other
+    // source fits CART.
+    let requested =
+        args.get("model").map(crate::commands::publish::parse_model_flag).transpose()?;
     let boot = acic_from_args(args, seed, requested, &metrics)?;
     let (acic, model_kind) = (boot.acic, boot.model);
     metrics.incr("recommend.db.points", acic.db.len() as u64);

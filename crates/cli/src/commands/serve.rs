@@ -27,7 +27,6 @@ use crate::commands::{acic_from_args, parse_goal};
 use crate::registry::app_by_name;
 use acic::profile::app_point_from;
 use acic::{AppPoint, Metrics, Predictor, PublishedSnapshot};
-use acic_cart::ModelKind;
 use acic_serve::cluster::{harness, Cluster, ClusterConfig, KillPlan, NodeId, ReplayOptions, Trace};
 use acic_serve::{Pending, Request, ServeConfig, Server};
 use std::collections::hash_map::{Entry, HashMap};
@@ -80,7 +79,7 @@ fn parse_requests(text: &str) -> Result<Vec<(String, Request)>, String> {
 
 pub fn run(args: &Args) -> Result<(), String> {
     args.reject_unknown(&[
-        "db", "dims", "snapshot", "store", "seed", "workers", "queue", "batch", "cache", "replay",
+        "dims", "snapshot", "store", "seed", "workers", "queue", "batch", "cache", "replay",
         "swap-at", "watch", "report", "nodes", "trace", "trace-out", "trace-len", "trace-seed",
         "trace-pool", "replay-out", "window", "kill-node", "kill-at", "rejoin-at",
     ])?;
@@ -110,7 +109,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         return Err("--nodes needs --trace FILE (record one with --trace-out)".into());
     }
 
-    let boot = acic_from_args(args, seed, ModelKind::Cart, &metrics)?;
+    let boot = acic_from_args(args, seed, None, &metrics)?;
     let acic = boot.acic;
 
     let text = match args.get("replay") {
@@ -238,7 +237,7 @@ fn run_cluster(
         harness::parse_trace(&text).map_err(|e| format!("{trace_path}: {e}"))?
     };
 
-    let boot = acic_from_args(args, seed, ModelKind::Cart, metrics)?;
+    let boot = acic_from_args(args, seed, None, metrics)?;
     // The model artifact every node replicates: self-describing samples +
     // seed + model kind, verified per node against its content hash.
     let artifact = PublishedSnapshot::from_db(&boot.acic.db, boot.seed, boot.model);
@@ -292,7 +291,7 @@ fn run_cluster(
         for (index, payload) in &outcome.responses {
             rendered.push_str(&format!("{index}\t{payload}\n"));
         }
-        std::fs::write(path, rendered).map_err(|e| format!("writing {path}: {e}"))?;
+        crate::commands::write_output(path, &rendered)?;
         eprintln!("wrote {} answered-response lines to {path}", outcome.responses.len());
     }
     // Stdout: node-count-invariant facts only — the tier-1 gate byte-diffs

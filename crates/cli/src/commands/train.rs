@@ -1,11 +1,13 @@
 //! `acic train` — collect a training database, fault-tolerantly: either
 //! the exhaustive campaign, or (with `--search`) an adaptive campaign
-//! planned round-by-round by `acic-search`.
+//! planned round-by-round by `acic-search`.  The database is written as a
+//! snapshot, the one file format that carries training samples.
 
 use crate::args::Args;
 use acic::reducer::reduce;
 use acic::training::CollectOptions;
-use acic::{CommitConfig, Metrics, Objective, RetryPolicy, Trainer};
+use acic::{CommitConfig, Metrics, Objective, PublishedSnapshot, RetryPolicy, Trainer};
+use acic_cart::ModelKind;
 use acic_fsim::FaultPlan;
 use acic_search::{run_search, Budget, SearchConfig, Strategy};
 use std::path::Path;
@@ -150,8 +152,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             out.plan.best().unwrap_or(f64::NAN),
         );
         if let Some(path) = args.get("plan-out") {
-            std::fs::write(path, out.plan.render())
-                .map_err(|e| format!("writing {path}: {e}"))?;
+            crate::commands::write_output(path, &out.plan.render())?;
             eprintln!("plan written to {path}");
         }
         out.collection
@@ -214,12 +215,15 @@ pub fn run(args: &Args) -> Result<(), String> {
         eprint!("{}", metrics.render());
     }
 
+    // The shareable file is a snapshot in collection order, so a fit on
+    // it is the fit on this db; the collection stats stay on stderr.
+    let snapshot = PublishedSnapshot::from_db(db, seed, ModelKind::Cart).render();
     match args.get("out") {
         Some(path) => {
-            crate::commands::write_output(path, &db.to_text())?;
-            eprintln!("database written to {path}");
+            crate::commands::write_output(path, &snapshot)?;
+            eprintln!("snapshot of {} points written to {path}", db.len());
         }
-        None => print!("{}", db.to_text()),
+        None => print!("{snapshot}"),
     }
 
     if !report.skipped.is_empty() && !args.flag("allow-skips") {

@@ -6,14 +6,16 @@
 //!
 //! ```text
 //! acic screen     [--goal perf|cost] [--seed N]
-//! acic train      [--dims N] [--seed N] [--out db.txt] [--store DIR]
-//!                 [--search pb|bandit|halving --budget N [--warm-start DIR]]
+//! acic train      [--dims N] [--seed N] [--out snap.txt] [--store DIR]
+//!                 [--search pb|random|bandit|halving --budget N [--warm-start DIR]]
 //! acic publish    --store DIR --out snap.txt [--model ..] [--force]
-//! acic recommend  --app NAME --procs N [--db db.txt|--snapshot FILE|--dims N] [--goal ..] [--top K]
+//! acic recommend  --app NAME --procs N [--snapshot FILE|--store DIR|--dims N]
+//!                 [--model ..] [--goal ..] [--top K]
 //! acic profile    --app NAME --procs N [--trace file] [--emit-trace file]
 //! acic walk       --app NAME --procs N [--goal ..] [--random] [--seed N]
 //! acic sweep      --app NAME --procs N [--goal ..]
-//! acic serve      [--db db.txt|--dims N] [--workers N] [--replay file] [--swap-at N]
+//! acic serve      [--snapshot FILE [--watch]|--store DIR|--dims N] [--workers N]
+//!                 [--replay file] [--swap-at N]
 //!                 [--nodes N --trace file] [--trace-out file] [--kill-node I]
 //! ```
 

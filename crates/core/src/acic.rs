@@ -74,8 +74,9 @@ impl Acic {
         })
     }
 
-    /// Build from an existing database (e.g. decoded from the shared
-    /// community file) with the paper ranking.
+    /// Build from an existing database (e.g. the points of a shared
+    /// [`crate::store::PublishedSnapshot`], via `to_training_db`) with the
+    /// paper ranking.
     pub fn from_db(db: TrainingDb, seed: u64) -> Result<Self, AcicError> {
         Self::from_db_with(db, seed, acic_cart::ModelKind::Cart)
     }

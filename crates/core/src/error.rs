@@ -10,8 +10,6 @@ pub enum AcicError {
     Sim(CloudSimError),
     /// A query or training request was invalid.
     Invalid(String),
-    /// The training database cannot be decoded.
-    Codec { line: usize, reason: String },
     /// No training data available for prediction.
     Untrained,
     /// A filesystem operation on a training artifact failed.
@@ -61,9 +59,6 @@ impl fmt::Display for AcicError {
         match self {
             AcicError::Sim(e) => write!(f, "simulation failed: {e}"),
             AcicError::Invalid(msg) => write!(f, "invalid request: {msg}"),
-            AcicError::Codec { line, reason } => {
-                write!(f, "training database parse error at line {line}: {reason}")
-            }
             AcicError::Untrained => write!(f, "the prediction model has no training data"),
             AcicError::Io { path, reason } => write!(f, "I/O error on {path}: {reason}"),
             AcicError::Journal { path, reason } => {
@@ -100,8 +95,8 @@ mod tests {
         let e = AcicError::from(CloudSimError::InvalidCluster("x".into()));
         assert!(e.to_string().contains("simulation failed"));
         assert!(std::error::Error::source(&e).is_some());
-        let e = AcicError::Codec { line: 3, reason: "bad field".into() };
-        assert!(e.to_string().contains("line 3"));
+        let e = AcicError::Invalid("bad field".into());
+        assert!(e.to_string().contains("bad field"));
         assert!(std::error::Error::source(&e).is_none());
     }
 
@@ -127,7 +122,6 @@ mod tests {
             AcicError::Sim(CloudSimError::InvalidCluster("x".into())),
             AcicError::Invalid("x".into()),
             AcicError::Untrained,
-            AcicError::Codec { line: 1, reason: "r".into() },
             AcicError::Store { path: "s".into(), reason: "r".into() },
         ] {
             assert!(!e.is_transient(), "{e} must be permanent");

@@ -148,8 +148,8 @@ impl JournalEntry {
                 let Some(f) = split_fields::<{ 5 + 17 }>(line) else {
                     return Err(bad("ok entry needs 22 tab-separated fields"));
                 };
-                let point = point_from_fields(&f[5..], lineno)
-                    .map_err(|e| bad(&format!("bad point: {e}")))?;
+                let point =
+                    point_from_fields(&f[5..]).map_err(|e| bad(&format!("bad point: {e}")))?;
                 Ok(JournalEntry::Ok {
                     index: index(f[1])?,
                     attempts: f[2].parse().map_err(|_| bad("bad attempts"))?,

@@ -40,7 +40,8 @@
 //! WAL compacted into content-addressed segments), from which `acic
 //! publish` cuts [`store::PublishedSnapshot`]s for the serving layer.
 //! Every durable text file (journal, WAL, segments, MANIFEST, snapshot,
-//! `--db` text, cluster trace) shares the one framing of [`record`].
+//! cluster trace) shares the one framing of [`record`]; the snapshot is
+//! the one file that carries training samples between users.
 
 pub mod acic;
 pub mod candidates;

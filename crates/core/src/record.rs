@@ -1,11 +1,12 @@
 //! One framing for every durable text file.
 //!
-//! Seven file kinds use it.  Two are append-only logs: the campaign
-//! journal and the store's WAL.  Five are written whole, atomically: the
-//! store's segments and MANIFEST, the published snapshot, the `--db` text
-//! and the cluster trace.  Each file is a version line (the trace's also
-//! carries its request count), then, for all but the WAL and the trace, a
-//! summary line of `key=value` fields, then newline-terminated records.
+//! Six file kinds use it.  Two are append-only logs: the campaign
+//! journal and the store's WAL.  Four are written whole, atomically: the
+//! store's segments and MANIFEST, the published snapshot (also what
+//! `train --out` writes) and the cluster trace.  Each file is a version
+//! line (the trace's also carries its request count), then, for all but
+//! the WAL and the trace, a summary line of `key=value` fields, then
+//! newline-terminated records.
 //! Blank lines are skipped, and trailing whitespace is not part of a
 //! line.  Each kind keeps only its record codec and its integrity check.
 //!

@@ -161,7 +161,7 @@ impl StoreSample {
             return Err(bad("unknown line kind"));
         }
         let hex = |s: &str, what: &str| u64::from_str_radix(s, 16).map_err(|_| bad(what));
-        let point = point_from_fields(&f[6..], lineno).map_err(|e| bad(&e.to_string()))?;
+        let point = point_from_fields(&f[6..]).map_err(bad)?;
         let sample = StoreSample {
             key: hex(f[1], "bad key")?,
             campaign: hex(f[2], "bad campaign")?,
@@ -815,12 +815,12 @@ impl PublishedSnapshot {
         }
     }
 
-    /// Wrap an in-memory training database as a self-describing snapshot,
-    /// e.g. for replicating a `--db`/`--dims`-booted model across serve
-    /// nodes.  Sample order is preserved (no canonicalization), so
-    /// [`Self::to_training_db`] round-trips to the exact input db and a
-    /// predictor refit from the snapshot is bit-identical to one fit on
-    /// the original database.
+    /// Wrap an in-memory training database as a self-describing snapshot:
+    /// the file `acic train --out` writes, and the artifact `serve --trace`
+    /// replicates across its nodes.  Sample order is preserved (no
+    /// canonicalization), so [`Self::to_training_db`] round-trips to the
+    /// exact input db and a predictor refit from the snapshot is
+    /// bit-identical to one fit on the original database.
     pub fn from_db(db: &TrainingDb, seed: u64, model: ModelKind) -> Self {
         let mut h = Fnv64::new();
         for p in &db.points {
@@ -980,10 +980,25 @@ mod tests {
         let s = sample(3, 0xABCD, 1.25);
         let parsed = StoreSample::parse(&s.to_line(), 1).unwrap();
         assert_eq!(s, parsed);
+        let line = s.to_line();
+        let fields: Vec<&str> = line.split('\t').collect();
+        let with = |i: usize, value: &str| {
+            let mut f = fields.clone();
+            f[i] = value;
+            f.join("\t")
+        };
         // A corrupted key is rejected, not silently accepted.
-        let mut f: Vec<String> = s.to_line().split('\t').map(String::from).collect();
-        f[1] = "0000000000000001".into();
-        assert!(StoreSample::parse(&f.join("\t"), 1).unwrap_err().contains("key"));
+        assert!(StoreSample::parse(&with(1, "0000000000000001"), 1).unwrap_err().contains("key"));
+        // So is a bad point field (fields 6.. are the point's), naming its
+        // line once: a non-numeric field, an unknown device code, and a
+        // line one field short.
+        assert_eq!(StoreSample::parse(&with(6 + 10, "x"), 3).unwrap_err(), "line 3: bad number");
+        assert_eq!(StoreSample::parse(&with(6, "9"), 3).unwrap_err(), "line 3: bad device code");
+        let short = fields[..fields.len() - 1].join("\t");
+        assert_eq!(
+            StoreSample::parse(&short, 3).unwrap_err(),
+            "line 3: sample line needs 23 tab-separated fields"
+        );
     }
 
     #[test]
@@ -1165,6 +1180,27 @@ mod tests {
         assert_eq!(back.to_training_db().len(), 4);
 
         let text = std::fs::read_to_string(&path).unwrap();
+        // A file cut at a line boundary still ends in a newline, so only
+        // the declared count can tell that a sample is missing.
+        let cut = &text[..text.trim_end().rfind('\n').unwrap() + 1];
+        std::fs::write(&path, cut).unwrap();
+        match PublishedSnapshot::read(&path) {
+            Err(AcicError::Store { reason, .. }) => {
+                assert!(reason.contains("holds 3 samples, header says 4"), "{reason}")
+            }
+            other => panic!("expected Store error, got {other:?}"),
+        }
+        // A bad point field names its line once.
+        let first = text.lines().nth(2).unwrap();
+        let f: Vec<&str> = first.split('\t').collect();
+        let bad_device = [&f[..6], &["9"], &f[7..]].concat().join("\t");
+        let err = PublishedSnapshot::parse(&text.replacen(first, &bad_device, 1)).unwrap_err();
+        assert_eq!(err, "snapshot line 3: bad device code");
+        // A file of another kind names the version header it has.
+        let err = PublishedSnapshot::parse("acic-db v1\ncollect_secs=0 collect_cost_usd=0\n")
+            .unwrap_err();
+        assert!(err.contains("\"acic-db v1\", want \"acic-snapshot v1\""), "{err}");
+
         // The i=0 sample's cost_improvement is 0.6 and ends its line;
         // nudging it to a different (still valid) value must trip the
         // content-hash check.
@@ -1264,8 +1300,6 @@ mod tests {
         assert_eq!(snap.hash, 0x0e97_1217_7e62_eeb9);
         assert_eq!(fnv_bytes(text.as_bytes()), 0xd502_c08c_9228_eaad);
         assert_eq!(fnv_bytes(render_segment(&samples).as_bytes()), 0x7c7b_ed2c_44a5_81da);
-        let db_text = snap.to_training_db().to_text();
-        assert_eq!(fnv_bytes(db_text.as_bytes()), 0xb6dc_6132_5076_2455);
         assert_eq!(PublishedSnapshot::parse(&text).unwrap(), snap);
 
         // The WAL and MANIFEST a store writes for the same samples.

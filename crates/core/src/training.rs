@@ -22,7 +22,6 @@ use crate::features::{encode, encode_app_half, encode_system_half, N_FEATURES};
 use crate::journal::{self, CampaignId, JournalEntry, JournalWriter};
 use crate::objective::Objective;
 use crate::obs::Metrics;
-use crate::record::{Corrupt, Reader, Tail, Writer};
 use crate::resilience::{Collection, CollectionReport, PointProvenance, RetryPolicy, SkippedPoint};
 use crate::space::{AppPoint, ParamId, SpacePoint, SystemConfig};
 use acic_cart::Dataset;
@@ -49,7 +48,12 @@ pub struct TrainingPoint {
     pub cost_improvement: f64,
 }
 
-/// The (shareable, incrementally growable) training database.
+/// The (incrementally growable) training database in memory.  It is
+/// shared as a [`crate::store::PublishedSnapshot`]: `from_db` renders it
+/// in order, with a sample count and a content hash that a reader
+/// verifies, and `to_training_db` gives the points back.  The collection
+/// stats stay with the campaign that spent them; a snapshot carries only
+/// the points.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrainingDb {
     /// All observations.
@@ -859,8 +863,8 @@ pub(crate) fn push_f64(out: &mut Vec<u8>, x: f64) {
 pub(crate) const POINT_LINE_BYTES: usize = 128;
 
 /// Write one observation as the 17 tab-separated fields shared by the
-/// database text format, the checkpoint journal, and the store's sample
-/// lines — the one place that format is spelled out.
+/// checkpoint journal and the store's sample lines (WAL, segment and
+/// snapshot) — the one place that format is spelled out.
 pub(crate) fn write_point(out: &mut Vec<u8>, p: &TrainingPoint) {
     use acic_cloudsim::cluster::Placement;
     use acic_cloudsim::instance::InstanceType;
@@ -916,26 +920,26 @@ pub(crate) fn split_fields<const N: usize>(line: &str) -> Option<[&str; N]> {
     it.next().is_none().then_some(fields)
 }
 
-/// Parse the 17 fields written by [`write_point`].
-pub(crate) fn point_from_fields(f: &[&str], lineno: usize) -> Result<TrainingPoint, AcicError> {
+/// Parse the 17 fields written by [`write_point`].  An error is the
+/// reason alone: the caller knows the file and the line.
+pub(crate) fn point_from_fields(f: &[&str]) -> Result<TrainingPoint, &'static str> {
     use acic_cloudsim::cluster::Placement;
     use acic_cloudsim::device::DeviceKind;
     use acic_cloudsim::instance::InstanceType;
     use acic_fsim::{FsType, IoApi, IoOp};
 
-    let bad = |reason: &str| AcicError::Codec { line: lineno, reason: reason.into() };
     if f.len() != 17 {
-        return Err(bad("expected 17 tab-separated fields"));
+        return Err("expected 17 tab-separated fields");
     }
-    let num = |i: usize| -> Result<f64, AcicError> { f[i].parse().map_err(|_| bad("bad number")) };
-    let flag = |i: usize| -> Result<bool, AcicError> { Ok(num(i)? != 0.0) };
+    let num = |i: usize| f[i].parse::<f64>().map_err(|_| "bad number");
+    let flag = |i: usize| -> Result<bool, &'static str> { Ok(num(i)? != 0.0) };
     Ok(TrainingPoint {
         system: SystemConfig {
             device: match num(0)? as u8 {
                 0 => DeviceKind::Ebs,
                 1 => DeviceKind::Ephemeral,
                 2 => DeviceKind::Ssd,
-                _ => return Err(bad("bad device code")),
+                _ => return Err("bad device code"),
             },
             fs: if flag(1)? { FsType::Pvfs2 } else { FsType::Nfs },
             instance_type: if flag(2)? {
@@ -955,7 +959,7 @@ pub(crate) fn point_from_fields(f: &[&str], lineno: usize) -> Result<TrainingPoi
                 1 => IoApi::MpiIo,
                 2 => IoApi::Hdf5,
                 3 => IoApi::NetCdf,
-                _ => return Err(bad("bad api code")),
+                _ => return Err("bad api code"),
             },
             iterations: num(9)? as usize,
             data_size: num(10)?,
@@ -967,45 +971,6 @@ pub(crate) fn point_from_fields(f: &[&str], lineno: usize) -> Result<TrainingPoi
         perf_improvement: num(15)?,
         cost_improvement: num(16)?,
     })
-}
-
-/// Version line of the [`TrainingDb::to_text`] format.
-const DB_VERSION: &str = "acic-db v1";
-
-impl TrainingDb {
-    /// Serialize as a versioned, line-oriented text format (the paper's
-    /// released training data is a similar flat table; no external
-    /// serialization dependency needed), in the [`crate::record`] framing.
-    pub fn to_text(&self) -> String {
-        let (secs, cost) = (&self.collect_secs, &self.collect_cost_usd);
-        let mut file = Writer::new(DB_VERSION, 64 + self.points.len() * POINT_LINE_BYTES)
-            .summary("", &[("collect_secs", secs), ("collect_cost_usd", cost)]);
-        for p in &self.points {
-            file.record(|out| write_point(out, p));
-        }
-        file.finish()
-    }
-
-    /// Parse the [`Self::to_text`] format.  The text is written whole, so
-    /// an unterminated final line is rejected, never parsed.
-    pub fn from_text(text: &str) -> Result<TrainingDb, AcicError> {
-        let bad = |line: usize, reason: &str| AcicError::Codec { line, reason: reason.into() };
-        let framing = |e: Corrupt| AcicError::Codec { line: e.line, reason: e.reason };
-        let mut file = Reader::new(text, Tail::Reject);
-        file.version(DB_VERSION).map_err(framing)?;
-        let [secs, cost] =
-            file.summary("", ["collect_secs", "collect_cost_usd"]).map_err(framing)?;
-        let stat = |v: &str| v.parse().map_err(|_| bad(2, "bad stats number"));
-        let (collect_secs, collect_cost_usd) = (stat(secs)?, stat(cost)?);
-        let mut db = TrainingDb { points: Vec::new(), collect_secs, collect_cost_usd };
-        for record in file {
-            let (line, text) = record.map_err(framing)?;
-            let f: [&str; 17] =
-                split_fields(text).ok_or_else(|| bad(line, "expected 17 tab-separated fields"))?;
-            db.points.push(point_from_fields(&f, line)?);
-        }
-        Ok(db)
-    }
 }
 
 /// Bit-exact key of an app half (for baseline caching).
@@ -1274,8 +1239,8 @@ pub(crate) mod oracle {
     }
 
     /// Write one observation as the 17 tab-separated fields shared by the
-    /// database text format, the checkpoint journal, and the store's sample
-    /// lines — the one place that format is spelled out.
+    /// checkpoint journal and the store's sample lines — the one place
+    /// that format is spelled out.
     pub(crate) fn write_point(out: &mut impl std::fmt::Write, p: &TrainingPoint) -> std::fmt::Result {
         let sys = &p.system;
         let app = &p.app;
@@ -1459,40 +1424,20 @@ mod tests {
 
         /// The digit-loop writer renders every point byte for byte as the
         /// `write!` oracle does, keys fold exactly the words the
-        /// allocating oracle hashed, and the db text parses back to the
+        /// allocating oracle hashed, and a rendered line parses back to the
         /// same bits.
         #[test]
-        fn point_codec_matches_the_format_string_oracle(
-            p in oracle::any_point(),
-            q in oracle::any_point(),
-            stats in (oracle::any_f64(), oracle::any_f64()),
-        ) {
+        fn point_codec_matches_the_format_string_oracle(p in oracle::any_point()) {
             let mut line = Vec::new();
             write_point(&mut line, &p);
             prop_assert_eq!(String::from_utf8(line).unwrap(), oracle::point_to_line(&p));
             let sp = SpacePoint { system: p.system, app: p.app };
             prop_assert_eq!(point_key(&sp), oracle::fnv1a(&oracle::point_bits(&sp)));
 
-            let db =
-                TrainingDb { points: vec![p, q], collect_secs: stats.0, collect_cost_usd: stats.1 };
-            let want = format!(
-                "acic-db v1\ncollect_secs={} collect_cost_usd={}\n{}\n{}\n",
-                stats.0,
-                stats.1,
-                oracle::point_to_line(&p),
-                oracle::point_to_line(&q)
-            );
-            prop_assert_eq!(db.to_text(), want);
-
-            let lossless = TrainingDb {
-                points: vec![oracle::lossless(p), oracle::lossless(q)],
-                ..db
-            };
-            let back = TrainingDb::from_text(&lossless.to_text()).unwrap();
-            prop_assert_eq!(back.points.len(), 2);
-            for (a, b) in back.points.iter().zip(&lossless.points) {
-                prop_assert!(oracle::same_bits(a, b), "{:?} came back as {:?}", b, a);
-            }
+            let lossless = oracle::lossless(p);
+            let line = oracle::point_to_line(&lossless);
+            let back = point_from_fields(&split_fields::<17>(&line).unwrap()).unwrap();
+            prop_assert!(oracle::same_bits(&back, &lossless), "{lossless:?} came back as {back:?}");
         }
 
         /// Campaign fingerprints and point dedup fold the same words the
@@ -1699,37 +1644,6 @@ mod tests {
         assert_eq!(ds.len(), db.len());
         let ds_cost = db.to_dataset(Objective::Cost);
         assert_eq!(ds_cost.len(), db.len());
-    }
-
-    #[test]
-    fn codec_round_trips() {
-        let t = Trainer::with_paper_ranking(5);
-        let db = t.collect(3).unwrap();
-        let text = db.to_text();
-        let back = TrainingDb::from_text(&text).unwrap();
-        assert_eq!(back.len(), db.len());
-        assert!((back.collect_cost_usd - db.collect_cost_usd).abs() < 1e-9);
-        for (a, b) in db.points.iter().zip(&back.points) {
-            assert_eq!(a.system, b.system);
-            assert_eq!(a.app, b.app);
-            assert_eq!(a.perf_improvement, b.perf_improvement);
-            assert_eq!(a.cost_improvement, b.cost_improvement);
-        }
-    }
-
-    #[test]
-    fn codec_rejects_garbage() {
-        assert!(matches!(TrainingDb::from_text(""), Err(AcicError::Codec { line: 1, .. })));
-        assert!(TrainingDb::from_text("acic-db v2\n").is_err());
-        assert!(TrainingDb::from_text("acic-db v1\ncollect_secs=0 collect_cost_usd=0\n1\t2\n")
-            .is_err());
-        let bad_num = "acic-db v1\ncollect_secs=0 collect_cost_usd=0\n\
-                       x\t0\t1\t1\t1\t0\t64\t64\t1\t10\t1e6\t1e6\t1\t0\t1\t1.0\t1.0\n";
-        assert!(TrainingDb::from_text(bad_num).is_err());
-        // A db cut inside its last field: the shorter number would parse.
-        let text = Trainer::with_paper_ranking(5).collect(3).unwrap().to_text();
-        let cut = TrainingDb::from_text(&text[..text.len() - 3]);
-        assert!(matches!(cut, Err(AcicError::Codec { .. })), "{cut:?}");
     }
 
     #[test]

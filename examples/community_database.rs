@@ -6,33 +6,37 @@
 //! cargo run --release --example community_database
 //! ```
 //!
-//! One user bootstraps a sparse database and publishes it as a flat text
-//! file; another downloads it, gets recommendations immediately, then
+//! One user bootstraps a sparse database and publishes it as a snapshot
+//! file (the format `acic train --out` and `acic publish` write); another
+//! downloads it, has its sample count and content hash checked, gets
+//! recommendations immediately, then
 //! piggy-backs extra IOR runs in the residual time of their paid
 //! instance-hours and contributes the new points back; finally the
 //! database ages out stale points after a (simulated) hardware refresh.
 
 use acic_repro::acic::space::SpacePoint;
-use acic_repro::acic::{Acic, Objective, TrainingDb};
+use acic_repro::acic::{Acic, Objective, PublishedSnapshot};
 use acic_repro::apps::{AppModel, MadBench2};
+use acic_repro::cart::ModelKind;
 use acic_repro::cloudsim::pricing::CostModel;
 use acic_repro::cloudsim::units::mib;
 
 fn main() {
-    // --- User A: initial sparse training, shared as text. ---
+    // --- User A: initial sparse training, shared as a snapshot. ---
     println!("[user A] bootstrapping a sparse database (top 5 dimensions)...");
     let a = Acic::with_paper_ranking(5, 1).expect("bootstrap failed");
-    let shared_text = a.db.to_text();
+    let shared = PublishedSnapshot::from_db(&a.db, 1, ModelKind::Cart).render();
     println!(
-        "[user A] sharing {} points ({} KiB of text, ${:.2} collection cost)",
+        "[user A] sharing {} points ({} KiB snapshot, ${:.2} collection cost)",
         a.db.len(),
-        shared_text.len() / 1024,
+        shared.len() / 1024,
         a.db.collect_cost_usd
     );
 
-    // --- User B: download, decode, and query without any training. ---
-    let downloaded = TrainingDb::from_text(&shared_text).expect("decode failed");
-    let mut b = Acic::from_db(downloaded, 2).expect("model fit failed");
+    // --- User B: download, verify, and query without any training.  A
+    // download that lost or changed a sample fails its count or hash. ---
+    let downloaded = PublishedSnapshot::parse(&shared).expect("corrupt download");
+    let mut b = Acic::from_db(downloaded.to_training_db(), 2).expect("model fit failed");
     let app = MadBench2::paper(64);
     let before = b.recommend_for(&app, Objective::Cost, 1).expect("query failed")[0];
     println!(

@@ -1,6 +1,8 @@
 //! Cross-crate determinism: the entire pipeline is a pure function of its
 //! seeds.  Every figure/table binary depends on this to be reproducible.
 
+mod common;
+
 use acic_repro::acic::reducer::reduce;
 use acic_repro::acic::sweep::Spectrum;
 use acic_repro::acic::{Acic, Objective, Trainer};
@@ -11,7 +13,7 @@ use acic_repro::cloudsim::instance::InstanceType;
 fn training_database_text_is_bit_stable() {
     let a = Trainer::with_paper_ranking(99).collect(4).unwrap();
     let b = Trainer::with_paper_ranking(99).collect(4).unwrap();
-    assert_eq!(a.to_text(), b.to_text());
+    assert_eq!(common::db_bytes(&a), common::db_bytes(&b));
 }
 
 #[test]

@@ -90,11 +90,13 @@ fn incremental_contribution_changes_the_model_but_not_validity() {
 
 #[test]
 fn database_round_trips_through_the_shared_text_format() {
-    use acic_repro::acic::TrainingDb;
+    use acic_repro::acic::PublishedSnapshot;
+    use acic_repro::cart::ModelKind;
     let acic = Acic::with_paper_ranking(5, 3).unwrap();
-    let text = acic.db.to_text();
-    let back = TrainingDb::from_text(&text).unwrap();
-    assert_eq!(back.len(), acic.db.len());
+    // The shared file is a snapshot: share it, then refit from its points.
+    let text = PublishedSnapshot::from_db(&acic.db, 3, ModelKind::Cart).render();
+    let back = PublishedSnapshot::parse(&text).unwrap().to_training_db();
+    assert_eq!(back.points, acic.db.points);
     // A model trained on the decoded database must predict identically.
     let refit = Acic::from_db(back, 3).unwrap();
     let app = MpiBlast::paper(64);

@@ -2,13 +2,17 @@
 //! exploration space must execute cleanly on any deployable candidate
 //! configuration, with sane, finite outputs.
 
+mod common;
+
 use acic_repro::acic::space::{AppPoint, SpacePoint, SystemConfig};
 use acic_repro::acic::training::CollectOptions;
-use acic_repro::acic::{CommitConfig, Trainer, TrainingDb, TrainingPoint};
+use acic_repro::acic::{CommitConfig, PublishedSnapshot, Trainer, TrainingDb, TrainingPoint};
+use acic_repro::cart::ModelKind;
 use acic_repro::cloudsim::instance::InstanceType;
 use acic_repro::cloudsim::units::{kib, mib};
 use acic_repro::fsim::{FaultPlan, IoApi, IoOp};
 use acic_repro::iobench::run_ior;
+use common::db_bytes;
 use proptest::prelude::*;
 
 fn app_strategy() -> impl Strategy<Value = AppPoint> {
@@ -98,17 +102,17 @@ proptest! {
         prop_assert!((report.cost - expected).abs() < 1e-9 * expected.max(1.0));
     }
 
-    /// `to_text`/`from_text` is an identity on arbitrary databases — down
-    /// to the last bit of every f64 (Rust's `{}` float formatting is
+    /// A database shared as a snapshot (`from_db`, `render`, `parse`,
+    /// `to_training_db`) comes back point for point, in order, down to the
+    /// last bit of every f64 (Rust's `{}` float formatting is
     /// shortest-round-trip), which is what the checkpoint journal relies on.
     #[test]
-    fn db_text_codec_round_trips_exactly(
+    fn snapshot_codec_round_trips_exactly(
         rows in prop::collection::vec(
             (app_strategy(), config_strategy(), 1u64..u64::MAX, 1u64..u64::MAX),
             0..20,
         ),
-        secs_bits in 1u64..1u64 << 62,
-        cost_bits in 1u64..1u64 << 62,
+        seed in 0u64..u64::MAX,
     ) {
         // Map raw u64 bit patterns onto awkward finite positive floats so
         // the codec sees values with long decimal expansions.
@@ -123,11 +127,12 @@ proptest! {
                     cost_improvement: awkward(c),
                 })
                 .collect(),
-            collect_secs: awkward(secs_bits),
-            collect_cost_usd: awkward(cost_bits),
+            ..Default::default()
         };
-        let back = TrainingDb::from_text(&db.to_text()).unwrap();
-        prop_assert_eq!(back, db);
+        let snap = PublishedSnapshot::from_db(&db, seed, ModelKind::Cart);
+        let back = PublishedSnapshot::parse(&snap.render()).unwrap();
+        prop_assert_eq!(&back, &snap);
+        prop_assert_eq!(back.to_training_db(), db);
     }
 }
 
@@ -171,7 +176,7 @@ proptest! {
 
         prop_assert!(resumed.report.is_complete());
         prop_assert_eq!(&resumed.db, &truth.db);
-        prop_assert_eq!(resumed.db.to_text(), truth.db.to_text());
+        prop_assert_eq!(db_bytes(&resumed.db), db_bytes(&truth.db));
     }
 
     /// Append-after-truncate: a journal torn mid-record, resumed (which
@@ -219,7 +224,7 @@ proptest! {
 
         prop_assert!(resumed.report.is_complete());
         prop_assert_eq!(&resumed.db, &truth.db);
-        prop_assert_eq!(resumed.db.to_text(), truth.db.to_text());
+        prop_assert_eq!(db_bytes(&resumed.db), db_bytes(&truth.db));
     }
 
     /// Group commits never weaken crash semantics: a journal written
@@ -270,6 +275,6 @@ proptest! {
         prop_assert_eq!(&rebuilt, &full, "resumed journal must be byte-identical");
         prop_assert!(resumed.report.is_complete());
         prop_assert_eq!(&resumed.db, &truth.db);
-        prop_assert_eq!(resumed.db.to_text(), truth.db.to_text());
+        prop_assert_eq!(db_bytes(&resumed.db), db_bytes(&truth.db));
     }
 }

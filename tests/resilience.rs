@@ -3,9 +3,12 @@
 //! resumed — and the resumed database must be *bit-identical* to an
 //! uninterrupted run, at any worker count.
 
+mod common;
+
 use acic_repro::acic::training::CollectOptions;
 use acic_repro::acic::{RetryPolicy, Trainer};
 use acic_repro::fsim::FaultPlan;
+use common::db_bytes;
 use std::fs;
 use std::path::PathBuf;
 
@@ -45,7 +48,7 @@ fn killed_and_resumed_campaign_is_bit_identical_at_any_worker_count() {
     // Ground truth: one uninterrupted, journal-free run.
     let uninterrupted = trainer.collect_with(&points, &CollectOptions::default()).unwrap();
     assert!(uninterrupted.report.is_complete(), "paper-rate faults must all be retried away");
-    let truth_text = uninterrupted.db.to_text();
+    let truth_bytes = db_bytes(&uninterrupted.db);
 
     // A full journaled run provides the bytes we "kill" at the halfway point.
     let full_path = tmp("resilience-full.journal");
@@ -70,7 +73,7 @@ fn killed_and_resumed_campaign_is_bit_identical_at_any_worker_count() {
             resumed.db, uninterrupted.db,
             "resume at {workers} worker(s) diverged from the uninterrupted campaign"
         );
-        assert_eq!(resumed.db.to_text(), truth_text, "serialized bytes differ at {workers} workers");
+        assert_eq!(db_bytes(&resumed.db), truth_bytes, "bytes differ at {workers} workers");
         let _ = fs::remove_file(&path);
     }
     std::env::remove_var("RAYON_NUM_THREADS");

@@ -7,10 +7,13 @@
 //! simulation through both cores and compares finish times, served bytes,
 //! makespans and event counts bit for bit.
 
+mod common;
+
 use acic_cloudsim::{oracle, set_engine_override, SimEngine};
 use acic_repro::acic::training::CollectOptions;
 use acic_repro::acic::Trainer;
 use acic_repro::fsim::FaultPlan;
+use common::db_bytes;
 use std::fs;
 use std::path::PathBuf;
 
@@ -51,8 +54,8 @@ fn faulted_campaign_is_bit_identical_across_engines_even_through_a_kill() {
     let production = trainer.collect_with(&points, &CollectOptions::default()).unwrap();
     assert_eq!(production.db, reference.db, "cores diverged on a faulted campaign");
     assert_eq!(
-        production.db.to_text(),
-        reference.db.to_text(),
+        db_bytes(&production.db),
+        db_bytes(&reference.db),
         "cores produced different database bytes"
     );
     assert_eq!(production.report, reference.report, "cores saw different fault/retry traffic");
@@ -62,7 +65,7 @@ fn faulted_campaign_is_bit_identical_across_engines_even_through_a_kill() {
     let (checked, mismatched) = (oracle::checked_runs(), oracle::mismatched_runs());
     set_engine_override(SimEngine::Checked);
     let both = trainer.collect_with(&points, &CollectOptions::default()).unwrap();
-    assert_eq!(both.db.to_text(), reference.db.to_text());
+    assert_eq!(db_bytes(&both.db), db_bytes(&reference.db));
     assert!(oracle::checked_runs() > checked, "the campaign ran no simulation");
     assert_eq!(oracle::mismatched_runs(), mismatched, "a simulation diverged from the oracle");
 
@@ -86,7 +89,7 @@ fn faulted_campaign_is_bit_identical_across_engines_even_through_a_kill() {
         resumed.db, reference.db,
         "resume across cores diverged from the uninterrupted campaign"
     );
-    assert_eq!(resumed.db.to_text(), reference.db.to_text());
+    assert_eq!(db_bytes(&resumed.db), db_bytes(&reference.db));
 
     let _ = fs::remove_file(&path);
     set_engine_override(SimEngine::Production);
