@@ -1,38 +1,18 @@
 //! # acic-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper's evaluation (see DESIGN.md §4
-//! for the index), plus the `bench_*` binaries that write the `BENCH_*.json`
-//! artifacts (beside themselves, under the target directory; see
-//! [`beside_exe`]).
+//! for the index); each one's stdout is committed as `results/<name>.txt`.
 //! This library holds the pieces the binaries share: the registry of the
-//! nine evaluated application runs, and small table-printing helpers.
+//! nine evaluated application runs, and small table-printing helpers.  The
+//! lifecycle benchmark, `bench_e2e/`, imports the registry and
+//! [`stats::quantile`] from here.
 
 pub mod stats;
 
-use std::path::PathBuf;
-
 use acic::sweep::Spectrum;
-use acic::{AcicError, PublishedSnapshot, TrainingDb};
+use acic::AcicError;
 use acic_apps::{AppModel, Btio, FlashIo, MadBench2, MpiBlast};
-use acic_cart::ModelKind;
 use acic_cloudsim::instance::InstanceType;
-
-/// Where a `bench_*` binary writes its artifact or scratch directory
-/// `name`: beside the running executable, inside the target directory it
-/// was built into.  A run never rewrites the reference `BENCH_*.json`
-/// copies committed at the repo root, nor files of another checkout.
-pub fn beside_exe(name: &str) -> PathBuf {
-    let exe = std::env::current_exe().expect("path of the running executable");
-    exe.parent().expect("executable inside a directory").join(name)
-}
-
-/// Everything a collected database holds, as comparable bytes: the
-/// snapshot it renders to (every point's digits, in collection order) and
-/// the bits of both collection stats, which a snapshot does not carry.
-pub fn db_bytes(db: &TrainingDb) -> (String, u64, u64) {
-    let snapshot = PublishedSnapshot::from_db(db, 0, ModelKind::Cart).render();
-    (snapshot, db.collect_secs.to_bits(), db.collect_cost_usd.to_bits())
-}
 
 /// Root seed for all experiment binaries (determinism across runs).
 pub const EXPERIMENT_SEED: u64 = 20131117; // SC '13 started Nov 17, 2013.

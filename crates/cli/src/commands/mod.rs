@@ -27,7 +27,7 @@ USAGE:
   acic train      [--dims N] [--seed N] [--out FILE] [--ranking paper|screen]
                   [--faults none|paper-rate|PROB[,PENALTY[,ABORT]]]
                   [--retries N] [--resume JOURNAL] [--report] [--allow-skips]
-                  [--store DIR [--compact]] [--commit-batch N]
+                  [--store DIR [--compact]]
                   [--search pb|random|bandit|halving [--budget N] [--batch N]
                    [--plateau N] [--goal perf|cost] [--warm-start DIR]
                    [--plan-out FILE]]
@@ -42,9 +42,6 @@ USAGE:
         ingests the campaign into the durable training store (idempotent:
         re-ingesting a resumed campaign appends nothing new) and answers
         already-measured configurations from it instead of re-simulating.
-        --commit-batch sets the group-commit width of the journal writer
-        plane and store WAL (default 32; 1 = one write+fsync per point —
-        bytes on disk are identical at every width).
         --search replaces the exhaustive sweep with an adaptive campaign:
         a deterministic planner (PB-ranked opening book, UCB bandit over a
         CART surrogate, or successive halving) proposes measurement batches

@@ -32,7 +32,6 @@ pub fn run(args: &Args) -> Result<(), String> {
         "goal",
         "warm-start",
         "plan-out",
-        "commit-batch",
     ])?;
     if args.flag("compact") && args.get("store").is_none() {
         return Err("--compact requires --store".into());
@@ -52,14 +51,6 @@ pub fn run(args: &Args) -> Result<(), String> {
     let faults = FaultPlan::parse(args.get_or("faults", "none"))?;
     let retries: u32 = args.parse_or("retries", RetryPolicy::DEFAULT.max_retries)?;
     let retry = RetryPolicy { max_retries: retries, ..RetryPolicy::DEFAULT };
-    // Group-commit width for the journal writer plane and store WAL:
-    // `1` is the per-point durable oracle, larger batches amortize the
-    // write+sync cost.  Bytes on disk are identical at every setting.
-    let commit_batch: usize = args.parse_or("commit-batch", CommitConfig::default().batch)?;
-    if commit_batch == 0 {
-        return Err("--commit-batch must be >= 1".into());
-    }
-    let commit = CommitConfig { batch: commit_batch, sync: true };
 
     let trainer = match args.get_or("ranking", "paper") {
         "paper" => Trainer::with_paper_ranking(seed),
@@ -134,7 +125,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             metrics: Some(&metrics),
             lookup: if lookup.is_empty() { None } else { Some(&lookup) },
             warm: &warm,
-            commit,
+            commit: CommitConfig::default(),
         };
         let out = {
             let _span = metrics.span("phase.train");
@@ -164,7 +155,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             strict: false,
             subset: None,
             lookup: lookup.as_ref(),
-            commit,
+            commit: CommitConfig::default(),
         };
         let _span = metrics.span("phase.train");
         trainer.collect_with(&points, &opts).map_err(|e| e.to_string())?
@@ -190,10 +181,10 @@ pub fn run(args: &Args) -> Result<(), String> {
     // Durable ingest: append this campaign's observations (with their
     // provenance) to the training store.  Idempotent — re-running or
     // resuming the same campaign appends nothing new.  WAL appends share
-    // the journal's group-commit width.
+    // the journal's default group-commit width.
     if let (Some(dir), Some(store)) = (args.get("store"), store.as_mut()) {
         let stats = store
-            .ingest_collection_with(&trainer.campaign_id(&points), &collection, commit)
+            .ingest_collection(&trainer.campaign_id(&points), &collection)
             .map_err(|e| e.to_string())?;
         metrics.incr("store.wal_batches", stats.batches as u64);
         eprintln!(

@@ -2,8 +2,8 @@
 //! verbatim for tests to compare the production core against.
 //!
 //! It is compiled only under the `oracle` cargo feature, which test
-//! targets and `bench_sim` enable; release binaries carry one simulator
-//! core and no way to select another.  The production core
+//! targets enable; release binaries carry one simulator core and no way
+//! to select another.  The production core
 //! ([`crate::engine`]) must reproduce it bit for bit: per-flow finish
 //! times, makespan, event count, and per-resource served bytes.
 //!

@@ -31,8 +31,6 @@ pub struct Acic {
     pub ranking: Vec<ParamId>,
     /// The PB screening result, when the ranking came from a screen.
     pub reduction: Option<Reduction>,
-    /// How many top-ranked parameters the training swept.
-    pub trained_dims: usize,
     seed: u64,
 }
 
@@ -53,7 +51,6 @@ impl Acic {
             predictor,
             ranking: reduction.ranking.clone(),
             reduction: Some(reduction),
-            trained_dims: top_n,
             seed,
         })
     }
@@ -64,14 +61,7 @@ impl Acic {
         let trainer = Trainer::with_paper_ranking(seed);
         let db = trainer.collect(top_n)?;
         let predictor = Predictor::train(&db, seed)?;
-        Ok(Self {
-            db,
-            predictor,
-            ranking: trainer.ranking,
-            reduction: None,
-            trained_dims: top_n,
-            seed,
-        })
+        Ok(Self { db, predictor, ranking: trainer.ranking, reduction: None, seed })
     }
 
     /// Build from an existing database (e.g. the points of a shared
@@ -94,7 +84,6 @@ impl Acic {
             predictor,
             ranking: Trainer::with_paper_ranking(seed).ranking,
             reduction: None,
-            trained_dims: ParamId::ALL.len(),
             seed,
         })
     }

@@ -28,7 +28,8 @@
 //!   file is always a prefix of the clean run's file.
 //!
 //! `batch = 1` degenerates to one durable commit per line — the per-point
-//! oracle the benchmark gate compares against.
+//! oracle that `tests/resilience.rs` compares the default width against,
+//! byte for byte.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -36,7 +37,8 @@ use std::io::{self, Write as _};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::thread::JoinHandle;
 
-/// Default lines coalesced per group commit (CLI `train --commit-batch`).
+/// Default lines coalesced per group commit (the width every CLI campaign
+/// commits at).
 /// Tuned for campaign-scale point rates: large enough to collapse a
 /// 96-point campaign into a handful of fsyncs, small enough that a kill
 /// loses at most a few tens of milliseconds of finished work.
@@ -62,7 +64,7 @@ impl Default for CommitConfig {
 
 impl CommitConfig {
     /// The per-point oracle: every line is its own durable commit
-    /// (the pre-group-commit behavior, kept as the benchmark baseline).
+    /// (the pre-group-commit behavior, kept as the byte-identity baseline).
     pub fn per_point() -> Self {
         Self { batch: 1, sync: true }
     }

@@ -64,9 +64,7 @@ impl fmt::Display for AcicError {
             AcicError::Journal { path, reason } => {
                 write!(f, "unusable training journal {path}: {reason}")
             }
-            AcicError::Store { path, reason } => {
-                write!(f, "unusable training store {path}: {reason}")
-            }
+            AcicError::Store { path, reason } => write!(f, "unusable {path}: {reason}"),
         }
     }
 }
@@ -98,6 +96,13 @@ mod tests {
         let e = AcicError::Invalid("bad field".into());
         assert!(e.to_string().contains("bad field"));
         assert!(std::error::Error::source(&e).is_none());
+        // The path or reason names the file kind (store, segment,
+        // snapshot), so the variant does not name one itself.
+        let e = AcicError::Store {
+            path: "snap.txt".into(),
+            reason: "snapshot holds 11 samples, header says 12".into(),
+        };
+        assert_eq!(e.to_string(), "unusable snap.txt: snapshot holds 11 samples, header says 12");
     }
 
     #[test]

@@ -387,6 +387,7 @@ mod tests {
     use super::*;
     use crate::space::SpacePoint;
     use crate::training::Trainer;
+    use acic_cloudsim::units::kib;
 
     fn small_db() -> TrainingDb {
         Trainer::with_paper_ranking(5).collect(4).unwrap()
@@ -531,7 +532,21 @@ mod tests {
             small.io_procs = 32;
             base.data_size = mib(512.0);
             base.collective = true;
-            vec![SpacePoint::default_point().app, small, base]
+            let mut apps = vec![SpacePoint::default_point().app, small, base];
+            // Shapes that vary what the trees split on (data and request
+            // size, collectivity, scale), for many root-to-leaf paths.
+            for (i, data_mib) in [1.0, 4.0, 16.0, 64.0].into_iter().enumerate() {
+                for req_kib in [64.0, 4096.0] {
+                    let mut app = SpacePoint::default_point().app;
+                    app.data_size = mib(data_mib);
+                    app.request_size = kib(req_kib);
+                    app.collective = i % 2 == 0;
+                    app.nprocs = [16, 64, 256][i % 3];
+                    app.io_procs = app.nprocs;
+                    apps.push(app.normalized());
+                }
+            }
+            apps
         };
         let kinds = [
             acic_cart::ModelKind::Cart,

@@ -546,9 +546,9 @@ impl Store {
         self.ingest(&samples_from_collection(id, collection)?)
     }
 
-    /// [`Self::ingest_collection`] with an explicit commit configuration
-    /// (the CLI threads `train --commit-batch` through here so journal and
-    /// WAL share one durability knob).
+    /// [`Self::ingest_collection`] with an explicit commit configuration,
+    /// so a campaign journaled at a non-default width can ingest at the
+    /// same width.
     pub fn ingest_collection_with(
         &mut self,
         id: &journal::CampaignId,

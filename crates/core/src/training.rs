@@ -455,8 +455,8 @@ impl Trainer {
                 m.record_max("journal.queue_high_water", stats.queue_high_water);
             }
             // Collection throughput of this session's parallel loop (real
-            // wall clock, not simulated seconds) — the number BENCH_train
-            // gates.
+            // wall clock, not simulated seconds) — what `bench_e2e`
+            // reports as `training.loop_points_per_s`.
             if !todo.is_empty() && session_secs > 0.0 {
                 m.record_max(
                     "train.points_per_sec",

@@ -327,8 +327,8 @@ pub fn run_search(
         m.incr("search.measurements", plan.measurements() as u64);
         m.incr("search.store_hits", plan.store_hits() as u64);
         m.incr("search.warm_priors", plan.warm_priors as u64);
-        // The per-round improvement curve (bench_search turns this into
-        // regret against the exhaustive ground truth).
+        // The per-round improvement curve (`train --search --report`
+        // prints it, one entry per round).
         for r in &plan.rounds {
             if r.best.is_finite() {
                 m.observe_secs(&format!("search.round{:02}.best", r.round), r.best);

@@ -30,8 +30,8 @@
 //!
 //! Responses are deterministic: the payload is a pure function of
 //! (snapshot version, canonical key); concurrency only changes timing.
-//! `acic serve` drives this from a replay file; `bench_serve` is the
-//! closed-loop load generator.
+//! `acic serve` drives this from a replay file; `bench_e2e` drives a
+//! cluster of it with an open-loop load generator.
 
 pub mod cache;
 pub mod cluster;

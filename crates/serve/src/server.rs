@@ -63,8 +63,8 @@ pub struct ServeConfig {
     pub instance_type: InstanceType,
     /// Simulated per-request downstream stall (serialization, network,
     /// follow-up I/O in a real deployment).  Zero in production paths;
-    /// tests and `bench_serve`'s admission and hot-swap lanes set it so
-    /// that queues fill and publishes race queued requests.
+    /// only tests set it, so that queues fill and publishes race queued
+    /// requests.
     pub service_stall: Duration,
 }
 
@@ -987,6 +987,50 @@ mod tests {
             assert_eq!(resp.snapshot_version, 2, "admitted after the publish");
             assert_eq!(*resp.top, direct(&p2));
             server.shutdown();
+        });
+    }
+
+    #[test]
+    fn a_held_worker_drains_a_backlog_in_batches_of_the_configured_width() {
+        // The worker is held at a barrier while 12 distinct requests
+        // queue behind it, so its first drain finds the whole backlog:
+        // at the default width of 8 it must take 8 and then 4.  A drain
+        // that took fewer per wakeup still answers correctly; only the
+        // batch counters tell it apart.
+        let (p, n) = predictor(3, 3);
+        crate::queue::watchdog("held worker drains in batches", move || {
+            let gate = Arc::new(std::sync::Barrier::new(2));
+            let hold = Arc::clone(&gate);
+            let metrics = Metrics::new();
+            let cfg = ServeConfig::default();
+            assert_eq!(cfg.batch, 8);
+            let server = Server::start_with_spawner(
+                p.clone(),
+                n,
+                cfg,
+                metrics.clone(),
+                1,
+                move |w, shared, first| {
+                    let hold = Arc::clone(&hold);
+                    std::thread::Builder::new().spawn(move || {
+                        hold.wait();
+                        worker_loop(&shared, w, first)
+                    })
+                },
+            )
+            .unwrap();
+            let h = server.handle();
+            let pending: Vec<(usize, Pending)> =
+                (1..=12).map(|k| (k, h.submit(request(k)).unwrap())).collect();
+            gate.wait();
+            let app = SpacePoint::default_point().app;
+            for (k, pend) in pending {
+                let want = p.top_k(&app, Objective::Performance, InstanceType::Cc2_8xlarge, k);
+                assert_eq!(*pend.wait().unwrap().top, want, "k={k}");
+            }
+            server.shutdown();
+            assert_eq!(metrics.counter("serve.fused_batch.batches"), 2);
+            assert_eq!(metrics.counter("serve.fused_batch.max_requests"), 8);
         });
     }
 

@@ -82,7 +82,9 @@ fn concurrent_queries_see_exactly_one_generation() {
         let done = AtomicBool::new(false);
         let started = std::sync::atomic::AtomicUsize::new(0);
         let n_clients = 4usize;
-        let collected: Vec<(usize, u64, Vec<(SystemConfig, f64)>)> = std::thread::scope(|s| {
+        // Per client, in order: (request index, version, payload).
+        type Answers = Vec<(usize, u64, Vec<(SystemConfig, f64)>)>;
+        let per_client: Vec<Answers> = std::thread::scope(|s| {
             let mut clients = Vec::new();
             for c in 0..n_clients {
                 let h = h.clone();
@@ -130,8 +132,28 @@ fn concurrent_queries_see_exactly_one_generation() {
                 std::thread::yield_now();
             }
             done.store(true, Ordering::Release);
-            clients.into_iter().flat_map(|c| c.join().unwrap()).collect()
+            clients.into_iter().map(|c| c.join().unwrap()).collect()
         });
+
+        // Each client waits for every answer before it sends the next
+        // query, and a shard answers its FIFO queue on the generation of
+        // the last marker ahead of each job, so the versions a client sees
+        // from one shard never go back.  (Across shards they can: a
+        // publish queues its marker on one shard after another.)
+        let shards = server.config().workers;
+        for (c, answers) in per_client.iter().enumerate() {
+            let mut last = vec![0u64; shards];
+            for &(idx, version, _) in answers {
+                let shard = reqs[idx].key(InstanceType::Cc2_8xlarge).shard(shards);
+                assert!(
+                    version >= last[shard],
+                    "round {round}: client {c} saw v{version} after v{} on shard {shard}",
+                    last[shard]
+                );
+                last[shard] = version;
+            }
+        }
+        let collected: Vec<_> = per_client.into_iter().flatten().collect();
 
         let mut versions_seen = std::collections::BTreeSet::new();
         for (idx, version, top) in &collected {

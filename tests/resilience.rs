@@ -6,7 +6,8 @@
 mod common;
 
 use acic_repro::acic::training::CollectOptions;
-use acic_repro::acic::{RetryPolicy, Trainer};
+use acic_repro::acic::{CommitConfig, PublishedSnapshot, RetryPolicy, Store, Trainer};
+use acic_repro::cart::ModelKind;
 use acic_repro::fsim::FaultPlan;
 use common::db_bytes;
 use std::fs;
@@ -138,4 +139,59 @@ fn skips_are_journaled_and_survive_resume() {
     assert_eq!(resumed.report.skipped.len(), points.len(), "skips must be restored");
     assert_eq!(resumed.db, first.db);
     let _ = fs::remove_file(&path);
+}
+
+/// Every byte a journaled campaign leaves behind when it is collected and
+/// ingested into a fresh store at `commit`, then compacted and published
+/// as `acic publish` does, by artifact; plus its group-commit count.
+fn durable_bytes(
+    trainer: &Trainer,
+    dims: usize,
+    name: &str,
+    commit: CommitConfig,
+) -> ([(&'static str, Vec<u8>); 5], usize) {
+    let (journal, dir) = (tmp(&format!("{name}.journal")), tmp(&format!("{name}-store")));
+    let _ = fs::remove_file(&journal);
+    let _ = fs::remove_dir_all(&dir);
+    let points = trainer.sample_points(dims);
+    let opts = CollectOptions { journal: Some(&journal), commit, ..Default::default() };
+    let collection = trainer.collect_with(&points, &opts).unwrap();
+    assert!(collection.report.is_complete(), "{name}: a point was skipped");
+    let mut store = Store::open(&dir).unwrap();
+    store.ingest_collection_with(&trainer.campaign_id(&points), &collection, commit).unwrap();
+    let wal = fs::read(dir.join("wal.log")).unwrap();
+    let hash = store.compact().unwrap().hash;
+    let snapshot =
+        PublishedSnapshot { hash, seed: 7, model: ModelKind::Cart, samples: store.canonical() };
+    let bytes = [
+        ("journal", fs::read(&journal).unwrap()),
+        ("database", format!("{:?}", db_bytes(&collection.db)).into_bytes()),
+        ("WAL", wal),
+        ("MANIFEST", fs::read(dir.join("MANIFEST")).unwrap()),
+        ("published snapshot", snapshot.render().into_bytes()),
+    ];
+    let _ = fs::remove_file(&journal);
+    let _ = fs::remove_dir_all(&dir);
+    (bytes, collection.report.group_commits)
+}
+
+#[test]
+fn per_point_and_group_commits_leave_identical_bytes() {
+    // The writer plane only amortizes durability: one durable commit per
+    // line and the default group width must write the same bytes.
+    for (trainer, dims, name, commits) in [
+        (paper_trainer(7), 4, "commit-faulted", None),
+        (Trainer::with_paper_ranking(7), 5, "commit-grid5", Some((96, 3))),
+    ] {
+        let (per_point, per_point_commits) =
+            durable_bytes(&trainer, dims, &format!("{name}-1"), CommitConfig::per_point());
+        let (grouped, group_commits) =
+            durable_bytes(&trainer, dims, &format!("{name}-32"), CommitConfig::default());
+        for ((kind, a), (_, b)) in per_point.iter().zip(&grouped) {
+            assert!(a == b, "{name}: the commit width changed the {kind} bytes");
+        }
+        if let Some(want) = commits {
+            assert_eq!((per_point_commits, group_commits), want, "{name}: group commits");
+        }
+    }
 }
