@@ -327,13 +327,6 @@ pub fn run_search(
         m.incr("search.measurements", plan.measurements() as u64);
         m.incr("search.store_hits", plan.store_hits() as u64);
         m.incr("search.warm_priors", plan.warm_priors as u64);
-        // The per-round improvement curve (`train --search --report`
-        // prints it, one entry per round).
-        for r in &plan.rounds {
-            if r.best.is_finite() {
-                m.observe_secs(&format!("search.round{:02}.best", r.round), r.best);
-            }
-        }
     }
 
     Ok(SearchOutcome { collection, plan, best_index })
@@ -498,6 +491,11 @@ mod tests {
         let out = run_search(&t, &points, &cfg).unwrap();
         assert_eq!(m.counter("search.measurements"), out.plan.measurements() as u64);
         assert_eq!(m.counter("search.rounds"), out.plan.rounds.len() as u64);
-        assert!(m.total_secs("search.round00.best") > 0.0);
+        // A round's best is a ratio, recorded exactly in the plan, never
+        // rendered as a timing.
+        let rendered = m.render();
+        let timed =
+            |l: &str| l.trim_start().starts_with("search.round") && l.ends_with("observation(s)");
+        assert!(!rendered.lines().any(timed), "{rendered}");
     }
 }

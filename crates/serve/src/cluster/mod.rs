@@ -42,9 +42,8 @@ pub use harness::{KillPlan, ReplayOptions, ReplayOutcome, Trace};
 pub use ring::{NodeId, Ring};
 pub use transport::{ClusterError, Loopback};
 
-use crate::server::{Pending, Request, Response, ServeConfig, Server};
+use crate::server::{Pending, Request, Response, ServeConfig, Server, INSTANCE_TYPE};
 use acic::{AcicError, CacheKey, CounterHandle, Metrics, Predictor, PublishedSnapshot};
-use acic_cloudsim::instance::InstanceType;
 use std::sync::Arc;
 
 /// Tuning knobs of a [`Cluster`].
@@ -178,6 +177,10 @@ impl Cluster {
     }
 
     /// `node`'s result-cache `(hits, misses, hit_rate)`, when it is up.
+    /// The counts are read from the node's registry
+    /// ([`Server::cache_stats`]), so like its other per-node counters they
+    /// span its whole cluster membership: a rejoined node starts with a
+    /// cold cache, and its counts carry on from before the kill.
     pub fn node_cache_stats(&self, node: NodeId) -> Option<(u64, u64, f64)> {
         self.servers[node.0 as usize].as_ref().map(Server::cache_stats)
     }
@@ -188,7 +191,6 @@ impl Cluster {
             ring: self.ring.clone(),
             transport: Arc::clone(&self.transport),
             shed_node_down: self.metrics.counter_handle("cluster.requests_shed_node_down"),
-            instance_type: self.node_cfg.instance_type,
         }
     }
 
@@ -300,9 +302,6 @@ pub struct ClusterClient {
     /// registered once per [`Cluster::client`]: a shed counts itself
     /// without the registry lock.
     shed_node_down: CounterHandle,
-    /// The nodes' candidate instance type: the one canonical keys are
-    /// built on.
-    instance_type: InstanceType,
 }
 
 impl ClusterClient {
@@ -314,7 +313,7 @@ impl ClusterClient {
     }
 
     fn key(&self, req: &Request) -> CacheKey {
-        req.key(self.instance_type)
+        req.key(INSTANCE_TYPE)
     }
 
     /// Lossless submit: route, then block while the owner's shard queue is

@@ -11,11 +11,11 @@
 //!   flowing, and in-flight requests finish on the generation they were
 //!   admitted under.
 //! * [`queue`] — bounded MPMC shard queues: the admission-control
-//!   mechanism (typed [`ServeError::Overloaded`] rejection + shed
-//!   counters) that keeps an overloaded server's memory flat.
-//! * [`cache`] — a sharded LRU of top-k answers keyed by the canonical
-//!   [`acic::CacheKey`] *and* the snapshot version, so hot-swaps
-//!   invalidate logically without a stop-the-world flush.
+//!   mechanism (typed [`ServeError::Overloaded`] rejection) that keeps an
+//!   overloaded server's memory flat.
+//! * [`cache`] — a plain LRU of top-k answers keyed by the canonical
+//!   [`acic::CacheKey`].  Each worker owns one for its shard's keys and
+//!   clears it when a new generation reaches it, so it takes no lock.
 //! * [`server`] — the worker pool tying it together: requests are routed
 //!   to shards by stable key hash, pinned to the snapshot they were
 //!   admitted under, drained in batches, and accounted (queue wait, and

@@ -2,10 +2,10 @@
 //!
 //! Every worker shard owns one of these.  The bound is the backpressure
 //! mechanism: when producers outrun the worker, [`BoundedQueue::try_push`]
-//! refuses (and counts the shed) instead of growing without limit, which
-//! is what keeps a overloaded server's memory flat.  Replay-style clients
-//! that must not lose requests use [`BoundedQueue::push_wait`] and block
-//! until a slot frees up.
+//! refuses instead of growing without limit, which is what keeps an
+//! overloaded server's memory flat.  Replay-style clients that must not
+//! lose requests use [`BoundedQueue::push_wait`] and block until a slot
+//! frees up.
 //!
 //! Wake only parked threads, and only when what they wait for appears: the
 //! queue counts the consumers and producers parked on each condvar under
@@ -20,12 +20,14 @@
 //! under the mutex, so a signaller that sees zero cannot miss a waiter.
 //! [`BoundedQueue::close`] still wakes everyone.
 //!
-//! A marker ([`BoundedQueue::push_marker`]) keeps its place in the FIFO
-//! but bypasses the bound: it is never refused for capacity, never counted
-//! in [`BoundedQueue::len`] or toward a drain's `max`, and never shed.  The
-//! serve pool queues a published snapshot generation this way, so a
-//! publish never waits behind a full queue and never takes a request's
-//! slot.
+//! A marker ([`BoundedQueue::push_marker_all`]) keeps its place in the
+//! FIFO but bypasses the bound: it is never refused for capacity, never
+//! counted in [`BoundedQueue::len`] or toward a drain's `max`, and never
+//! shed.  The serve pool queues a published snapshot generation this way,
+//! so a publish never waits behind a full queue and never takes a
+//! request's slot.  It queues the marker on every shard queue at once:
+//! every queue is locked before any marker is pushed, so no producer can
+//! queue behind the marker on one shard and ahead of it on another.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -33,8 +35,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 /// Why a `try_push` was refused.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
-    /// The queue is at capacity; the item is handed back and the shed
-    /// counter has been incremented.
+    /// The queue is at capacity; the item is handed back.
     Full(T),
     /// The queue was closed; no more work is accepted.
     Closed(T),
@@ -48,7 +49,6 @@ struct Inner<T> {
     /// Queued items that count toward the bound.
     bounded: usize,
     closed: bool,
-    shed: u64,
     /// Consumers parked on `not_empty`.
     parked_consumers: usize,
     /// Producers parked on `not_full`.
@@ -73,7 +73,6 @@ impl<T> BoundedQueue<T> {
                 items: VecDeque::with_capacity(capacity),
                 bounded: 0,
                 closed: false,
-                shed: 0,
                 parked_consumers: 0,
                 parked_producers: 0,
             }),
@@ -104,25 +103,33 @@ impl<T> BoundedQueue<T> {
 
     /// Admission-controlled push: enqueue or refuse immediately.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut inner = self.lock();
+        let inner = self.lock();
         if inner.closed {
             return Err(PushError::Closed(item));
         }
         if inner.bounded >= self.capacity {
-            inner.shed += 1;
             return Err(PushError::Full(item));
         }
         self.push_locked(inner, item, true);
         Ok(())
     }
 
-    /// Enqueue a marker behind everything already queued, past the bound:
-    /// never refused for capacity, never counted in [`Self::len`] or
-    /// toward a drain's `max`, never shed.  A closed queue drops it.
-    pub fn push_marker(&self, item: T) {
-        let inner = self.lock();
-        if !inner.closed {
-            self.push_locked(inner, item, false);
+    /// Enqueue one marker, made by `make`, behind everything already
+    /// queued in each of `queues`, past the bound: never refused for
+    /// capacity, never counted in [`Self::len`] or toward a drain's `max`,
+    /// never shed.  A closed queue gets none.
+    ///
+    /// Every queue is locked, in slice order, before the first marker is
+    /// pushed, so an item pushed behind the marker in one queue is pushed
+    /// behind it in every other.  Calls must not overlap (the serve pool's
+    /// publishes are serialized by its snapshot store) and no other path
+    /// holds two queue locks, so the lock order cannot deadlock.
+    pub fn push_marker_all(queues: &[Self], mut make: impl FnMut() -> T) {
+        let locked: Vec<_> = queues.iter().map(|q| (q, q.lock())).collect();
+        for (q, inner) in locked {
+            if !inner.closed {
+                q.push_locked(inner, make(), false);
+            }
         }
     }
 
@@ -211,11 +218,6 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
-    /// Number of `try_push` attempts refused for capacity since creation.
-    pub fn shed_count(&self) -> u64 {
-        self.lock().shed
-    }
-
     /// The configured bound.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -263,14 +265,13 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_sheds_and_counts() {
+    fn full_queue_refuses_and_hands_the_item_back() {
         let q = BoundedQueue::new(2);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         assert_eq!(q.try_push(3), Err(PushError::Full(3)));
         assert_eq!(q.try_push(4), Err(PushError::Full(4)));
-        assert_eq!(q.shed_count(), 2);
-        assert_eq!(q.len(), 2, "shed items never entered the queue");
+        assert_eq!(q.len(), 2, "refused items never entered the queue");
     }
 
     #[test]
@@ -282,7 +283,11 @@ mod tests {
         assert_eq!(q.push_wait(9), Err(9));
         assert_eq!(pop(&q, 4), vec![7], "remainder drains after close");
         assert!(pop(&q, 4).is_empty(), "then consumers see the closed state");
-        assert_eq!(q.shed_count(), 0, "closed refusals are not sheds");
+    }
+
+    /// Push one marker `tag` into `q` alone.
+    fn marker(q: &BoundedQueue<i32>, tag: i32) {
+        BoundedQueue::push_marker_all(std::slice::from_ref(q), || tag);
     }
 
     #[test]
@@ -290,10 +295,10 @@ mod tests {
         let q = BoundedQueue::new(2);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
-        // A full queue still takes a marker: not refused, not shed, not
-        // counted toward the bound.
-        q.push_marker(-1);
-        assert_eq!((q.len(), q.shed_count()), (2, 0));
+        // A full queue still takes a marker: not refused, not counted
+        // toward the bound.
+        marker(&q, -1);
+        assert_eq!(q.len(), 2);
         assert_eq!(q.try_push(3), Err(PushError::Full(3)));
         // Markers do not count toward `max`: a drain of two moves both
         // bounded items and stops there, leaving the marker at the front.
@@ -304,7 +309,6 @@ mod tests {
         q.try_push(4).unwrap();
         q.try_push(5).unwrap();
         assert_eq!(q.try_push(6), Err(PushError::Full(6)));
-        assert_eq!(q.shed_count(), 2);
         // The marker comes out ahead of what was queued behind it.
         out.clear();
         assert_eq!(q.pop_batch(1, &mut out), 1);
@@ -312,7 +316,7 @@ mod tests {
         // A marker behind the drain's last bounded item waits for the
         // next drain, which moves no bounded item yet is not the closed
         // signal.  A closed queue drops markers.
-        q.push_marker(-2);
+        marker(&q, -2);
         out.clear();
         assert_eq!(q.pop_batch(1, &mut out), 1);
         assert_eq!(out, vec![5]);
@@ -320,10 +324,26 @@ mod tests {
         assert_eq!(q.pop_batch(4, &mut out), 0);
         assert_eq!(out, vec![-2]);
         q.close();
-        q.push_marker(-3);
+        marker(&q, -3);
         out.clear();
         assert_eq!(q.pop_batch(4, &mut out), 0);
         assert!(out.is_empty(), "closed and drained");
+    }
+
+    #[test]
+    fn one_marker_lands_behind_the_items_of_every_open_queue() {
+        let queues: Vec<BoundedQueue<i32>> = (0..3).map(|_| BoundedQueue::new(1)).collect();
+        queues[0].try_push(1).unwrap();
+        queues[2].close();
+        let mut made = 0;
+        BoundedQueue::push_marker_all(&queues, || {
+            made += 1;
+            -made
+        });
+        assert_eq!(made, 2, "a closed queue gets no marker");
+        assert_eq!(pop(&queues[0], 4), vec![1, -1]);
+        assert_eq!(pop(&queues[1], 4), vec![-2]);
+        assert!(pop(&queues[2], 4).is_empty());
     }
 
     #[test]
@@ -340,7 +360,6 @@ mod tests {
         // the drained signal, which is why consumers must use max >= 1).
         q.close();
         assert!(pop(&q, 0).is_empty());
-        assert_eq!(q.shed_count(), 0);
     }
 
     #[test]

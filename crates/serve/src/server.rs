@@ -3,8 +3,8 @@
 //!
 //! Requests are canonicalized into a [`CacheKey`] at the door and routed
 //! to a worker shard by the key's run-stable hash, so repeated queries for
-//! the same application always meet their own cache shard and batch
-//! together.  Each request is answered from the exact snapshot generation
+//! the same application always meet the same worker, its cache and its
+//! batches.  Each request is answered from the exact snapshot generation
 //! it was admitted under, no matter how batching or hot-swaps interleave,
 //! yet carries no reference to it: each worker is handed the first
 //! generation when it is spawned, and [`Server::publish`] queues every
@@ -17,10 +17,11 @@
 //!
 //! Workers drain up to `batch` queued jobs per wakeup, into a buffer each
 //! worker owns, and answer them in one pass, in admission order: each job
-//! probes the versioned cache and, on a miss, is scored on the generation
-//! it was admitted under (`ModelSnapshot::answer`, one candidate-grid walk
-//! per query) and inserted at once, so duplicate keys within a batch are
-//! computed once; then it is replied to before the next job starts.  At
+//! probes the worker's own result cache and, on a miss, is scored on the
+//! generation it was admitted under (`ModelSnapshot::answer`, one
+//! candidate-grid walk per query) and inserted at once, so duplicate keys
+//! within a batch are computed once; then it is replied to before the next
+//! job starts.  A worker clears its cache at each generation marker.  At
 //! `batch: 1` every drain holds one job, so the same code answers request
 //! by request; payloads and cache accounting are identical at any batch
 //! size.
@@ -46,6 +47,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+/// The candidate instance type every query ranks over: the paper's
+/// evaluation platform.
+pub(crate) const INSTANCE_TYPE: InstanceType = InstanceType::Cc2_8xlarge;
+
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -55,12 +60,9 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Maximum jobs a worker drains per wakeup.
     pub batch: usize,
-    /// Total result-cache entries across shards.
+    /// Total result-cache entries: each worker caches up to
+    /// `cache_capacity.div_ceil(workers)` answers for its own shard.
     pub cache_capacity: usize,
-    /// Result-cache shard count.
-    pub cache_shards: usize,
-    /// Candidate instance type every query ranks over.
-    pub instance_type: InstanceType,
     /// Simulated per-request downstream stall (serialization, network,
     /// follow-up I/O in a real deployment).  Zero in production paths;
     /// only tests set it, so that queues fill and publishes race queued
@@ -75,8 +77,6 @@ impl Default for ServeConfig {
             queue_depth: 128,
             batch: 8,
             cache_capacity: 4096,
-            cache_shards: 8,
-            instance_type: InstanceType::Cc2_8xlarge,
             service_stall: Duration::ZERO,
         }
     }
@@ -86,17 +86,16 @@ impl ServeConfig {
     /// The one-worker, tiny-footprint configuration the CLI `recommend`
     /// command answers through (single-shot service).
     pub fn single_shot() -> Self {
-        Self { workers: 1, queue_depth: 1, batch: 1, cache_capacity: 8, cache_shards: 1, ..Self::default() }
+        Self { workers: 1, queue_depth: 1, batch: 1, cache_capacity: 8, ..Self::default() }
     }
 
     /// Reject configurations that cannot serve: a pool with no workers
-    /// never answers, a zero-depth queue admits nothing, a zero-size batch
-    /// would make every worker spin on `pop_batch(0)` forever without
-    /// answering (and without ever observing shutdown), and a cache with
-    /// no shards has nowhere to store results.  [`Server::start`] calls
-    /// this, so an invalid config is a typed [`acic::AcicError::Invalid`]
-    /// naming the offending field — not a panic, a silent clamp, or a
-    /// server that hangs its first client.
+    /// never answers, a zero-depth queue admits nothing, and a zero-size
+    /// batch would make every worker spin on `pop_batch(0)` forever
+    /// without answering (and without ever observing shutdown).
+    /// [`Server::start`] calls this, so an invalid config is a typed
+    /// [`acic::AcicError::Invalid`] naming the offending field — not a
+    /// panic, a silent clamp, or a server that hangs its first client.
     pub fn validate(&self) -> Result<(), acic::AcicError> {
         let reject = |field: &str, got: usize| {
             Err(acic::AcicError::Invalid(format!(
@@ -111,9 +110,6 @@ impl ServeConfig {
         }
         if self.batch == 0 {
             return reject("batch", self.batch);
-        }
-        if self.cache_shards == 0 {
-            return reject("cache_shards", self.cache_shards);
         }
         Ok(())
     }
@@ -312,7 +308,6 @@ impl Drop for Job {
 struct Shared {
     store: SnapshotStore,
     queues: Vec<BoundedQueue<Work>>,
-    cache: ResultCache,
     metrics: Metrics,
     /// `serve.requests_shed`, registered once: a refused request counts
     /// itself without the registry lock.
@@ -320,8 +315,8 @@ struct Shared {
     cfg: ServeConfig,
 }
 
-/// The in-process recommendation service: a snapshot store, a sharded
-/// worker pool, and a versioned result cache.
+/// The in-process recommendation service: a snapshot store and a sharded
+/// worker pool, each worker with its own result cache.
 #[derive(Debug)]
 pub struct Server {
     shared: Arc<Shared>,
@@ -387,9 +382,8 @@ impl Server {
     ) -> Result<Self, acic::AcicError> {
         cfg.validate()?;
         let shared = Arc::new(Shared {
-            store: SnapshotStore::with_version(predictor, cfg.instance_type, db_points, version),
+            store: SnapshotStore::with_version(predictor, db_points, version),
             queues: (0..cfg.workers).map(|_| BoundedQueue::new(cfg.queue_depth)).collect(),
-            cache: ResultCache::new(cfg.cache_capacity, cfg.cache_shards),
             shed: metrics.counter_handle("serve.requests_shed"),
             metrics,
             cfg,
@@ -431,22 +425,19 @@ impl Server {
     /// current snapshot; returns its version.  The generation is queued
     /// into every shard queue as a marker before this returns, past the
     /// bound, so a publish never waits for a full queue and never sheds.
-    /// Requests queued before it finish on the generation they were
-    /// admitted under; every request submitted after it returns is
-    /// answered (and cached) under the new version.
+    /// Every queue is locked before any marker is pushed, so a client
+    /// answered from the new generation by one shard is never answered
+    /// from the old one by another.  Requests queued before it finish on
+    /// the generation they were admitted under; every request submitted
+    /// after it returns is answered (and cached) under the new version.
+    /// Each worker clears its result cache when it reaches the marker and
+    /// counts what it dropped in `serve.cache_stale_evicted`.
     pub fn publish(&self, predictor: Predictor, db_points: usize) -> u64 {
         let queues = &self.shared.queues;
         let v = self.shared.store.publish(predictor, db_points, |next| {
-            for q in queues {
-                q.push_marker(Work::Generation(Arc::clone(next)));
-            }
+            BoundedQueue::push_marker_all(queues, || Work::Generation(Arc::clone(next)));
         });
         self.shared.metrics.incr("serve.snapshots_published", 1);
-        // Sweep cache entries from superseded generations now instead of
-        // waiting for LRU pressure; keep the previous generation because
-        // in-flight batches may still be answering on it.
-        let evicted = self.shared.cache.evict_older_than(v.saturating_sub(1));
-        self.shared.metrics.incr("serve.cache_stale_evicted", evicted as u64);
         v
     }
 
@@ -466,15 +457,22 @@ impl Server {
         &self.shared.metrics
     }
 
-    /// Total requests refused by admission control since start.
+    /// Total requests refused by admission control, read from
+    /// `serve.requests_shed` in the server's registry.
     pub fn shed_count(&self) -> u64 {
-        self.shared.queues.iter().map(|q| q.shed_count()).sum()
+        self.shared.metrics.counter("serve.requests_shed")
     }
 
-    /// Result-cache `(hits, misses, hit_rate)` since start.
+    /// Result-cache `(hits, misses, hit_rate)`, read from the server's
+    /// registry: every scored request (`serve.predictions`) missed, and
+    /// every other served one (`serve.requests_served`) hit, so the drain
+    /// counts nothing extra.  Exact once the counted requests are answered.
     pub fn cache_stats(&self) -> (u64, u64, f64) {
-        let c = &self.shared.cache;
-        (c.hits(), c.misses(), c.hit_rate())
+        let m = &self.shared.metrics;
+        let misses = m.counter("serve.predictions");
+        let hits = m.counter("serve.requests_served").saturating_sub(misses);
+        let rate = if hits + misses == 0 { 0.0 } else { hits as f64 / (hits + misses) as f64 };
+        (hits, misses, rate)
     }
 
     /// The configuration the server runs with.
@@ -520,7 +518,7 @@ impl ServeHandle {
     /// [`ServeError::Overloaded`].  On success the returned [`Pending`]
     /// resolves to the response.
     pub fn submit(&self, req: Request) -> Result<Pending, ServeError> {
-        self.submit_key(req.key(self.shared.cfg.instance_type))
+        self.submit_key(req.key(INSTANCE_TYPE))
     }
 
     /// [`Self::submit`] for a request already canonicalized on this
@@ -541,7 +539,7 @@ impl ServeHandle {
     /// Lossless submit: block while the shard queue is full (replay
     /// clients and closed-loop load generators that must not shed).
     pub fn submit_blocking(&self, req: Request) -> Result<Pending, ServeError> {
-        self.submit_blocking_key(req.key(self.shared.cfg.instance_type))
+        self.submit_blocking_key(req.key(INSTANCE_TYPE))
     }
 
     /// [`Self::submit_blocking`] for an already canonicalized request.
@@ -588,6 +586,8 @@ struct DrainMetrics {
     /// (see [`serve_batch`]), split by cache outcome.
     hit_service: LatencyHandle,
     miss_service: LatencyHandle,
+    /// `serve.cache_stale_evicted`: entries cleared at generation markers.
+    stale_evicted: CounterHandle,
 }
 
 impl DrainMetrics {
@@ -599,15 +599,18 @@ impl DrainMetrics {
             queue_wait: m.latency_handle("serve.queue_wait"),
             hit_service: m.latency_handle("serve.hit_service"),
             miss_service: m.latency_handle("serve.miss_service"),
+            stale_evicted: m.counter_handle("serve.cache_stale_evicted"),
         }
     }
 }
 
 /// Serve shard `w` until its queue is closed and drained, answering from
-/// `generation` until a marker queued ahead of a job moves it on.
+/// `generation` until a marker queued ahead of a job moves it on.  Only
+/// this worker looks up the keys of shard `w`, so it owns their cache.
 fn worker_loop(shared: &Shared, w: usize, mut generation: Arc<ModelSnapshot>) {
     let queue = &shared.queues[w];
     let metrics = DrainMetrics::register(&shared.metrics);
+    let mut cache = ResultCache::new(shared.cfg.cache_capacity.div_ceil(shared.cfg.workers));
     // This worker's largest drain so far.  A drain holds at most `batch`
     // jobs, so `serve.fused_batch.max_requests` is raised by name only the
     // few times it grows.
@@ -622,19 +625,20 @@ fn worker_loop(shared: &Shared, w: usize, mut generation: Arc<ModelSnapshot>) {
             max_batch = jobs;
             shared.metrics.record_max("serve.fused_batch.max_requests", max_batch as u64);
         }
-        serve_batch(shared, &metrics, &mut generation, jobs, &mut drained);
+        serve_batch(shared, &metrics, &mut cache, &mut generation, jobs, &mut drained);
     }
 }
 
 /// The batched drain: one pass over the `jobs` jobs in `batch`, in
 /// admission order, leaving `batch` empty.  A generation marker moves
-/// `generation` on for the jobs behind it.  Each job probes the versioned
-/// cache; on a miss it is scored with [`ModelSnapshot::answer`] on the
-/// generation it was admitted under and inserted at once, so a duplicate
-/// later in the batch hits it.  The cache sees exactly the gets and
-/// inserts a one-job drain would, so payloads and hit/miss counts do not
-/// depend on batching.  Then the job's downstream stall is applied and it
-/// is replied to.  A drain of markers alone is not a batch.
+/// `generation` on for the jobs behind it and clears `cache`: every job
+/// admitted under the old generation is ahead of the marker.  Each job
+/// probes the cache; on a miss it is scored with [`ModelSnapshot::answer`]
+/// on the generation it was admitted under and inserted at once, so a
+/// duplicate later in the batch hits it.  The cache sees exactly the gets
+/// and inserts a one-job drain would, so payloads and hit/miss counts do
+/// not depend on batching.  Then the job's downstream stall is applied and
+/// it is replied to.  A drain of markers alone is not a batch.
 ///
 /// The clock is read once per batch (every job's `serve.queue_wait` ends
 /// there) and once per job, when its answer is ready.  A job's service
@@ -645,6 +649,7 @@ fn worker_loop(shared: &Shared, w: usize, mut generation: Arc<ModelSnapshot>) {
 fn serve_batch(
     shared: &Shared,
     m: &DrainMetrics,
+    cache: &mut ResultCache,
     generation: &mut Arc<ModelSnapshot>,
     jobs: usize,
     batch: &mut Vec<Work>,
@@ -664,15 +669,15 @@ fn serve_batch(
             Work::Job(job) => job,
             Work::Generation(next) => {
                 *generation = next;
+                m.stale_evicted.incr(cache.clear() as u64);
                 continue;
             }
         };
-        let version = generation.version();
-        let (top, cache_hit) = match shared.cache.get(&job.key, version) {
+        let (top, cache_hit) = match cache.get(&job.key) {
             Some(top) => (top, true),
             None => {
                 let top: CachedTopK = Arc::new(generation.answer(&job.key));
-                shared.cache.insert(job.key, version, Arc::clone(&top));
+                cache.insert(job.key, Arc::clone(&top));
                 (top, false)
             }
         };
@@ -689,7 +694,7 @@ fn serve_batch(
             std::thread::sleep(shared.cfg.service_stall);
             stamp = Instant::now();
         }
-        job.respond(Response { top, snapshot_version: version, cache_hit });
+        job.respond(Response { top, snapshot_version: generation.version(), cache_hit });
     }
 }
 
@@ -850,16 +855,14 @@ mod tests {
     #[test]
     fn zero_sized_configs_are_rejected_with_typed_errors_naming_the_field() {
         // Regression: a zero-worker pool used to be silently clamped to 1;
-        // a zero-depth queue or zero-shard cache would have panicked (or
-        // hung the first client) deep inside construction.  All three must
-        // now fail fast at Server::start with a typed error naming the
-        // rejected field.
+        // a zero-depth queue would have panicked (or hung the first client)
+        // deep inside construction.  Each must now fail fast at
+        // Server::start with a typed error naming the rejected field.
         let (p, n) = predictor(3, 3);
         for (cfg, field) in [
             (ServeConfig { workers: 0, ..Default::default() }, "workers"),
             (ServeConfig { queue_depth: 0, ..Default::default() }, "queue_depth"),
             (ServeConfig { batch: 0, ..Default::default() }, "batch"),
-            (ServeConfig { cache_shards: 0, ..Default::default() }, "cache_shards"),
         ] {
             assert!(matches!(cfg.validate(), Err(acic::AcicError::Invalid(_))), "{field}");
             match Server::start(p.clone(), n, cfg, Metrics::new()) {
@@ -879,7 +882,6 @@ mod tests {
             queue_depth: 1,
             batch: 1,
             cache_capacity: 1,
-            cache_shards: 1,
             ..Default::default()
         };
         let server = Server::start(p, n, minimal, Metrics::new()).unwrap();
@@ -1099,6 +1101,82 @@ mod tests {
     }
 
     #[test]
+    fn a_generation_marker_clears_the_workers_cache() {
+        // The worker is held at a barrier while A, A, a publish and A
+        // queue up: the second A hits the first one's answer, and the
+        // marker ahead of the third clears the cache, so it is scored
+        // again on generation 2.
+        let (p1, n1) = predictor(3, 3);
+        let (p2, n2) = predictor(11, 4);
+        crate::queue::watchdog("marker clears the cache", move || {
+            let gate = Arc::new(std::sync::Barrier::new(2));
+            let hold = Arc::clone(&gate);
+            let metrics = Metrics::new();
+            let server = Server::start_with_spawner(
+                p1,
+                n1,
+                ServeConfig::default(),
+                metrics.clone(),
+                1,
+                move |w, shared, first| {
+                    let hold = Arc::clone(&hold);
+                    std::thread::Builder::new().spawn(move || {
+                        hold.wait();
+                        worker_loop(&shared, w, first)
+                    })
+                },
+            )
+            .unwrap();
+            let h = server.handle();
+            let mut pending = vec![h.submit(request(5)).unwrap(), h.submit(request(5)).unwrap()];
+            assert_eq!(server.publish(p2, n2), 2);
+            pending.push(h.submit(request(5)).unwrap());
+            gate.wait();
+            let answered: Vec<(u64, bool)> = pending
+                .into_iter()
+                .map(|p| p.wait().unwrap())
+                .map(|r| (r.snapshot_version, r.cache_hit))
+                .collect();
+            assert_eq!(answered, [(1, false), (1, true), (2, false)]);
+            assert_eq!(metrics.counter("serve.cache_stale_evicted"), 1);
+            assert_eq!(server.cache_stats().0, 1);
+            server.shutdown();
+        });
+    }
+
+    #[test]
+    fn each_of_a_hundred_publishes_evicts_exactly_the_working_set() {
+        // The same four requests after each of 100 publishes: the cache
+        // never holds more than one generation's four answers, and each
+        // marker drops exactly those.  The worker clears its cache at the
+        // marker, before it answers the first request behind it, so the
+        // count is exact as soon as that request returns.
+        let (p, n) = predictor(3, 3);
+        let metrics = Metrics::new();
+        let server = Server::start(p.clone(), n, ServeConfig::default(), metrics.clone()).unwrap();
+        let h = server.handle();
+        let working_set: Vec<Request> = (1..=4).map(request).collect();
+        for version in 1..=101u64 {
+            if version > 1 {
+                assert_eq!(server.publish(p.clone(), n), version);
+            }
+            for req in &working_set {
+                let resp = h.query(*req).unwrap();
+                assert_eq!((resp.snapshot_version, resp.cache_hit), (version, false));
+            }
+            assert_eq!(
+                metrics.counter("serve.cache_stale_evicted"),
+                4 * (version - 1),
+                "after publish {}",
+                version - 1
+            );
+        }
+        // The current generation still answers from its cache.
+        assert!(working_set.iter().all(|r| h.query(*r).unwrap().cache_hit));
+        server.shutdown();
+    }
+
+    #[test]
     fn fresh_server_reports_zero_cache_stats_without_nan() {
         // Regression guard for the zero-access edge: hit_rate must be 0.0
         // (never NaN) before any request, and the metrics render must stay
@@ -1131,8 +1209,8 @@ mod tests {
         cost.objective = Objective::Cost;
         let reqs =
             [request(3), big, request(3), cost, request(28), big, request(1), cost, request(3)];
-        let run = |batch: usize, cache_capacity: usize, cache_shards: usize| {
-            let cfg = ServeConfig { batch, cache_capacity, cache_shards, ..Default::default() };
+        let run = |batch: usize, cache_capacity: usize| {
+            let cfg = ServeConfig { batch, cache_capacity, ..Default::default() };
             let server = Server::start(p.clone(), n, cfg, Metrics::new()).unwrap();
             let h = server.handle();
             let pending: Vec<Pending> =
@@ -1147,9 +1225,9 @@ mod tests {
             server.shutdown();
             (out, hits, misses)
         };
-        for (capacity, shards) in [(4096, 8), (2, 1)] {
-            let (one, one_hits, one_misses) = run(1, capacity, shards);
-            let (batched, hits, misses) = run(16, capacity, shards);
+        for capacity in [4096, 2] {
+            let (one, one_hits, one_misses) = run(1, capacity);
+            let (batched, hits, misses) = run(16, capacity);
             assert_eq!((one_hits, one_misses), (hits, misses), "cache {capacity}: accounting");
             for (i, (a, b)) in one.iter().zip(&batched).enumerate() {
                 assert_eq!(a.snapshot_version, b.snapshot_version, "cache {capacity}: request {i}");

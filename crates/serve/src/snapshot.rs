@@ -10,18 +10,15 @@
 //! first generation when it spawns it, and each publish's announcement
 //! queues the next generation to every worker, so a request is answered
 //! from the last generation queued ahead of it (see [`crate::server`]).
-//! The version id stamped into every snapshot is what keys the result
-//! cache, so a publish invalidates cached results logically without any
-//! stop-the-world flush.
+//! A worker clears its result cache when it reaches the next generation,
+//! so no cached answer outlives the generation that computed it.
 
-use acic::{Acic, CacheKey, Predictor, SystemConfig};
-use acic_cloudsim::instance::InstanceType;
+use acic::{CacheKey, Predictor, SystemConfig};
 use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// One immutable, shareable generation of the recommender: the fitted
-/// predictor, the candidate instance type it ranks over, and the version
-/// id that namespaces everything derived from it.
+/// predictor and its version id.
 ///
 /// `Predictor` plans its tree models over the candidate grid at train
 /// time, so the predictor captured here — at first construction and at
@@ -33,7 +30,6 @@ use std::sync::Arc;
 pub struct ModelSnapshot {
     version: u64,
     predictor: Predictor,
-    instance_type: InstanceType,
     db_points: usize,
 }
 
@@ -46,11 +42,6 @@ impl ModelSnapshot {
     /// The fitted predictor backing this generation.
     pub fn predictor(&self) -> &Predictor {
         &self.predictor
-    }
-
-    /// The candidate instance type queries are ranked over.
-    pub fn instance_type(&self) -> InstanceType {
-        self.instance_type
     }
 
     /// Number of training points behind the predictor (diagnostics).
@@ -73,8 +64,8 @@ pub struct SnapshotStore {
 
 impl SnapshotStore {
     /// Create a store whose first generation (version 1) wraps `predictor`.
-    pub fn new(predictor: Predictor, instance_type: InstanceType, db_points: usize) -> Self {
-        Self::with_version(predictor, instance_type, db_points, 1)
+    pub fn new(predictor: Predictor, db_points: usize) -> Self {
+        Self::with_version(predictor, db_points, 1)
     }
 
     /// Create a store whose first generation carries an explicit version
@@ -82,26 +73,9 @@ impl SnapshotStore {
     /// store at the cluster's current generation, so version ids stay
     /// comparable across nodes (and across a kill → rejoin) even though
     /// each node owns its own snapshot slot.
-    pub fn with_version(
-        predictor: Predictor,
-        instance_type: InstanceType,
-        db_points: usize,
-        version: u64,
-    ) -> Self {
-        Self {
-            slot: RwLock::new(Arc::new(ModelSnapshot {
-                version: version.max(1),
-                predictor,
-                instance_type,
-                db_points,
-            })),
-        }
-    }
-
-    /// Create a store from a bootstrapped [`Acic`] instance, serving the
-    /// paper's evaluation platform candidates.
-    pub fn from_acic(acic: &Acic) -> Self {
-        Self::new(acic.predictor.clone(), InstanceType::Cc2_8xlarge, acic.db.len())
+    pub fn with_version(predictor: Predictor, db_points: usize, version: u64) -> Self {
+        let first = ModelSnapshot { version: version.max(1), predictor, db_points };
+        Self { slot: RwLock::new(Arc::new(first)) }
     }
 
     /// Load the current snapshot (diagnostics and the serve pool's
@@ -126,12 +100,7 @@ impl SnapshotStore {
         announce: impl FnOnce(&Arc<ModelSnapshot>),
     ) -> u64 {
         let mut slot = self.slot.write();
-        let next = Arc::new(ModelSnapshot {
-            version: slot.version + 1,
-            predictor,
-            instance_type: slot.instance_type,
-            db_points,
-        });
+        let next = Arc::new(ModelSnapshot { version: slot.version + 1, predictor, db_points });
         announce(&next);
         let version = next.version;
         *slot = next;
@@ -149,6 +118,7 @@ mod tests {
     use super::*;
     use acic::space::SpacePoint;
     use acic::{Objective, Trainer};
+    use acic_cloudsim::instance::InstanceType;
 
     fn predictor(seed: u64) -> (Predictor, usize) {
         let db = Trainer::with_paper_ranking(seed).collect(3).unwrap();
@@ -158,7 +128,7 @@ mod tests {
     #[test]
     fn publish_bumps_version_and_swaps_atomically() {
         let (p1, n1) = predictor(5);
-        let store = SnapshotStore::new(p1, InstanceType::Cc2_8xlarge, n1);
+        let store = SnapshotStore::new(p1, n1);
         assert_eq!(store.version(), 1);
         let held = store.load();
         let (p2, n2) = predictor(6);
@@ -182,7 +152,7 @@ mod tests {
         // interpreted reference ranking truncated to k — at version 1 and
         // after a hot-swap publish.
         let (p1, n1) = predictor(5);
-        let store = SnapshotStore::new(p1, InstanceType::Cc2_8xlarge, n1);
+        let store = SnapshotStore::new(p1, n1);
         let app = SpacePoint::default_point().app;
         for round in 0..2 {
             let snap = store.load();
@@ -211,7 +181,7 @@ mod tests {
     #[test]
     fn snapshot_answer_matches_direct_predictor_topk() {
         let (p, n) = predictor(7);
-        let store = SnapshotStore::new(p.clone(), InstanceType::Cc2_8xlarge, n);
+        let store = SnapshotStore::new(p.clone(), n);
         let app = SpacePoint::default_point().app;
         let key = CacheKey::new(&app, Objective::Cost, InstanceType::Cc2_8xlarge, 5);
         assert_eq!(

@@ -252,7 +252,7 @@ fn batch_1_and_batch_16_replays_are_bit_identical_across_node_counts() {
     let art = artifact();
     let db = art.to_training_db();
     let predictor = Predictor::train_with(&db, art.seed, art.model).unwrap();
-    let oracle = SnapshotStore::new(predictor, InstanceType::Cc2_8xlarge, db.len()).load();
+    let oracle = SnapshotStore::new(predictor, db.len()).load();
     for nodes in [1usize, 2, 4] {
         let mut runs = Vec::new();
         for batch in [1usize, 16] {
