@@ -80,6 +80,9 @@ pub fn build_tree_view(data: &Dataset, rows: &[usize], params: &BuildParams) -> 
 
 /// Grow the subtree for the frame range `[lo, hi)`, pushing nodes into the
 /// arena and returning the new subtree's root index.
+// The node's own state (range, depth, active features, folded sum) beside
+// the recursion's shared context: a struct would only rename the borrows.
+#[allow(clippy::too_many_arguments)]
 fn grow(
     frame: &mut TreeFrame,
     lo: usize,

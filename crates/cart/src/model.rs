@@ -8,9 +8,10 @@ use crate::prune::cross_validated_prune;
 use crate::tree::{Prediction, Tree};
 
 /// Which algorithm to fit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ModelKind {
     /// Cross-validation-pruned CART (the paper's choice).
+    #[default]
     Cart,
     /// Bagged CART ensemble.
     Forest {
@@ -22,12 +23,6 @@ pub enum ModelKind {
         /// Neighbourhood size.
         k: usize,
     },
-}
-
-impl Default for ModelKind {
-    fn default() -> Self {
-        ModelKind::Cart
-    }
 }
 
 impl std::fmt::Display for ModelKind {

@@ -505,8 +505,8 @@ impl TreeFrame {
         // constant over every descendant, and the sweep's O(1) exhaustion
         // check bails before reading its arrays — so its order no longer
         // needs maintaining, at any depth below here.
-        for j in 0..self.kinds.len() {
-            if active[j] && self.kinds[j] == FeatureKind::Numeric {
+        for (j, (&on, &kind)) in active.iter().zip(&self.kinds).enumerate() {
+            if on && kind == FeatureKind::Numeric {
                 // The winner's own sorted order is already partitioned:
                 // its left child is precisely the sorted prefix.
                 if j == feature {

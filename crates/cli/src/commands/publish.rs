@@ -106,3 +106,30 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use acic::Trainer;
+
+    #[test]
+    fn a_version_1_snapshot_is_rewritten_not_kept() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/test-stores/cli-v1");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (store, out) = (dir.join("store"), dir.join("snap.txt"));
+        let db = Trainer::with_paper_ranking(7).collect(3).unwrap();
+        let snapshot = PublishedSnapshot::from_db(&db, 7, ModelKind::Cart);
+        Store::open(&store).unwrap().ingest(&snapshot.samples).unwrap();
+        let argv = ["publish", "--store", store.to_str().unwrap(), "--out", out.to_str().unwrap()];
+        let args = Args::parse(argv.map(String::from)).unwrap();
+        run(&args).unwrap();
+        let v2 = std::fs::read_to_string(&out).unwrap();
+        assert!(v2.starts_with("acic-snapshot v2\n"), "{v2}");
+
+        // The same samples, hash field and header under the old version
+        // line: unreadable, so not up to date, so published again.
+        std::fs::write(&out, v2.replacen("acic-snapshot v2", "acic-snapshot v1", 1)).unwrap();
+        run(&args).unwrap();
+        assert_eq!(std::fs::read_to_string(&out).unwrap(), v2);
+    }
+}

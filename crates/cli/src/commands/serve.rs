@@ -128,13 +128,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         parse_requests(&text)?
     };
 
-    let cfg = ServeConfig {
-        workers,
-        queue_depth: args.parse_or("queue", 128)?,
-        batch: args.parse_or("batch", 8)?,
-        cache_capacity: args.parse_or("cache", 4096)?,
-        ..Default::default()
-    };
+    let cfg = serve_config(args, workers)?;
     let server = Server::from_acic(&acic, cfg, metrics.clone()).map_err(|e| e.to_string())?;
     let handle = server.handle();
     eprintln!(
@@ -241,16 +235,7 @@ fn run_cluster(
     // The model artifact every node replicates: self-describing samples +
     // seed + model kind, verified per node against its content hash.
     let artifact = PublishedSnapshot::from_db(&boot.acic.db, boot.seed, boot.model);
-    let cfg = ClusterConfig {
-        nodes,
-        node: ServeConfig {
-            workers,
-            queue_depth: args.parse_or("queue", 128)?,
-            batch: args.parse_or("batch", 8)?,
-            cache_capacity: args.parse_or("cache", 4096)?,
-            ..Default::default()
-        },
-    };
+    let cfg = ClusterConfig { nodes, node: serve_config(args, workers)? };
     let mut cluster =
         Cluster::start(artifact, cfg, metrics.clone()).map_err(|e| e.to_string())?;
     eprintln!(
@@ -311,6 +296,21 @@ fn run_cluster(
     }
     cluster.shutdown();
     Ok(())
+}
+
+/// A node of `workers` workers with the `--queue`, `--batch` and `--cache`
+/// the command line asks for.
+// The update fills `service_stall` when a test build turns on
+// `acic-serve`'s `test-support`.
+#[allow(clippy::needless_update)]
+fn serve_config(args: &Args, workers: usize) -> Result<ServeConfig, String> {
+    Ok(ServeConfig {
+        workers,
+        queue_depth: args.parse_or("queue", 128)?,
+        batch: args.parse_or("batch", 8)?,
+        cache_capacity: args.parse_or("cache", 4096)?,
+        ..Default::default()
+    })
 }
 
 #[cfg(test)]

@@ -9,13 +9,14 @@
 //! a resumed campaign reconstructs the *bit-identical* database an
 //! uninterrupted run would have produced.
 //!
-//! Format (an append-only log in the [`crate::record`] framing):
+//! Format (an append-only log in the [`crate::record`] framing; fields
+//! within an `ok` or `skip` line are separated by single tabs):
 //!
 //! ```text
 //! acic-journal v2
 //! campaign seed=<u64> points=<count> fingerprint=<16 hex digits>
-//! ok	<index>	<attempts>	<secs>	<cost>	<17 tab-separated training-point fields>
-//! skip	<index>	<attempts>	<secs>	<cost>	<reason>
+//! ok <index> <attempts> <secs> <cost> <17 training-point fields>
+//! skip <index> <attempts> <secs> <cost> <reason>
 //! ```
 //!
 //! A torn final line (the process died mid-append) is dropped, never

@@ -10,24 +10,32 @@
 //!
 //! ## On-disk layout (every file in the [`crate::record`] framing)
 //!
+//! Fields within a line are separated by single tabs.
+//!
 //! ```text
-//! <dir>/MANIFEST          acic-store v1
+//! <dir>/MANIFEST          acic-store v2
 //!                         samples=<n> hash=<16 hex digits>
-//!                         segment	seg-<hash>.txt	<count>	<16 hex digits>
-//! <dir>/seg-<hash>.txt    acic-seg v1
+//!                         segment seg-<hash>.txt <count> <16 hex digits>
+//! <dir>/seg-<hash>.txt    acic-seg v2
 //!                         samples=<count>
 //!                         <count> sample lines, canonically sorted
 //! <dir>/wal.log           acic-wal v1
 //!                         zero or more sample lines, arrival order
 //! ```
 //!
-//! A sample line is
-//! `s	<key>	<campaign>	<seed>	<index>	<attempts>	<17 point fields>`
-//! where `key` is the FNV-1a hash of the sample's canonical configuration
-//! point (the same bit-exact encoding `CacheKey` hashing and campaign
-//! fingerprints use) and the remaining prefix fields are provenance: which
-//! campaign measured it, under which root seed, at which plan index, and
-//! after how many attempts.
+//! A sample line is `s`, then `key`, `campaign`, `seed`, `index`,
+//! `attempts` and the 17 point fields, where `key` is the FNV-1a hash of
+//! the sample's canonical configuration point (the same bit-exact
+//! encoding `CacheKey` hashing and campaign fingerprints use) and the
+//! remaining prefix fields are provenance: which campaign measured it,
+//! under which root seed, at which plan index, and after how many
+//! attempts.
+//!
+//! Every hash in a MANIFEST, a segment name or a snapshot header is
+//! [`hash_samples`]: a fold of each sample's fields as 64-bit words, not
+//! of its text.  Version 1 of these three files held a hash of the
+//! rendered lines and is refused by its version line; the WAL carries no
+//! hash and keeps version 1.
 //!
 //! ## Invariants
 //!
@@ -60,22 +68,23 @@ use crate::journal;
 use crate::record::{self, write_atomic, Reader, Tail, Writer};
 use crate::resilience::Collection;
 use crate::space::SpacePoint;
-use crate::training::{point_from_fields, point_key, point_words, push_hex16, push_u64,
-                      split_fields, write_point, Fnv64, TrainingDb, TrainingPoint,
+use crate::training::{for_each_field, point_from_fields, point_key, point_words, push_hex16,
+                      push_u64, split_fields, write_point, Fnv64, TrainingDb, TrainingPoint,
                       POINT_LINE_BYTES};
 use acic_cart::ModelKind;
+use acic_cloudsim::rng::SplitMix64;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Manifest version line.
-pub const STORE_VERSION: &str = "acic-store v1";
+pub const STORE_VERSION: &str = "acic-store v2";
 /// Segment version line.
-const SEGMENT_VERSION: &str = "acic-seg v1";
+const SEGMENT_VERSION: &str = "acic-seg v2";
 /// Write-ahead-log version line.
 const WAL_VERSION: &str = "acic-wal v1";
 /// Snapshot version line.
-pub const SNAPSHOT_VERSION: &str = "acic-snapshot v1";
+pub const SNAPSHOT_VERSION: &str = "acic-snapshot v2";
 
 const MANIFEST_FILE: &str = "MANIFEST";
 const WAL_FILE: &str = "wal.log";
@@ -131,7 +140,7 @@ impl StoreSample {
     }
 
     /// Append the sample line (no newline) — the one writer behind WAL,
-    /// segment, and snapshot lines and [`hash_samples`].
+    /// segment, and snapshot lines.
     fn write_line(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(b"s\t");
         push_hex16(out, self.key);
@@ -146,7 +155,7 @@ impl StoreSample {
     }
 
     #[cfg(test)]
-    fn to_line(&self) -> String {
+    fn to_line(self) -> String {
         let mut line = Vec::new();
         self.write_line(&mut line);
         String::from_utf8(line).unwrap()
@@ -238,20 +247,28 @@ impl SampleLookup {
     }
 }
 
-/// FNV-1a over the rendered sample lines (newline-terminated), the store's
-/// generation identity: two stores hold the same canonical data iff their
-/// hashes agree.  Each line is rendered into one reused buffer and folded
-/// into the hash state.
+/// The content hash of a sample set, the store's generation identity: two
+/// stores hold the same canonical data iff their hashes agree.  Each
+/// sample's fields are folded as 64-bit words through one
+/// rotate-xor-multiply mixer: `key`, `campaign`, `seed`, `index`,
+/// `attempts`, then the 17 point fields (codes and counts as
+/// integers, floats as IEEE-754 bits with every NaN folded to the one
+/// NaN the text reads back).  The sample count is folded last and
+/// SplitMix64 finishes the state.  No sample is rendered, yet
+/// `hash_samples(parse(render(s))) == hash_samples(s)` for every line the
+/// codec writes and reads back.
 pub fn hash_samples(samples: &[StoreSample]) -> u64 {
-    let mut h = Fnv64::new();
-    let mut line = Vec::with_capacity(SAMPLE_LINE_BYTES);
-    for s in samples {
-        line.clear();
-        s.write_line(&mut line);
-        line.push(b'\n');
-        h.bytes(&line);
+    fn mix(h: u64, word: u64) -> u64 {
+        (h.rotate_left(26) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
     }
-    h.finish()
+    let mut h = 0;
+    for s in samples {
+        for word in [s.key, s.campaign, s.seed, s.index as u64, u64::from(s.attempts)] {
+            h = mix(h, word);
+        }
+        for_each_field(&s.point, |field| h = mix(h, field.word()));
+    }
+    SplitMix64::new(mix(h, samples.len() as u64)).next_u64()
 }
 
 /// One manifest row: an immutable, content-addressed segment.
@@ -822,16 +839,34 @@ impl PublishedSnapshot {
     /// exact input db and a predictor refit from the snapshot is
     /// bit-identical to one fit on the original database.
     pub fn from_db(db: &TrainingDb, seed: u64, model: ModelKind) -> Self {
-        let mut h = Fnv64::new();
-        for p in &db.points {
-            h.words(&point_words(&SpacePoint { system: p.system, app: p.app }));
-        }
-        let campaign = h.finish();
+        // Each point's words feed both the campaign fingerprint and its
+        // sample key (what `sample_key` computes from them).
+        let mut fingerprint = Fnv64::new();
+        let keys: Vec<u64> = db
+            .points
+            .iter()
+            .map(|p| {
+                let words = point_words(&SpacePoint { system: p.system, app: p.app });
+                fingerprint.words(&words);
+                let mut key = Fnv64::new();
+                key.words(&words);
+                key.finish()
+            })
+            .collect();
+        let campaign = fingerprint.finish();
         let samples: Vec<StoreSample> = db
             .points
             .iter()
+            .zip(keys)
             .enumerate()
-            .map(|(index, point)| StoreSample::new(campaign, seed, index, 1, *point))
+            .map(|(index, (&point, key))| StoreSample {
+                key,
+                campaign,
+                seed,
+                index,
+                attempts: 1,
+                point,
+            })
             .collect();
         let hash = hash_samples(&samples);
         PublishedSnapshot { hash, seed, model, samples }
@@ -1009,7 +1044,7 @@ mod tests {
         assert_eq!(a.key, b.key);
         let x = canonicalize(vec![a, b, c]);
         let y = canonicalize(vec![c, a, b]);
-        let z = canonicalize(vec![canonicalize(vec![a, c]), vec![b]].concat());
+        let z = canonicalize([canonicalize(vec![a, c]), vec![b]].concat());
         assert_eq!(x, y);
         assert_eq!(x, z, "canonicalization must be associative");
         assert_eq!(x.len(), 2);
@@ -1199,7 +1234,7 @@ mod tests {
         // A file of another kind names the version header it has.
         let err = PublishedSnapshot::parse("acic-db v1\ncollect_secs=0 collect_cost_usd=0\n")
             .unwrap_err();
-        assert!(err.contains("\"acic-db v1\", want \"acic-snapshot v1\""), "{err}");
+        assert!(err.contains("\"acic-db v1\", want \"acic-snapshot v2\""), "{err}");
 
         // The i=0 sample's cost_improvement is 0.6 and ends its line;
         // nudging it to a different (still valid) value must trip the
@@ -1255,28 +1290,196 @@ mod tests {
         })
     }
 
-    #[test]
-    fn streamed_hash_equals_the_hash_of_rendered_lines() {
-        // The hash before streaming, kept as the oracle: each sample line
-        // rendered into its own `String`, then its bytes and a newline
-        // folded in.
-        fn hash_rendered(samples: &[StoreSample]) -> u64 {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            let mut eat = |b: u8| {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            };
-            for s in samples {
-                for b in s.to_line().bytes() {
-                    eat(b);
-                }
-                eat(b'\n');
+    /// A file's records: everything after its two header lines.
+    fn body(file: &str) -> &str {
+        file.splitn(3, '\n').nth(2).unwrap()
+    }
+
+    fn lines(samples: &[StoreSample]) -> Vec<String> {
+        samples.iter().map(|s| s.to_line()).collect()
+    }
+
+    /// [`hash_samples`] read off the text, the oracle of its definition:
+    /// each rendered line's fields as words (hex keys, decimal integers,
+    /// the five floats' bits as std parses them, so every `NaN` is one
+    /// NaN), folded through the rotate-xor-multiply mixer; then the line
+    /// count, and SplitMix64's output function written out.
+    fn hash_of_lines(lines: &[String]) -> u64 {
+        const FLOATS: [usize; 5] = [6 + 5, 6 + 10, 6 + 11, 6 + 15, 6 + 16];
+        let mix = |h: u64, w: u64| (h.rotate_left(26) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+        let mut h = 0;
+        for line in lines {
+            let fields: Vec<&str> = line.split('\t').collect();
+            assert_eq!((fields[0], fields.len()), ("s", 23));
+            for (i, field) in fields.iter().enumerate().skip(1) {
+                let word = match i {
+                    1 | 2 => u64::from_str_radix(field, 16).unwrap(),
+                    _ if FLOATS.contains(&i) => field.parse::<f64>().unwrap().to_bits(),
+                    _ => field.parse::<u64>().unwrap(),
+                };
+                h = mix(h, word);
             }
-            h
         }
+        let mut z = mix(h, lines.len() as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn the_hash_is_pinned_and_reads_off_the_text() {
+        assert_eq!("NaN".parse::<f64>().unwrap().to_bits(), crate::training::NAN_BITS);
         let samples = varied_samples();
         for n in [0, 1, 2, samples.len()] {
-            assert_eq!(hash_samples(&samples[..n]), hash_rendered(&samples[..n]), "{n} samples");
+            assert_eq!(hash_samples(&samples[..n]), hash_of_lines(&lines(&samples[..n])), "{n}");
+        }
+        assert_eq!(hash_samples(&[]), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(hash_samples(&samples), 0xb741_9a7c_22c9_de12);
+    }
+
+    /// Each of the five float fields takes each value of the codec's
+    /// special list, and every line that reads back hashes as it did.
+    #[test]
+    fn the_hash_survives_a_text_round_trip_of_every_special_float() {
+        type Set = fn(&mut TrainingPoint, f64);
+        let fields: [(&str, bool, Set); 5] = [
+            ("stripe_size", true, |p, x| p.system.stripe_size = x),
+            ("data_size", true, |p, x| p.app.data_size = x),
+            ("request_size", true, |p, x| p.app.request_size = x),
+            ("perf_improvement", false, |p, x| p.perf_improvement = x),
+            ("cost_improvement", false, |p, x| p.cost_improvement = x),
+        ];
+        let mut back = Vec::new();
+        for (name, in_key, set) in fields {
+            for (i, &x) in oracle::SPECIAL_F64.iter().enumerate() {
+                let mut point = sample(i, 31, 1.0).point;
+                set(&mut point, x);
+                let s = StoreSample::new(31, 7, i, 1, point);
+                match StoreSample::parse(&s.to_line(), 1) {
+                    Ok(b) => {
+                        assert_eq!(hash_samples(&[b]), hash_samples(&[s]), "{name} = {x:?}");
+                        back.push(s);
+                    }
+                    // The key covers a configuration's sizes bit for bit
+                    // and the text has one NaN, so a size NaN with its
+                    // sign bit set reads back as another point: refused.
+                    Err(e) => {
+                        assert!(in_key && x.is_nan() && x.is_sign_negative(), "{name}: {e}");
+                        assert!(e.contains("key does not match"), "{e}");
+                    }
+                }
+            }
+        }
+        // Every value of every improvement read back, so both NaN signs
+        // did; and a snapshot of them all verifies against the originals.
+        assert!(back.len() >= 5 * oracle::SPECIAL_F64.len() - 2, "{}", back.len());
+        let snap = PublishedSnapshot {
+            hash: hash_samples(&back),
+            seed: 7,
+            model: ModelKind::Cart,
+            samples: back,
+        };
+        assert_eq!(PublishedSnapshot::parse(&snap.render()).unwrap().hash, snap.hash);
+    }
+
+    type Edit<'a> = &'a dyn Fn(&mut StoreSample);
+
+    #[test]
+    fn any_one_bit_of_any_field_and_any_reordering_change_the_hash() {
+        let set: Vec<StoreSample> = varied_samples()[..3].to_vec();
+        let base = hash_samples(&set);
+        let changed = |edit: Edit| {
+            let mut changed = set.clone();
+            edit(&mut changed[1]);
+            hash_samples(&changed) != base
+        };
+        for bit in 0..64 {
+            let u = |x: u64| x ^ (1 << bit);
+            let z = |x: usize| x ^ (1 << bit);
+            let f = |x: f64| f64::from_bits(u(x.to_bits()));
+            let edits: [(&str, Edit); 13] = [
+                ("key", &|s| s.key = u(s.key)),
+                ("campaign", &|s| s.campaign = u(s.campaign)),
+                ("seed", &|s| s.seed = u(s.seed)),
+                ("index", &|s| s.index = z(s.index)),
+                ("io_servers", &|s| s.point.system.io_servers = z(s.point.system.io_servers)),
+                ("stripe_size", &|s| s.point.system.stripe_size = f(s.point.system.stripe_size)),
+                ("nprocs", &|s| s.point.app.nprocs = z(s.point.app.nprocs)),
+                ("io_procs", &|s| s.point.app.io_procs = z(s.point.app.io_procs)),
+                ("iterations", &|s| s.point.app.iterations = z(s.point.app.iterations)),
+                ("data_size", &|s| s.point.app.data_size = f(s.point.app.data_size)),
+                ("request_size", &|s| s.point.app.request_size = f(s.point.app.request_size)),
+                ("perf", &|s| s.point.perf_improvement = f(s.point.perf_improvement)),
+                ("cost", &|s| s.point.cost_improvement = f(s.point.cost_improvement)),
+            ];
+            for (name, edit) in edits {
+                assert!(changed(edit), "bit {bit} of {name}");
+            }
+            if bit < 32 {
+                assert!(changed(&|s| s.attempts ^= 1 << bit), "bit {bit} of attempts");
+            }
+        }
+        {
+            use acic_cloudsim::cluster::Placement;
+            use acic_cloudsim::device::DeviceKind;
+            use acic_cloudsim::instance::InstanceType;
+            use acic_fsim::{FsType, IoApi, IoOp};
+            let p = set[1].point;
+            for d in [DeviceKind::Ebs, DeviceKind::Ephemeral, DeviceKind::Ssd] {
+                assert_eq!(changed(&|s| s.point.system.device = d), d != p.system.device);
+            }
+            for api in [IoApi::Posix, IoApi::MpiIo, IoApi::Hdf5, IoApi::NetCdf] {
+                assert_eq!(changed(&|s| s.point.app.api = api), api != p.app.api);
+            }
+            let flips: [Edit; 6] = [
+                &|s| {
+                    s.point.system.fs = match p.system.fs {
+                        FsType::Nfs => FsType::Pvfs2,
+                        FsType::Pvfs2 => FsType::Nfs,
+                    }
+                },
+                &|s| {
+                    s.point.system.instance_type = match p.system.instance_type {
+                        InstanceType::Cc1_4xlarge => InstanceType::Cc2_8xlarge,
+                        InstanceType::Cc2_8xlarge => InstanceType::Cc1_4xlarge,
+                    }
+                },
+                &|s| {
+                    s.point.system.placement = match p.system.placement {
+                        Placement::PartTime => Placement::Dedicated,
+                        Placement::Dedicated => Placement::PartTime,
+                    }
+                },
+                &|s| s.point.app.op = if p.app.op == IoOp::Read { IoOp::Write } else { IoOp::Read },
+                &|s| s.point.app.collective = !p.app.collective,
+                &|s| s.point.app.shared_file = !p.app.shared_file,
+            ];
+            for (i, flip) in flips.into_iter().enumerate() {
+                assert!(changed(flip), "flag {i}");
+            }
+        }
+        // NaN payloads and signs are the exception: the text has one NaN.
+        let with_perf = |x: f64| {
+            let mut changed = set.clone();
+            changed[1].point.perf_improvement = x;
+            hash_samples(&changed)
+        };
+        for nan in [-f64::NAN, f64::from_bits(f64::NAN.to_bits() | 1)] {
+            assert_eq!(with_perf(nan), with_perf(f64::NAN));
+        }
+        // Swapping two samples, dropping one, or duplicating one.
+        for (i, j) in [(0, 1), (0, 2), (1, 2)] {
+            let mut swapped = set.clone();
+            swapped.swap(i, j);
+            assert_ne!(hash_samples(&swapped), base, "swap {i} {j}");
+        }
+        for i in 0..set.len() {
+            let mut dropped = set.clone();
+            dropped.remove(i);
+            assert_ne!(hash_samples(&dropped), base, "drop {i}");
+            let mut doubled = set.clone();
+            doubled.insert(i, set[i]);
+            assert_ne!(hash_samples(&doubled), base, "duplicate {i}");
         }
     }
 
@@ -1297,9 +1500,16 @@ mod tests {
              \t1\t65536\t64\t64\t1\t1\t16777216\t4194304\t1\t0\t1\t0.30000000000000004\
              \t0.000000014285714285714284"
         );
-        assert_eq!(snap.hash, 0x0e97_1217_7e62_eeb9);
-        assert_eq!(fnv_bytes(text.as_bytes()), 0xd502_c08c_9228_eaad);
-        assert_eq!(fnv_bytes(render_segment(&samples).as_bytes()), 0x7c7b_ed2c_44a5_81da);
+        // Every sample line is the v1 codec's: v1's content hash was this
+        // digest of them.  Only the two header lines moved to v2.
+        assert_eq!(fnv_bytes(body(&text).as_bytes()), 0x0e97_1217_7e62_eeb9);
+        assert_eq!(fnv_bytes(body(&render_segment(&samples)).as_bytes()), 0x0e97_1217_7e62_eeb9);
+        assert_eq!(
+            text.lines().take(2).collect::<Vec<_>>(),
+            ["acic-snapshot v2", "hash=b7419a7c22c9de12 samples=24 seed=20131117 model=cart"]
+        );
+        assert_eq!(fnv_bytes(text.as_bytes()), 0xfb38_83ce_fe9f_7087);
+        assert_eq!(fnv_bytes(render_segment(&samples).as_bytes()), 0xd5cd_cbaa_0a29_140b);
         assert_eq!(PublishedSnapshot::parse(&text).unwrap(), snap);
 
         // The WAL and MANIFEST a store writes for the same samples.
@@ -1307,16 +1517,59 @@ mod tests {
         let mut store = Store::open(&dir).unwrap();
         let read = |file: &str| std::fs::read_to_string(dir.join(file)).unwrap();
         assert_eq!(read(WAL_FILE), "acic-wal v1\n");
-        assert_eq!(read(MANIFEST_FILE), "acic-store v1\nsamples=0 hash=cbf29ce484222325\n");
+        assert_eq!(read(MANIFEST_FILE), "acic-store v2\nsamples=0 hash=e220a8397b1dcdaf\n");
         store.ingest(&samples).unwrap();
         assert_eq!(fnv_bytes(read(WAL_FILE).as_bytes()), 0x24e4_5cbb_c4d4_36f5);
         store.compact().unwrap();
         assert_eq!(
             read(MANIFEST_FILE),
-            "acic-store v1\nsamples=24 hash=72c2df9d338b18f9\n\
-             segment\tseg-72c2df9d338b18f9.txt\t24\t72c2df9d338b18f9\n"
+            "acic-store v2\nsamples=24 hash=8809268e289eafd0\n\
+             segment\tseg-8809268e289eafd0.txt\t24\t8809268e289eafd0\n"
         );
-        assert_eq!(fnv_bytes(read("seg-72c2df9d338b18f9.txt").as_bytes()), 0xf92f_04c0_b45c_18b2);
+        // The canonical order's lines are v1's too (v1 named the segment
+        // by this digest of them).
+        let segment = read("seg-8809268e289eafd0.txt");
+        assert_eq!(fnv_bytes(body(&segment).as_bytes()), 0x72c2_df9d_338b_18f9);
+        assert_eq!(fnv_bytes(segment.as_bytes()), 0x1355_0aa0_d3f2_07e3);
+    }
+
+    #[test]
+    fn version_1_segments_manifests_and_snapshots_are_refused_by_name() {
+        let samples = varied_samples();
+        // The files the v1 codec wrote for these samples: its headers over
+        // the same sample lines.
+        let v1_snapshot = format!(
+            "acic-snapshot v1\nhash=0e9712177e62eeb9 samples=24 seed=20131117 model=cart\n{}",
+            lines(&samples).iter().map(|line| format!("{line}\n")).collect::<String>()
+        );
+        let v1_manifest = "acic-store v1\nsamples=24 hash=72c2df9d338b18f9\n\
+                           segment\tseg-72c2df9d338b18f9.txt\t24\t72c2df9d338b18f9\n";
+        let refused = |result: Result<(), AcicError>, version: &str| match result {
+            Err(AcicError::Store { reason, .. }) => {
+                assert!(reason.contains(&format!("version header \"{version} v1\"")), "{reason}")
+            }
+            other => panic!("want Store error, got {other:?}"),
+        };
+        let err = PublishedSnapshot::parse(&v1_snapshot).unwrap_err();
+        assert!(err.contains("unknown version header \"acic-snapshot v1\""), "{err}");
+        let dir = tmp_dir("v1-refused");
+        let path = dir.join("snap.txt");
+        std::fs::write(&path, &v1_snapshot).unwrap();
+        refused(PublishedSnapshot::read(&path).map(drop), "acic-snapshot");
+        refused(PublishedSnapshot::read_header(&path).map(drop), "acic-snapshot");
+
+        let mut store = Store::open(&dir).unwrap();
+        store.ingest(&samples).unwrap();
+        store.compact().unwrap();
+        let segment = dir.join(format!("seg-{:016x}.txt", store.canonical_hash()));
+        drop(store);
+        let v2_manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+        let v2_segment = std::fs::read_to_string(&segment).unwrap();
+        std::fs::write(dir.join(MANIFEST_FILE), v1_manifest).unwrap();
+        refused(Store::open(&dir).map(drop), "acic-store");
+        std::fs::write(dir.join(MANIFEST_FILE), v2_manifest).unwrap();
+        std::fs::write(&segment, v2_segment.replacen(SEGMENT_VERSION, "acic-seg v1", 1)).unwrap();
+        refused(Store::open(&dir).map(drop), "acic-seg");
     }
 
     /// The `write!` sample-line writer the digit loops replaced, kept
@@ -1337,10 +1590,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Sample lines, keys, the set hash and `from_db`'s campaign
-        /// fingerprint equal the `write!` and word-vector oracles' on
-        /// arbitrary bit patterns and full integer ranges, and a line
-        /// parses back to the same bits.
+        /// Sample lines, keys and `from_db`'s campaign fingerprint equal
+        /// the `write!` and word-vector oracles' on arbitrary bit patterns
+        /// and full integer ranges; the set hash equals the hash read off
+        /// those lines; and a line parses back to the same bits and the
+        /// same hash.
         #[test]
         fn sample_codec_matches_the_format_string_oracle(
             points in prop::collection::vec(oracle::any_point(), 1..4),
@@ -1353,16 +1607,13 @@ mod tests {
                 .iter()
                 .map(|p| StoreSample::new(campaign, seed, index as usize, attempts as u32, *p))
                 .collect();
-            let mut want_hash = Fnv64::new();
             for s in &samples {
                 prop_assert_eq!(s.key, oracle_key(&s.point));
                 let mut want = String::new();
                 write_line_oracle(s, &mut want).unwrap();
-                prop_assert_eq!(s.to_line(), want.clone());
-                want_hash.bytes(want.as_bytes());
-                want_hash.bytes(b"\n");
+                prop_assert_eq!(s.to_line(), want);
             }
-            prop_assert_eq!(hash_samples(&samples), want_hash.finish());
+            prop_assert_eq!(hash_samples(&samples), hash_of_lines(&lines(&samples)));
 
             let db =
                 TrainingDb { points: points.clone(), collect_secs: 0.0, collect_cost_usd: 0.0 };
@@ -1372,6 +1623,9 @@ mod tests {
                 .collect();
             let snap = PublishedSnapshot::from_db(&db, seed, ModelKind::Cart);
             prop_assert_eq!(snap.samples[0].campaign, oracle::fnv1a(&words));
+            for (s, p) in snap.samples.iter().zip(&points) {
+                prop_assert_eq!(s.key, oracle_key(p));
+            }
 
             let lossless = StoreSample::new(
                 campaign,
@@ -1386,6 +1640,7 @@ mod tests {
                 (lossless.key, lossless.campaign, lossless.seed, lossless.index, lossless.attempts)
             );
             prop_assert!(oracle::same_bits(&back.point, &lossless.point));
+            prop_assert_eq!(hash_samples(&[back]), hash_samples(&[lossless]));
         }
     }
 

@@ -783,8 +783,7 @@ fn cost_fn(sys: &IoSystem) -> impl Fn(f64) -> f64 {
 }
 
 /// FNV-1a state (64-bit).  Campaign fingerprints and configuration keys
-/// fold point words through it, and the store's generation hash folds
-/// rendered sample lines.
+/// fold point words through it.
 #[derive(Debug)]
 pub(crate) struct Fnv64(u64);
 
@@ -793,17 +792,13 @@ impl Fnv64 {
         Fnv64(0xcbf2_9ce4_8422_2325)
     }
 
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
     /// Fold each word's little-endian bytes.
     pub(crate) fn words(&mut self, words: &[u64]) {
         for w in words {
-            self.bytes(&w.to_le_bytes());
+            for b in w.to_le_bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
         }
     }
 
@@ -862,51 +857,78 @@ pub(crate) fn push_f64(out: &mut Vec<u8>, x: f64) {
 /// about 100 bytes).
 pub(crate) const POINT_LINE_BYTES: usize = 128;
 
-/// Write one observation as the 17 tab-separated fields shared by the
-/// checkpoint journal and the store's sample lines (WAL, segment and
-/// snapshot) — the one place that format is spelled out.
-pub(crate) fn write_point(out: &mut Vec<u8>, p: &TrainingPoint) {
+/// One of a point's 17 line fields.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Field {
+    /// A code, flag or count, written as decimal digits.
+    Int(u64),
+    /// A size or an improvement, written as `{}` prints it.
+    Float(f64),
+}
+
+/// The bits `"NaN".parse::<f64>()` gives: `{}` prints every NaN as
+/// `NaN`, so every NaN reads back as this one.
+pub(crate) const NAN_BITS: u64 = 0x7ff8_0000_0000_0000;
+
+impl Field {
+    /// The field as one word: an integer as itself, a float as its IEEE-754
+    /// bits with every NaN folded to [`NAN_BITS`], so that a field hashes
+    /// the same before and after a text round trip.
+    pub(crate) fn word(self) -> u64 {
+        match self {
+            Field::Int(v) => v,
+            Field::Float(x) if x.is_nan() => NAN_BITS,
+            Field::Float(x) => x.to_bits(),
+        }
+    }
+}
+
+/// Hand a point's 17 fields to `visit` in line order — the one place that
+/// order is spelled out.  [`write_point`] renders them, and the store's
+/// content hash folds their [`Field::word`]s.  Inlined, so each call's
+/// field kind is known where it is used.
+#[inline(always)]
+pub(crate) fn for_each_field(p: &TrainingPoint, mut visit: impl FnMut(Field)) {
     use acic_cloudsim::cluster::Placement;
     use acic_cloudsim::instance::InstanceType;
     use acic_fsim::{FsType, IoOp};
+    use Field::{Float, Int};
 
     let (sys, app) = (&p.system, &p.app);
-    let system_codes = [
-        crate::features::device_code(sys.device) as u64,
-        u64::from(sys.fs == FsType::Pvfs2),
-        u64::from(sys.instance_type == InstanceType::Cc2_8xlarge),
-        sys.io_servers as u64,
-        u64::from(sys.placement == Placement::Dedicated),
-    ];
-    for v in system_codes {
-        push_u64(out, v);
-        out.push(b'\t');
-    }
-    push_f64(out, sys.stripe_size);
-    let app_counts = [
-        app.nprocs as u64,
-        app.io_procs as u64,
-        crate::features::api_code(app.api) as u64,
-        app.iterations as u64,
-    ];
-    for v in app_counts {
-        out.push(b'\t');
-        push_u64(out, v);
-    }
-    for x in [app.data_size, app.request_size] {
-        out.push(b'\t');
-        push_f64(out, x);
-    }
-    let app_flags =
-        [u64::from(app.op == IoOp::Write), u64::from(app.collective), u64::from(app.shared_file)];
-    for v in app_flags {
-        out.push(b'\t');
-        push_u64(out, v);
-    }
-    for x in [p.perf_improvement, p.cost_improvement] {
-        out.push(b'\t');
-        push_f64(out, x);
-    }
+    visit(Int(crate::features::device_code(sys.device) as u64));
+    visit(Int(u64::from(sys.fs == FsType::Pvfs2)));
+    visit(Int(u64::from(sys.instance_type == InstanceType::Cc2_8xlarge)));
+    visit(Int(sys.io_servers as u64));
+    visit(Int(u64::from(sys.placement == Placement::Dedicated)));
+    visit(Float(sys.stripe_size));
+    visit(Int(app.nprocs as u64));
+    visit(Int(app.io_procs as u64));
+    visit(Int(crate::features::api_code(app.api) as u64));
+    visit(Int(app.iterations as u64));
+    visit(Float(app.data_size));
+    visit(Float(app.request_size));
+    visit(Int(u64::from(app.op == IoOp::Write)));
+    visit(Int(u64::from(app.collective)));
+    visit(Int(u64::from(app.shared_file)));
+    visit(Float(p.perf_improvement));
+    visit(Float(p.cost_improvement));
+}
+
+/// Write one observation as the 17 tab-separated fields of
+/// [`for_each_field`], shared by the checkpoint journal and the store's
+/// sample lines (WAL, segment and snapshot).
+pub(crate) fn write_point(out: &mut Vec<u8>, p: &TrainingPoint) {
+    let mut first = true;
+    for_each_field(p, |field| {
+        if !first {
+            out.push(b'\t');
+        }
+        first = false;
+        match field {
+            Field::Int(v) => push_u64(out, v),
+            Field::Float(x) => push_f64(out, x),
+        }
+    });
 }
 
 /// Split `line` at tabs into exactly `N` fields; `None` when it has more
@@ -1275,14 +1297,16 @@ pub(crate) mod oracle {
     }
 
     /// Floats every formatter path must agree on: signed zeros,
-    /// infinities, NaN, subnormals, the 2^53 boundary of the integer-digit
-    /// path, and values `{}` prints in long plain notation.
-    const SPECIAL_F64: [f64; 17] = [
+    /// infinities, quiet NaN with either sign bit, subnormals, the 2^53
+    /// boundary of the integer-digit path, and values `{}` prints in long
+    /// plain notation.
+    pub(crate) const SPECIAL_F64: [f64; 18] = [
         0.0,
         -0.0,
         f64::INFINITY,
         f64::NEG_INFINITY,
         f64::NAN,
+        -f64::NAN,
         5e-324,
         -2.225_073_858_507_201e-308,
         9_007_199_254_740_991.0,

@@ -326,8 +326,7 @@ mod tests {
 
     #[test]
     fn rmw_can_be_disabled_for_ablation() {
-        let mut p = FsParams::default();
-        p.pvfs_rmw_enabled = false;
+        let p = FsParams { pvfs_rmw_enabled: false, ..Default::default() };
         let nb = vec![(0, mib(2048.0))];
         let (mut sim, c) = setup(4);
         plan_pvfs_phase(&mut sim, &c, &p, &phase(IoOp::Write), mib(4.0), &nb, mib(0.5), true, &mut Vec::new());

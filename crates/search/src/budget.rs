@@ -129,7 +129,7 @@ impl Budget {
             return Err(SearchError::InvalidBudget("batch must be >= 1".into()));
         }
         if let Some(c) = self.max_cost_usd {
-            if !(c > 0.0) {
+            if c.is_nan() || c <= 0.0 {
                 return Err(SearchError::InvalidBudget(format!(
                     "max_cost_usd must be positive (got {c})"
                 )));

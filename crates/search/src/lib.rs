@@ -37,5 +37,5 @@ pub mod warm;
 pub use budget::{Budget, SearchError, StopReason};
 pub use campaign::{run_search, Plan, PlanRound, SearchConfig, SearchOutcome};
 pub use planner::{Grid, Observation, PlanContext, Planner, Strategy};
-pub use walk::{guided_walk, opening_book, random_walk, walk_with, WalkOutcome};
+pub use walk::{guided_walk, opening_book, random_walk, walk_with, Measure, WalkOutcome};
 pub use warm::remap;

@@ -69,6 +69,11 @@ pub fn guided_walk(
     walk_with(ranking, app, objective, seed, &mut measure)
 }
 
+/// A measurement: `(system, app, objective, seed)` to the objective's
+/// metric and the run's cost.
+pub type Measure<'a> =
+    dyn FnMut(&SystemConfig, &AppPoint, Objective, u64) -> Result<(f64, f64), AcicError> + 'a;
+
 /// The walk engine with an injectable measurement function (tests use
 /// this to exercise failing candidates without a failable simulator).
 ///
@@ -83,7 +88,7 @@ pub fn walk_with(
     app: &AppPoint,
     objective: Objective,
     seed: u64,
-    measure: &mut dyn FnMut(&SystemConfig, &AppPoint, Objective, u64) -> Result<(f64, f64), AcicError>,
+    measure: &mut Measure<'_>,
 ) -> Result<WalkOutcome, AcicError> {
     let app = app.normalized();
     let mut current = SystemConfig::baseline();

@@ -45,7 +45,9 @@ use acic::{Acic, AppPoint, CacheKey, CounterHandle, LatencyHandle, Metrics, Obje
 use acic_cloudsim::instance::InstanceType;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+#[cfg(feature = "test-support")]
+use std::time::Duration;
+use std::time::Instant;
 
 /// The candidate instance type every query ranks over: the paper's
 /// evaluation platform.
@@ -64,9 +66,10 @@ pub struct ServeConfig {
     /// `cache_capacity.div_ceil(workers)` answers for its own shard.
     pub cache_capacity: usize,
     /// Simulated per-request downstream stall (serialization, network,
-    /// follow-up I/O in a real deployment).  Zero in production paths;
-    /// only tests set it, so that queues fill and publishes race queued
-    /// requests.
+    /// follow-up I/O in a real deployment), so that tests can fill queues
+    /// and race publishes against queued requests.  Test support only:
+    /// release builds have neither the field nor its sleep.
+    #[cfg(feature = "test-support")]
     pub service_stall: Duration,
 }
 
@@ -77,6 +80,7 @@ impl Default for ServeConfig {
             queue_depth: 128,
             batch: 8,
             cache_capacity: 4096,
+            #[cfg(feature = "test-support")]
             service_stall: Duration::ZERO,
         }
     }
@@ -85,6 +89,8 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// The one-worker, tiny-footprint configuration the CLI `recommend`
     /// command answers through (single-shot service).
+    // The update fills `service_stall` under `test-support`.
+    #[allow(clippy::needless_update)]
     pub fn single_shot() -> Self {
         Self { workers: 1, queue_depth: 1, batch: 1, cache_capacity: 8, ..Self::default() }
     }
@@ -637,8 +643,9 @@ fn worker_loop(shared: &Shared, w: usize, mut generation: Arc<ModelSnapshot>) {
 /// on the generation it was admitted under and inserted at once, so a
 /// duplicate later in the batch hits it.  The cache sees exactly the gets
 /// and inserts a one-job drain would, so payloads and hit/miss counts do
-/// not depend on batching.  Then the job's downstream stall is applied and
-/// it is replied to.  A drain of markers alone is not a batch.
+/// not depend on batching.  Then, under test support, the job's simulated
+/// downstream stall is applied, and it is replied to.  A drain of markers
+/// alone is not a batch.
 ///
 /// The clock is read once per batch (every job's `serve.queue_wait` ends
 /// there) and once per job, when its answer is ready.  A job's service
@@ -654,6 +661,9 @@ fn serve_batch(
     jobs: usize,
     batch: &mut Vec<Work>,
 ) {
+    // Release builds read no config here: only test support stalls.
+    #[cfg(not(feature = "test-support"))]
+    let _ = shared;
     if jobs > 0 {
         m.batches.incr(1);
         m.served.incr(jobs as u64);
@@ -690,6 +700,7 @@ fn serve_batch(
             m.miss_service.observe(service);
             m.predictions.incr(1);
         }
+        #[cfg(feature = "test-support")]
         if !shared.cfg.service_stall.is_zero() {
             std::thread::sleep(shared.cfg.service_stall);
             stamp = Instant::now();
