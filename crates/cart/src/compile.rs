@@ -178,9 +178,6 @@ impl CompiledTree {
     /// cells per row, ≤ 64 rows).  Each prefix-node mask bit is the
     /// node's routing comparison (`goes_left`) for that grid row,
     /// evaluated once here instead of once per query.
-    // `usize::is_multiple_of` (Rust 1.87) is newer than the workspace's
-    // declared rust-version, 1.85.
-    #[allow(clippy::manual_is_multiple_of)]
     pub fn plan_grid(&self, grid: &[f64], prefix_width: usize) -> GridPlan {
         assert!(prefix_width > 0 && grid.len() % prefix_width == 0, "grid is not whole rows");
         let rows = grid.len() / prefix_width;

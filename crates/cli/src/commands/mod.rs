@@ -51,7 +51,7 @@ USAGE:
         byte-diffable plan.
 
   acic publish    --store DIR --out FILE [--seed N] [--model cart|forest|knn]
-                  [--force] [--no-compact] [--report]
+                  [--force] [--report]
         Compact the durable store and cut a serving snapshot from its
         canonical sample set.  Incremental: when the existing snapshot
         already matches (content hash, seed, model), nothing is retrained
@@ -92,9 +92,9 @@ USAGE:
         `acic publish` replaced it.
         Cluster mode: --trace-out FILE [--trace-len N] [--trace-seed N]
         [--trace-pool N] records a seeded machine trace and exits;
-        --trace FILE [--nodes N] [--replay-out FILE] [--window N] replays
-        it through an N-node cluster-in-a-process (consistent-hash routing,
-        verified snapshot replication) — stdout (the replay digest and
+        --trace FILE [--nodes N] [--replay-out FILE] replays it through an
+        N-node cluster-in-a-process (consistent-hash routing, verified
+        snapshot replication) — stdout (the replay digest and
         answered/shed counts) is byte-identical at any --nodes count.
         --swap-at N republishes the artifact as a fresh generation
         mid-replay; --kill-node I [--kill-at N] [--rejoin-at N] kills a
@@ -181,9 +181,10 @@ pub fn acic_from_args(
             let store = Store::open(Path::new(dir)).map_err(|e| e.to_string())?;
             let r = store.open_report();
             eprintln!(
-                "opened store {dir}: {} samples ({} segment(s){})",
+                "opened store {dir}: {} samples ({} compacted, {} in WAL{})",
                 store.len(),
-                r.segments,
+                r.compacted_samples,
+                r.wal_samples,
                 if r.repaired() { ", repairs applied" } else { "" }
             );
             (store.to_training_db(), seed, kind.unwrap_or(ModelKind::Cart))

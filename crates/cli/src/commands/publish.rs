@@ -1,8 +1,8 @@
 //! `acic publish` — cut a serving snapshot from the durable training
 //! store.
 //!
-//! Opens the store (repairing torn WAL tails and orphaned segments as it
-//! goes), compacts it into its canonical single-segment form, and writes a
+//! Opens the store (repairing a torn WAL tail as it goes), compacts its
+//! WAL into the MANIFEST's canonical sample set, and writes a
 //! [`PublishedSnapshot`] the serving layer loads with `--snapshot` (or
 //! watches with `serve --watch`).  Publishing is *incremental*: when the
 //! existing snapshot already carries the same canonical-set hash, seed,
@@ -28,7 +28,7 @@ pub fn parse_model_flag(word: &str) -> Result<ModelKind, String> {
 }
 
 pub fn run(args: &Args) -> Result<(), String> {
-    args.reject_unknown(&["store", "out", "seed", "model", "force", "no-compact", "report"])?;
+    args.reject_unknown(&["store", "out", "seed", "model", "force", "report"])?;
     let store_dir = args.get("store").ok_or("--store DIR is required")?;
     let out = args.get("out").ok_or("--out FILE is required")?;
     let seed: u64 = args.parse_or("seed", 20131117)?;
@@ -38,34 +38,29 @@ pub fn run(args: &Args) -> Result<(), String> {
     let mut store = Store::open(Path::new(store_dir)).map_err(|e| e.to_string())?;
     let report = store.open_report();
     eprintln!(
-        "store {store_dir}: {} samples ({} in {} segment(s), {} in WAL)",
+        "store {store_dir}: {} samples ({} compacted, {} in WAL)",
         store.len(),
-        report.segment_samples,
-        report.segments,
+        report.compacted_samples,
         report.wal_samples
     );
     if report.repaired() {
         eprintln!(
-            "repaired on open: {} torn WAL byte(s) truncated, {} duplicate WAL line(s) absorbed, \
-             {} orphan segment(s) removed",
-            report.torn_wal_bytes, report.wal_duplicates, report.orphan_segments
+            "repaired on open: {} torn WAL byte(s) truncated, {} duplicate WAL line(s) absorbed",
+            report.torn_wal_bytes, report.wal_duplicates
         );
     }
     if store.is_empty() {
         return Err(format!("store {store_dir} holds no samples; run `acic train --store` first"));
     }
 
-    // Compaction hashes the canonical set it leaves in the store; without
-    // it, canonicalize and hash here.
-    let hash = if args.flag("no-compact") {
-        store.canonical_hash()
-    } else {
+    // Compaction hashes the canonical set it leaves in the store.
+    let hash = {
         let _span = metrics.span("phase.compact");
         let c = store.compact().map_err(|e| e.to_string())?;
         if c.changed {
             eprintln!(
-                "compacted {} segment(s) + WAL into {} canonical samples ({} duplicate(s) dropped)",
-                c.segments_merged, c.samples, c.duplicates_dropped
+                "compacted the WAL into {} canonical samples ({} duplicate(s) dropped)",
+                c.samples, c.duplicates_dropped
             );
         }
         c.hash

@@ -1,11 +1,10 @@
 //! `acic recommend` — profile an application and rank candidates.
 //!
-//! The ranking itself runs through the `acic-serve` query path (a
-//! single-shot, one-worker service), so this command and the long-lived
-//! `acic serve` service answer through exactly the same code and can
-//! never diverge.  That path scores the cached candidate matrix through
-//! the predictor's one ranking path (a candidate-grid walk per query for
-//! tree models).  `--top 0` is clamped to 1 (see `Predictor::top_k`).
+//! The ranking is `Acic::recommend`, which calls `Predictor::top_k`: the
+//! call every `acic serve` cache miss makes, so this command and the
+//! long-lived service answer through the same ranking path (a
+//! candidate-grid walk per query for tree models).  `--top 0` is clamped
+//! to 1 (see `Predictor::top_k`).
 
 use crate::args::Args;
 use crate::commands::{acic_from_args, goal};
@@ -13,7 +12,6 @@ use crate::registry::app_by_name;
 use acic::profile::app_point_from;
 use acic::verify::verify_top_k;
 use acic::{Metrics, Recommendation};
-use acic_serve::Request;
 
 pub fn run(args: &Args) -> Result<(), String> {
     args.reject_unknown(&[
@@ -54,14 +52,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     };
     let recs: Vec<Recommendation> = {
         let _span = metrics.span("phase.rank");
-        let request = Request { app: point, objective, k: top };
-        let response = acic_serve::answer_single_shot(&acic.predictor, acic.db.len(), request, &metrics)
-            .map_err(|e| e.to_string())?;
-        response
-            .top
-            .iter()
-            .map(|&(config, predicted_improvement)| Recommendation { config, predicted_improvement })
-            .collect()
+        acic.recommend(&point, objective, top)
     };
     metrics.incr("recommend.candidates.returned", recs.len() as u64);
     println!(

@@ -81,7 +81,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     args.reject_unknown(&[
         "dims", "snapshot", "store", "seed", "workers", "queue", "batch", "cache", "replay",
         "swap-at", "watch", "report", "nodes", "trace", "trace-out", "trace-len", "trace-seed",
-        "trace-pool", "replay-out", "window", "kill-node", "kill-at", "rejoin-at",
+        "trace-pool", "replay-out", "kill-node", "kill-at", "rejoin-at",
     ])?;
     let metrics = Metrics::new();
     let seed: u64 = args.parse_or("seed", 20131117)?;
@@ -259,7 +259,6 @@ fn run_cluster(
     };
     let replay_out = args.get("replay-out");
     let opts = ReplayOptions {
-        window: args.parse_or("window", ReplayOptions::DEFAULT_WINDOW)?,
         kill,
         republish_at: (swap_at < requests.len()).then_some(swap_at),
         collect_responses: replay_out.is_some(),

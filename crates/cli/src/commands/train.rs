@@ -81,8 +81,8 @@ pub fn run(args: &Args) -> Result<(), String> {
             if s.open_report().repaired() {
                 let r = s.open_report();
                 eprintln!(
-                    "store {dir} repaired on open: {} torn WAL byte(s), {} orphan segment(s)",
-                    r.torn_wal_bytes, r.orphan_segments
+                    "store {dir} repaired on open: {} torn WAL byte(s), {} duplicate WAL line(s)",
+                    r.torn_wal_bytes, r.wal_duplicates
                 );
             }
             Some(s)

@@ -96,8 +96,8 @@ mod tests {
         let e = AcicError::Invalid("bad field".into());
         assert!(e.to_string().contains("bad field"));
         assert!(std::error::Error::source(&e).is_none());
-        // The path or reason names the file kind (store, segment,
-        // snapshot), so the variant does not name one itself.
+        // The path or reason names the file kind (MANIFEST, snapshot),
+        // so the variant does not name one itself.
         let e = AcicError::Store {
             path: "snap.txt".into(),
             reason: "snapshot holds 11 samples, header says 12".into(),

@@ -37,10 +37,10 @@
 //! The [`acic::Acic`] facade ties the pipeline together; see
 //! `examples/quickstart.rs` at the workspace root.  Campaigns persist
 //! their observations in the durable, deduplicating [`store`] (append-only
-//! WAL compacted into content-addressed segments), from which `acic
+//! WAL compacted into a MANIFEST of canonical samples), from which `acic
 //! publish` cuts [`store::PublishedSnapshot`]s for the serving layer.
-//! Every durable text file (journal, WAL, segments, MANIFEST, snapshot,
-//! cluster trace) shares the one framing of [`record`]; the snapshot is
+//! Every durable text file (journal, WAL, MANIFEST, snapshot, cluster
+//! trace) shares the one framing of [`record`]; the snapshot is
 //! the one file that carries training samples between users.
 
 pub mod acic;

@@ -214,10 +214,10 @@ impl Predictor {
     /// report the top k predicted optimized candidates").
     ///
     /// `k` is **clamped to at least 1**: a `k = 0` query answers with the
-    /// single best candidate rather than an empty list (the CLI, the serve
-    /// path via `acic_serve::answer_single_shot`, and the result-cache
-    /// identity `CacheKey::new` all share this clamp, so a `k = 0` request
-    /// is the same query as `k = 1` everywhere).  `k` larger than the
+    /// single best candidate rather than an empty list (the CLI and the
+    /// serve path both rank through here, and the result-cache identity
+    /// `CacheKey::new` shares this clamp, so a `k = 0` request is the same
+    /// query as `k = 1` everywhere).  `k` larger than the
     /// deployable candidate count returns the full ranking.
     ///
     /// The list is produced by a bounded partial select

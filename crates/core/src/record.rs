@@ -1,9 +1,9 @@
 //! One framing for every durable text file.
 //!
-//! Six file kinds use it.  Two are append-only logs: the campaign
-//! journal and the store's WAL.  Four are written whole, atomically: the
-//! store's segments and MANIFEST, the published snapshot (also what
-//! `train --out` writes) and the cluster trace.  Each file is a version
+//! Five file kinds use it.  Two are append-only logs: the campaign
+//! journal and the store's WAL.  Three are written whole, atomically: the
+//! store's MANIFEST, the published snapshot (also what `train --out`
+//! writes) and the cluster trace.  Each file is a version
 //! line (the trace's also carries its request count), then, for all but
 //! the WAL and the trace, a summary line of `key=value` fields, then
 //! newline-terminated records.

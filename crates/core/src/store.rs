@@ -4,24 +4,23 @@
 //! improvement) pairs in a persistent training database that outlives any
 //! single campaign (§4.2: training data is collected once and reused).
 //! This module is that database: campaigns *ingest* their observations
-//! into a write-ahead log, the log is *compacted* into immutable sorted
-//! segments listed by a manifest, and `acic publish` turns the canonical
-//! sample set into a [`PublishedSnapshot`] that `acic serve` hot-swaps in.
+//! into a write-ahead log, the log is *compacted* into a MANIFEST that
+//! holds the canonical sample set, and `acic publish` turns that set into
+//! a [`PublishedSnapshot`] that `acic serve` hot-swaps in.
 //!
 //! ## On-disk layout (every file in the [`crate::record`] framing)
 //!
 //! Fields within a line are separated by single tabs.
 //!
 //! ```text
-//! <dir>/MANIFEST          acic-store v2
+//! <dir>/MANIFEST          acic-store v3
 //!                         samples=<n> hash=<16 hex digits>
-//!                         segment seg-<hash>.txt <count> <16 hex digits>
-//! <dir>/seg-<hash>.txt    acic-seg v2
-//!                         samples=<count>
-//!                         <count> sample lines, canonically sorted
+//!                         <n> sample lines, canonically sorted
 //! <dir>/wal.log           acic-wal v1
 //!                         zero or more sample lines, arrival order
 //! ```
+//!
+//! A store that was never compacted has no MANIFEST.
 //!
 //! A sample line is `s`, then `key`, `campaign`, `seed`, `index`,
 //! `attempts` and the 17 point fields, where `key` is the FNV-1a hash of
@@ -31,11 +30,12 @@
 //! under which root seed, at which plan index, and after how many
 //! attempts.
 //!
-//! Every hash in a MANIFEST, a segment name or a snapshot header is
-//! [`hash_samples`]: a fold of each sample's fields as 64-bit words, not
-//! of its text.  Version 1 of these three files held a hash of the
-//! rendered lines and is refused by its version line; the WAL carries no
-//! hash and keeps version 1.
+//! Every hash in a MANIFEST or a snapshot header is [`hash_samples`]: a
+//! fold of each sample's fields as 64-bit words, not of its text.
+//! Version 1 of both files held a hash of the rendered lines, and version
+//! 2 of the MANIFEST listed segment files instead of carrying the
+//! samples; each is refused by its version line.  The WAL carries no hash
+//! and keeps version 1.
 //!
 //! ## Invariants
 //!
@@ -43,24 +43,22 @@
 //!   coalesces fresh sample lines into group commits of whole lines, so a
 //!   kill tears at most the final line, which [`Store::open`] truncates
 //!   and reports in [`OpenReport::torn_wal_bytes`] (the WAL is a
-//!   [`Tail::Torn`] log).  *Complete* garbage lines, or damage to a
-//!   segment, are real corruption and raise [`AcicError::Store`]:
-//!   segments are written atomically ([`Tail::Reject`]) and promised
-//!   immutable, so no crash can legitimately produce them.
+//!   [`Tail::Torn`] log).  *Complete* garbage lines, or damage to the
+//!   MANIFEST, are real corruption and raise [`AcicError::Store`]: the
+//!   MANIFEST is written atomically ([`Tail::Reject`]), so no crash can
+//!   legitimately produce them.
 //! * **Canonicalization is order-independent.**  The canonical sample set
 //!   keeps, per configuration key, the minimum sample under a total order
 //!   over *all* fields (key, campaign, seed, index, attempts, value bits).
 //!   Taking a minimum is associative and commutative, so any arrival
 //!   order, any interleaving of compactions, and any kill/resume schedule
-//!   converge to bit-identical segments and manifest.
-//! * **Content-addressed segments, atomic replacement.**  A segment's
-//!   file name is the hash of its contents, every rewrite goes through a
-//!   hidden temp file plus `rename`, and compaction orders its steps
-//!   (segment → manifest → prune → WAL reset) so that a crash between any
-//!   two steps leaves either orphan segments (deleted on next open) or
-//!   WAL entries that re-ingest as exact duplicates.  The manifest holds
-//!   only content-derived data — no generation counters — which is what
-//!   makes equal sample sets produce byte-equal manifests.
+//!   converge to a bit-identical MANIFEST.
+//! * **Atomic replacement, then the WAL reset.**  Compaction rewrites the
+//!   MANIFEST through a hidden temp file plus `rename`, then resets the
+//!   WAL, so a crash between the two leaves WAL entries that re-ingest as
+//!   exact duplicates.  The MANIFEST holds only content-derived data — no
+//!   generation counters — which is what makes equal sample sets produce
+//!   byte-equal MANIFESTs.
 
 use crate::commit::CommitConfig;
 use crate::error::AcicError;
@@ -77,10 +75,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Manifest version line.
-pub const STORE_VERSION: &str = "acic-store v2";
-/// Segment version line.
-const SEGMENT_VERSION: &str = "acic-seg v2";
+/// MANIFEST version line.
+pub const STORE_VERSION: &str = "acic-store v3";
 /// Write-ahead-log version line.
 const WAL_VERSION: &str = "acic-wal v1";
 /// Snapshot version line.
@@ -140,7 +136,7 @@ impl StoreSample {
     }
 
     /// Append the sample line (no newline) — the one writer behind WAL,
-    /// segment, and snapshot lines.
+    /// MANIFEST, and snapshot lines.
     fn write_line(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(b"s\t");
         push_hex16(out, self.key);
@@ -271,37 +267,25 @@ pub fn hash_samples(samples: &[StoreSample]) -> u64 {
     SplitMix64::new(mix(h, samples.len() as u64)).next_u64()
 }
 
-/// One manifest row: an immutable, content-addressed segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SegmentRef {
-    file: String,
-    count: usize,
-    hash: u64,
-}
-
 /// What [`Store::open`] found and repaired.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpenReport {
-    /// Immutable segments listed by the manifest.
-    pub segments: usize,
-    /// Samples loaded from those segments.
-    pub segment_samples: usize,
+    /// Samples loaded from the MANIFEST.
+    pub compacted_samples: usize,
     /// Samples replayed from the write-ahead log.
     pub wal_samples: usize,
     /// WAL lines that duplicated already-loaded samples exactly (a crash
-    /// between compaction's manifest swap and WAL reset leaves these; they
-    /// are harmless and vanish at the next compaction).
+    /// between compaction's MANIFEST write and WAL reset leaves these;
+    /// they are harmless and vanish at the next compaction).
     pub wal_duplicates: usize,
     /// Bytes of torn WAL tail truncated away (a kill mid-append).
     pub torn_wal_bytes: u64,
-    /// Unreferenced segment files deleted (a crash mid-compaction).
-    pub orphan_segments: usize,
 }
 
 impl OpenReport {
     /// True when open had to repair anything worth mentioning.
     pub fn repaired(&self) -> bool {
-        self.torn_wal_bytes > 0 || self.orphan_segments > 0 || self.wal_duplicates > 0
+        self.torn_wal_bytes > 0 || self.wal_duplicates > 0
     }
 }
 
@@ -323,40 +307,37 @@ pub struct IngestStats {
 /// What one compaction did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactStats {
-    /// Canonical samples in the rewritten segment.
+    /// Canonical samples in the MANIFEST.
     pub samples: usize,
     /// Raw samples dropped by per-key canonicalization.
     pub duplicates_dropped: usize,
-    /// Segments merged away (including the WAL as a pseudo-segment).
-    pub segments_merged: usize,
-    /// False when the store was already fully compacted (no bytes moved).
+    /// False when the WAL held no lines, so nothing was written.
     pub changed: bool,
     /// [`hash_samples`] of the canonical set, which the store now holds
     /// (what [`Store::canonical_hash`] would recompute).
     pub hash: u64,
 }
 
-/// The durable training database: immutable segments + WAL in a directory.
+/// The durable training database: a MANIFEST + WAL in a directory.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
     samples: Vec<StoreSample>,
     seen: BTreeSet<OrderKey>,
-    segments: Vec<SegmentRef>,
     wal_entries: usize,
     report: OpenReport,
 }
 
 impl Store {
-    /// Open (or initialize) the store in `dir`, loading every segment,
-    /// replaying the WAL, truncating torn tails, and deleting orphans.
+    /// Open (or initialize) the store in `dir`, loading the MANIFEST if
+    /// there is one, replaying the WAL, truncating a torn tail, and
+    /// deleting stale temp files.
     pub fn open(dir: &Path) -> Result<Store, AcicError> {
         std::fs::create_dir_all(dir).map_err(|e| AcicError::io(dir, e))?;
         let mut store = Store {
             dir: dir.to_path_buf(),
             samples: Vec::new(),
             seen: BTreeSet::new(),
-            segments: Vec::new(),
             wal_entries: 0,
             report: OpenReport::default(),
         };
@@ -365,39 +346,18 @@ impl Store {
         if manifest_path.exists() {
             let text = std::fs::read_to_string(&manifest_path)
                 .map_err(|e| AcicError::io(&manifest_path, e))?;
-            store.segments = parse_manifest(&text).map_err(|e| store_err(&manifest_path, e))?;
-        } else {
-            write_atomic(&manifest_path, &render_manifest(&[], 0))?;
+            let samples = parse_manifest(&text).map_err(|e| store_err(&manifest_path, e))?;
+            store.report.compacted_samples = samples.len();
+            store.seen = samples.iter().map(order_key).collect();
+            store.samples = samples;
         }
 
-        for seg in &store.segments {
-            let path = store.dir.join(&seg.file);
-            let text =
-                std::fs::read_to_string(&path).map_err(|e| AcicError::io(&path, e))?;
-            let samples = parse_segment(&text, seg).map_err(|e| store_err(&path, e))?;
-            store.report.segment_samples += samples.len();
-            for s in samples {
-                store.seen.insert(order_key(&s));
-                store.samples.push(s);
-            }
-        }
-        store.report.segments = store.segments.len();
-
-        // Orphan segments: written by a compaction that died before its
-        // manifest swap (or superseded by one that died before pruning).
-        let referenced: BTreeSet<&str> = store.segments.iter().map(|s| s.file.as_str()).collect();
+        // Stale temp files: an atomic write that died before its rename.
         let entries = std::fs::read_dir(dir).map_err(|e| AcicError::io(dir, e))?;
         for entry in entries {
             let entry = entry.map_err(|e| AcicError::io(dir, e))?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let stale_tmp = name.starts_with(".tmp-");
-            let orphan_seg =
-                name.starts_with("seg-") && name.ends_with(".txt") && !referenced.contains(&*name);
-            if stale_tmp || orphan_seg {
+            if entry.file_name().to_string_lossy().starts_with(".tmp-") {
                 std::fs::remove_file(entry.path()).map_err(|e| AcicError::io(&entry.path(), e))?;
-                if orphan_seg {
-                    store.report.orphan_segments += 1;
-                }
             }
         }
 
@@ -506,6 +466,11 @@ impl Store {
     /// `sync_data` when `commit.sync`), so a kill still tears at most the
     /// final line while the durability cost is amortized across the
     /// batch.  WAL bytes are identical at every batch size.
+    ///
+    /// A sample with a NaN configuration size is refused before any line
+    /// is written: NaN sizes are not part of the space, and the text has
+    /// one NaN while the key covers the size's bits, so such a line could
+    /// fail its key check on the next open.
     pub fn ingest_with(
         &mut self,
         new: &[StoreSample],
@@ -517,6 +482,15 @@ impl Store {
                 file.sync_data().map_err(|e| AcicError::io(path, e))?;
             }
             Ok(())
+        }
+        if let Some(s) = new.iter().find(|s| {
+            let (sys, app) = (&s.point.system, &s.point.app);
+            [sys.stripe_size, app.data_size, app.request_size].iter().any(|x| x.is_nan())
+        }) {
+            return Err(AcicError::Invalid(format!(
+                "sample {} of campaign {:016x} has a NaN configuration size",
+                s.index, s.campaign
+            )));
         }
         let mut stats = IngestStats::default();
         let path = self.wal_path();
@@ -575,49 +549,26 @@ impl Store {
         self.ingest_with(&samples_from_collection(id, collection)?, commit)
     }
 
-    /// Fold every segment and the WAL into a single canonical segment and
-    /// reset the WAL.  Step order makes every intermediate crash state
-    /// recoverable: (1) write the new content-addressed segment, (2) swap
-    /// the manifest atomically, (3) prune superseded segments, (4) reset
-    /// the WAL.  Dying after (1) leaves an orphan (deleted on open); dying
-    /// after (2) or (3) leaves WAL entries that replay as exact
-    /// duplicates.
+    /// Fold the MANIFEST and the WAL into a new MANIFEST holding the
+    /// canonical set, then reset the WAL.  Dying between the two steps
+    /// leaves WAL entries that replay as exact duplicates.  A store whose
+    /// WAL holds no lines is already compacted: nothing is written.
     pub fn compact(&mut self) -> Result<CompactStats, AcicError> {
         let canonical = canonicalize(self.samples.clone());
         let hash = hash_samples(&canonical);
-        let new_refs: Vec<SegmentRef> = if canonical.is_empty() {
-            Vec::new()
-        } else {
-            vec![SegmentRef {
-                file: format!("seg-{hash:016x}.txt"),
-                count: canonical.len(),
-                hash,
-            }]
-        };
         let stats = CompactStats {
             samples: canonical.len(),
             duplicates_dropped: self.samples.len() - canonical.len(),
-            segments_merged: self.segments.len(),
-            changed: !(new_refs == self.segments && self.wal_entries == 0),
+            changed: self.wal_entries > 0,
             hash,
         };
         if !stats.changed {
             return Ok(stats);
         }
 
-        if let Some(seg) = new_refs.first() {
-            write_atomic(&self.dir.join(&seg.file), &render_segment(&canonical))?;
-        }
-        write_atomic(&self.manifest_path(), &render_manifest(&new_refs, hash))?;
-        for old in &self.segments {
-            if !new_refs.iter().any(|n| n.file == old.file) {
-                let path = self.dir.join(&old.file);
-                std::fs::remove_file(&path).map_err(|e| AcicError::io(&path, e))?;
-            }
-        }
+        write_atomic(&self.manifest_path(), &render_manifest(&canonical, hash))?;
         reset_wal(&self.wal_path())?;
 
-        self.segments = new_refs;
         self.seen = canonical.iter().map(order_key).collect();
         self.samples = canonical;
         self.wal_entries = 0;
@@ -663,55 +614,27 @@ fn reset_wal(path: &Path) -> Result<(), AcicError> {
     write_atomic(path, &Writer::new(WAL_VERSION, 16).finish())
 }
 
-fn render_manifest(segments: &[SegmentRef], hash: u64) -> String {
-    let total: usize = segments.iter().map(|s| s.count).sum();
-    let hash = if segments.is_empty() { hash_samples(&[]) } else { hash };
-    let mut file = Writer::new(STORE_VERSION, 128)
-        .summary("", &[("samples", &total), ("hash", &format!("{hash:016x}"))]);
-    for seg in segments {
-        let line = format!("segment\t{}\t{}\t{:016x}", seg.file, seg.count, seg.hash);
-        file.record(|out| out.extend_from_slice(line.as_bytes()));
-    }
-    file.finish()
-}
-
-/// Parse the manifest, checking that its segments add up to its summary.
-fn parse_manifest(text: &str) -> Result<Vec<SegmentRef>, String> {
-    let mut file = Reader::new(text, Tail::Reject);
-    file.version(STORE_VERSION)?;
-    let [total, hash] = file.summary("", ["samples", "hash"])?;
-    let total: usize = total.parse().map_err(|_| "bad samples count")?;
-    u64::from_str_radix(hash, 16).map_err(|_| "bad hash")?;
-    let mut segments = Vec::new();
-    for record in file {
-        let (lineno, line) = record?;
-        let bad = |what: &str| format!("manifest line {lineno}: {what}");
-        let Some(["segment", name, count, hash]) = split_fields(line) else {
-            return Err(bad("expected segment\\t<file>\\t<count>\\t<hash>"));
-        };
-        if name.contains('/') || name.contains("..") {
-            return Err(bad("segment file must be a plain name"));
-        }
-        segments.push(SegmentRef {
-            file: name.to_string(),
-            count: count.parse().map_err(|_| bad("bad count"))?,
-            hash: u64::from_str_radix(hash, 16).map_err(|_| bad("bad hash"))?,
-        });
-    }
-    let listed: usize = segments.iter().map(|s| s.count).sum();
-    if listed != total {
-        return Err(format!("summary says {total} samples, segments list {listed}"));
-    }
-    Ok(segments)
-}
-
-fn render_segment(samples: &[StoreSample]) -> String {
-    let file = Writer::new(SEGMENT_VERSION, 32 + samples.len() * SAMPLE_LINE_BYTES)
-        .summary("", &[("samples", &samples.len())]);
+/// Render the MANIFEST of a canonical set whose [`hash_samples`] is `hash`.
+fn render_manifest(samples: &[StoreSample], hash: u64) -> String {
+    let file = Writer::new(STORE_VERSION, 64 + samples.len() * SAMPLE_LINE_BYTES)
+        .summary("", &[("samples", &samples.len()), ("hash", &format!("{hash:016x}"))]);
     sample_file(file, samples)
 }
 
-/// Finish a segment or snapshot: one record per sample.
+/// Parse the MANIFEST, checking its samples against the count and content
+/// hash its summary declares.
+fn parse_manifest(text: &str) -> Result<Vec<StoreSample>, String> {
+    let mut file = Reader::new(text, Tail::Reject);
+    file.version(STORE_VERSION)?;
+    let [count, hash] = file.summary("", ["samples", "hash"])?;
+    let count = count.parse().map_err(|_| "bad samples count")?;
+    let hash = u64::from_str_radix(hash, 16).map_err(|_| "bad hash")?;
+    parse_samples(file, count, hash).map_err(|e| {
+        format!("MANIFEST {e} (it is written atomically; this is corruption, not a torn write)")
+    })
+}
+
+/// Finish a MANIFEST or snapshot: one record per sample.
 fn sample_file(mut file: Writer, samples: &[StoreSample]) -> String {
     for sample in samples {
         file.record(|out| sample.write_line(out));
@@ -719,8 +642,8 @@ fn sample_file(mut file: Writer, samples: &[StoreSample]) -> String {
     file.finish()
 }
 
-/// Parse the sample records of a segment or snapshot and check them
-/// against the count and content hash its header or manifest declares.
+/// Parse the sample records of a MANIFEST or snapshot and check them
+/// against the count and content hash its header declares.
 fn parse_samples(file: Reader<'_>, count: usize, hash: u64) -> Result<Vec<StoreSample>, String> {
     let mut samples = Vec::with_capacity(count.min(1 << 20));
     for record in file {
@@ -735,18 +658,6 @@ fn parse_samples(file: Reader<'_>, count: usize, hash: u64) -> Result<Vec<StoreS
         return Err(format!("content hash {actual:016x} does not match the declared {hash:016x}"));
     }
     Ok(samples)
-}
-
-fn parse_segment(text: &str, expect: &SegmentRef) -> Result<Vec<StoreSample>, String> {
-    let mut file = Reader::new(text, Tail::Reject);
-    file.version(SEGMENT_VERSION)?;
-    let [count] = file.summary("", ["samples"])?;
-    if count.parse() != Ok(expect.count) {
-        return Err(format!("segment header says {count} samples, manifest says {}", expect.count));
-    }
-    parse_samples(file, expect.count, expect.hash).map_err(|e| {
-        format!("segment {e} (segments are immutable; this is corruption, not a torn write)")
-    })
 }
 
 /// A published model snapshot: the canonical sample set frozen together
@@ -936,15 +847,15 @@ pub fn model_code(kind: ModelKind) -> String {
     }
 }
 
-/// Parse [`model_code`] output.
+/// Parse [`model_code`] output.  A forest of no trees and a k-NN of no
+/// neighbours cannot be fitted, so a zero size is refused.
 pub fn parse_model_code(code: &str) -> Result<ModelKind, String> {
     let bad = || format!("unknown model code {code:?}");
+    let size = |n: &str| n.parse().ok().filter(|&n| n > 0).ok_or_else(bad);
     match code.split_once(':') {
         None if code == "cart" => Ok(ModelKind::Cart),
-        Some(("forest", n)) => {
-            Ok(ModelKind::Forest { n_trees: n.parse().map_err(|_| bad())? })
-        }
-        Some(("knn", k)) => Ok(ModelKind::Knn { k: k.parse().map_err(|_| bad())? }),
+        Some(("forest", n)) => Ok(ModelKind::Forest { n_trees: size(n)? }),
+        Some(("knn", k)) => Ok(ModelKind::Knn { k: size(k)? }),
         _ => Err(bad()),
     }
 }
@@ -1054,7 +965,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_compact_reopen_round_trips() {
+    fn ingest_compact_reopen_round_trips_the_compacted_samples() {
         let dir = tmp_dir("roundtrip");
         let batch: Vec<StoreSample> = (0..6).map(|i| sample(i, 7, 1.0 + i as f64)).collect();
 
@@ -1077,14 +988,17 @@ mod tests {
         let reopened = Store::open(&dir).unwrap();
         assert_eq!(reopened.canonical(), store.canonical());
         assert_eq!(reopened.canonical_hash(), hash);
-        assert_eq!(reopened.open_report().segment_samples, 6);
+        assert_eq!(reopened.open_report().compacted_samples, 6);
         assert_eq!(reopened.open_report().wal_samples, 0);
 
-        // A second compact with nothing new is a no-op.
+        // A second compact with nothing new is a no-op that touches no
+        // file: with the directory gone, any write would fail.
         let mut reopened = reopened;
+        std::fs::remove_dir_all(&dir).unwrap();
         let cs = reopened.compact().unwrap();
         assert!(!cs.changed);
         assert_eq!(cs.hash, hash, "a no-op compaction still reports the set's hash");
+        assert!(!dir.exists());
     }
 
     #[test]
@@ -1108,11 +1022,6 @@ mod tests {
         let m1 = std::fs::read(d1.join(MANIFEST_FILE)).unwrap();
         let m2 = std::fs::read(d2.join(MANIFEST_FILE)).unwrap();
         assert_eq!(m1, m2, "manifest must be a pure function of the canonical set");
-        let seg = format!("seg-{:016x}.txt", s1.canonical_hash());
-        assert_eq!(
-            std::fs::read(d1.join(&seg)).unwrap(),
-            std::fs::read(d2.join(&seg)).unwrap()
-        );
         assert_eq!(s1.canonical_hash(), s2.canonical_hash());
     }
 
@@ -1146,24 +1055,72 @@ mod tests {
     }
 
     #[test]
-    fn orphan_segments_and_stale_tmps_are_cleaned_on_open() {
-        let dir = tmp_dir("orphans");
+    fn every_ingested_sample_reads_back_or_is_refused() {
+        let dir = tmp_dir("read-back");
+        let mut store = Store::open(&dir).unwrap();
+        store.ingest(&[sample(0, 37, 1.0)]).unwrap();
+        let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        // A NaN configuration size of either sign is refused before any
+        // line of its batch is written.
+        type SetSize = fn(&mut TrainingPoint, f64);
+        let sizes: [(&str, SetSize); 3] = [
+            ("stripe_size", |p, x| p.system.stripe_size = x),
+            ("data_size", |p, x| p.app.data_size = x),
+            ("request_size", |p, x| p.app.request_size = x),
+        ];
+        for (name, set) in sizes {
+            for nan in [f64::NAN, -f64::NAN] {
+                let mut point = sample(2, 37, 1.0).point;
+                set(&mut point, nan);
+                let batch = [sample(1, 37, 1.0), StoreSample::new(37, 42, 2, 1, point)];
+                match store.ingest(&batch) {
+                    Err(AcicError::Invalid(reason)) => {
+                        assert!(reason.contains("NaN configuration size"), "{name}: {reason}")
+                    }
+                    other => panic!("{name} = {nan:?}: want Invalid, got {other:?}"),
+                }
+                assert_eq!(std::fs::read(dir.join(WAL_FILE)).unwrap(), wal, "{name}");
+            }
+        }
+        assert_eq!(store.len(), 1);
+        // Counts an `f64` cannot hold exactly read back as themselves,
+        // from the WAL and from the MANIFEST.
+        type SetCount = fn(&mut TrainingPoint, usize);
+        let counts: [SetCount; 3] =
+            [|p, v| p.system.io_servers = v, |p, v| p.app.nprocs = v, |p, v| p.app.iterations = v];
+        let batch: Vec<StoreSample> = counts
+            .iter()
+            .enumerate()
+            .map(|(i, set)| {
+                let mut point = sample(10 + i, 37, 1.0).point;
+                set(&mut point, (1 << 53) + 1);
+                StoreSample::new(37, 42, 10 + i, 1, point)
+            })
+            .collect();
+        store.ingest(&batch).unwrap();
+        assert_eq!(Store::open(&dir).unwrap().samples, store.samples);
+        store.compact().unwrap();
+        let reopened = Store::open(&dir).unwrap();
+        assert_eq!(reopened.open_report().compacted_samples, 4);
+        assert_eq!(reopened.samples, store.samples);
+    }
+
+    #[test]
+    fn stale_tmps_are_cleaned_on_open() {
+        let dir = tmp_dir("stale-tmps");
         let mut store = Store::open(&dir).unwrap();
         store.ingest(&[sample(0, 13, 1.0)]).unwrap();
         store.compact().unwrap();
-        std::fs::write(dir.join("seg-00000000deadbeef.txt"), "acic-seg v1\nsamples=0\n").unwrap();
         std::fs::write(dir.join(".tmp-MANIFEST"), "half written").unwrap();
         let store = Store::open(&dir).unwrap();
-        assert_eq!(store.open_report().orphan_segments, 1);
         assert_eq!(store.len(), 1);
-        assert!(!dir.join("seg-00000000deadbeef.txt").exists());
         assert!(!dir.join(".tmp-MANIFEST").exists());
     }
 
     #[test]
     fn wal_entries_surviving_a_crashed_compaction_replay_as_duplicates() {
-        // Simulate dying between the manifest swap and the WAL reset: the
-        // WAL still holds lines that are now also in the segment.
+        // Simulate dying between the MANIFEST write and the WAL reset: the
+        // WAL still holds lines that are now also in the MANIFEST.
         let dir = tmp_dir("crashed-compact");
         let batch: Vec<StoreSample> = (0..3).map(|i| sample(i, 17, 1.1)).collect();
         let mut store = Store::open(&dir).unwrap();
@@ -1182,20 +1139,30 @@ mod tests {
     }
 
     #[test]
-    fn segment_corruption_is_a_typed_store_error() {
-        let dir = tmp_dir("seg-corrupt");
+    fn manifest_corruption_is_a_typed_store_error() {
+        let dir = tmp_dir("manifest-corrupt");
         let mut store = Store::open(&dir).unwrap();
         store.ingest(&[sample(0, 19, 1.0), sample(1, 19, 2.0)]).unwrap();
         store.compact().unwrap();
-        let seg = format!("seg-{:016x}.txt", store.canonical_hash());
         drop(store);
-        let path = dir.join(&seg);
+        let path = dir.join(MANIFEST_FILE);
         let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace('1', "2")).unwrap();
-        match Store::open(&dir) {
-            Err(AcicError::Store { path: p, .. }) => assert!(p.contains("seg-")),
-            other => panic!("expected Store error, got {other:?}"),
-        }
+        let header_len = text.len() - body(&text).len();
+        let corrupt = |manifest: String, want: &str| {
+            std::fs::write(&path, manifest).unwrap();
+            match Store::open(&dir) {
+                Err(AcicError::Store { path: p, reason }) => {
+                    assert!(p.ends_with(MANIFEST_FILE), "{p}");
+                    assert!(reason.starts_with("MANIFEST ") && reason.contains(want), "{reason}");
+                }
+                other => panic!("expected Store error, got {other:?}"),
+            }
+        };
+        // A changed digit in the body, its headers intact, and a body cut
+        // at a line boundary.
+        corrupt(format!("{}{}", &text[..header_len], body(&text).replace('1', "2")), "line 3");
+        let cut = &text[..text.trim_end().rfind('\n').unwrap() + 1];
+        corrupt(cut.to_string(), "holds 1 samples, header says 2");
     }
 
     #[test]
@@ -1484,7 +1451,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_segment_bytes_are_unchanged() {
+    fn snapshot_and_manifest_bytes_are_unchanged() {
         let samples = varied_samples();
         let snap = PublishedSnapshot {
             hash: hash_samples(&samples),
@@ -1503,13 +1470,11 @@ mod tests {
         // Every sample line is the v1 codec's: v1's content hash was this
         // digest of them.  Only the two header lines moved to v2.
         assert_eq!(fnv_bytes(body(&text).as_bytes()), 0x0e97_1217_7e62_eeb9);
-        assert_eq!(fnv_bytes(body(&render_segment(&samples)).as_bytes()), 0x0e97_1217_7e62_eeb9);
         assert_eq!(
             text.lines().take(2).collect::<Vec<_>>(),
             ["acic-snapshot v2", "hash=b7419a7c22c9de12 samples=24 seed=20131117 model=cart"]
         );
         assert_eq!(fnv_bytes(text.as_bytes()), 0xfb38_83ce_fe9f_7087);
-        assert_eq!(fnv_bytes(render_segment(&samples).as_bytes()), 0xd5cd_cbaa_0a29_140b);
         assert_eq!(PublishedSnapshot::parse(&text).unwrap(), snap);
 
         // The WAL and MANIFEST a store writes for the same samples.
@@ -1517,59 +1482,66 @@ mod tests {
         let mut store = Store::open(&dir).unwrap();
         let read = |file: &str| std::fs::read_to_string(dir.join(file)).unwrap();
         assert_eq!(read(WAL_FILE), "acic-wal v1\n");
-        assert_eq!(read(MANIFEST_FILE), "acic-store v2\nsamples=0 hash=e220a8397b1dcdaf\n");
+        assert!(!dir.join(MANIFEST_FILE).exists(), "a store never compacted has no MANIFEST");
         store.ingest(&samples).unwrap();
         assert_eq!(fnv_bytes(read(WAL_FILE).as_bytes()), 0x24e4_5cbb_c4d4_36f5);
         store.compact().unwrap();
+        let manifest = read(MANIFEST_FILE);
         assert_eq!(
-            read(MANIFEST_FILE),
-            "acic-store v2\nsamples=24 hash=8809268e289eafd0\n\
-             segment\tseg-8809268e289eafd0.txt\t24\t8809268e289eafd0\n"
+            manifest.lines().take(2).collect::<Vec<_>>(),
+            ["acic-store v3", "samples=24 hash=8809268e289eafd0"]
         );
-        // The canonical order's lines are v1's too (v1 named the segment
-        // by this digest of them).
-        let segment = read("seg-8809268e289eafd0.txt");
-        assert_eq!(fnv_bytes(body(&segment).as_bytes()), 0x72c2_df9d_338b_18f9);
-        assert_eq!(fnv_bytes(segment.as_bytes()), 0x1355_0aa0_d3f2_07e3);
+        // The canonical order's lines are v1's too (v1 named its segment
+        // file by this digest of them).
+        assert_eq!(fnv_bytes(body(&manifest).as_bytes()), 0x72c2_df9d_338b_18f9);
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, [MANIFEST_FILE, WAL_FILE]);
     }
 
     #[test]
-    fn version_1_segments_manifests_and_snapshots_are_refused_by_name() {
+    fn older_manifests_and_snapshots_are_refused_by_name() {
         let samples = varied_samples();
+        let sample_lines = |samples: &[StoreSample]| -> String {
+            lines(samples).iter().map(|line| format!("{line}\n")).collect()
+        };
         // The files the v1 codec wrote for these samples: its headers over
         // the same sample lines.
         let v1_snapshot = format!(
             "acic-snapshot v1\nhash=0e9712177e62eeb9 samples=24 seed=20131117 model=cart\n{}",
-            lines(&samples).iter().map(|line| format!("{line}\n")).collect::<String>()
+            sample_lines(&samples)
         );
         let v1_manifest = "acic-store v1\nsamples=24 hash=72c2df9d338b18f9\n\
                            segment\tseg-72c2df9d338b18f9.txt\t24\t72c2df9d338b18f9\n";
+        // What the v2 codec wrote: a MANIFEST naming one segment file.
+        let v2_manifest = "acic-store v2\nsamples=24 hash=8809268e289eafd0\n\
+                           segment\tseg-8809268e289eafd0.txt\t24\t8809268e289eafd0\n";
+        let v2_segment =
+            format!("acic-seg v2\nsamples=24\n{}", sample_lines(&canonicalize(samples.clone())));
         let refused = |result: Result<(), AcicError>, version: &str| match result {
             Err(AcicError::Store { reason, .. }) => {
-                assert!(reason.contains(&format!("version header \"{version} v1\"")), "{reason}")
+                assert!(reason.contains(&format!("version header \"{version}\"")), "{reason}")
             }
             other => panic!("want Store error, got {other:?}"),
         };
         let err = PublishedSnapshot::parse(&v1_snapshot).unwrap_err();
         assert!(err.contains("unknown version header \"acic-snapshot v1\""), "{err}");
-        let dir = tmp_dir("v1-refused");
+        let dir = tmp_dir("old-versions-refused");
         let path = dir.join("snap.txt");
         std::fs::write(&path, &v1_snapshot).unwrap();
-        refused(PublishedSnapshot::read(&path).map(drop), "acic-snapshot");
-        refused(PublishedSnapshot::read_header(&path).map(drop), "acic-snapshot");
+        refused(PublishedSnapshot::read(&path).map(drop), "acic-snapshot v1");
+        refused(PublishedSnapshot::read_header(&path).map(drop), "acic-snapshot v1");
 
-        let mut store = Store::open(&dir).unwrap();
-        store.ingest(&samples).unwrap();
-        store.compact().unwrap();
-        let segment = dir.join(format!("seg-{:016x}.txt", store.canonical_hash()));
-        drop(store);
-        let v2_manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
-        let v2_segment = std::fs::read_to_string(&segment).unwrap();
-        std::fs::write(dir.join(MANIFEST_FILE), v1_manifest).unwrap();
-        refused(Store::open(&dir).map(drop), "acic-store");
-        std::fs::write(dir.join(MANIFEST_FILE), v2_manifest).unwrap();
-        std::fs::write(&segment, v2_segment.replacen(SEGMENT_VERSION, "acic-seg v1", 1)).unwrap();
-        refused(Store::open(&dir).map(drop), "acic-seg");
+        let store = dir.join("store");
+        std::fs::create_dir_all(&store).unwrap();
+        std::fs::write(store.join(MANIFEST_FILE), v1_manifest).unwrap();
+        refused(Store::open(&store).map(drop), "acic-store v1");
+        std::fs::write(store.join(MANIFEST_FILE), v2_manifest).unwrap();
+        std::fs::write(store.join("seg-8809268e289eafd0.txt"), v2_segment).unwrap();
+        refused(Store::open(&store).map(drop), "acic-store v2");
     }
 
     /// The `write!` sample-line writer the digit loops replaced, kept
@@ -1681,5 +1653,15 @@ mod tests {
         }
         assert!(parse_model_code("boost:3").is_err());
         assert!(parse_model_code("forest:x").is_err());
+        // No size is zero: neither kind could be fitted.
+        for code in ["forest:0", "knn:0"] {
+            assert_eq!(parse_model_code(code).unwrap_err(), format!("unknown model code {code:?}"));
+        }
+        let header = format!(
+            "{SNAPSHOT_VERSION}\nhash={:016x} samples=0 seed=7 model=knn:0\n",
+            hash_samples(&[])
+        );
+        let err = PublishedSnapshot::parse(&header).unwrap_err();
+        assert!(err.contains("unknown model code \"knn:0\""), "{err}");
     }
 }

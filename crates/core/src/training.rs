@@ -916,7 +916,7 @@ pub(crate) fn for_each_field(p: &TrainingPoint, mut visit: impl FnMut(Field)) {
 
 /// Write one observation as the 17 tab-separated fields of
 /// [`for_each_field`], shared by the checkpoint journal and the store's
-/// sample lines (WAL, segment and snapshot).
+/// sample lines (WAL, MANIFEST and snapshot).
 pub(crate) fn write_point(out: &mut Vec<u8>, p: &TrainingPoint) {
     let mut first = true;
     for_each_field(p, |field| {
@@ -942,8 +942,10 @@ pub(crate) fn split_fields<const N: usize>(line: &str) -> Option<[&str; N]> {
     it.next().is_none().then_some(fields)
 }
 
-/// Parse the 17 fields written by [`write_point`].  An error is the
-/// reason alone: the caller knows the file and the line.
+/// Parse the 17 fields written by [`write_point`]: the 12 codes, flags
+/// and counts as the `u64` digits [`push_u64`] wrote, the five floats as
+/// std parses them.  An error is the reason alone: the caller knows the
+/// file and the line.
 pub(crate) fn point_from_fields(f: &[&str]) -> Result<TrainingPoint, &'static str> {
     use acic_cloudsim::cluster::Placement;
     use acic_cloudsim::device::DeviceKind;
@@ -953,11 +955,12 @@ pub(crate) fn point_from_fields(f: &[&str]) -> Result<TrainingPoint, &'static st
     if f.len() != 17 {
         return Err("expected 17 tab-separated fields");
     }
+    let int = |i: usize| f[i].parse::<u64>().map_err(|_| "bad number");
     let num = |i: usize| f[i].parse::<f64>().map_err(|_| "bad number");
-    let flag = |i: usize| -> Result<bool, &'static str> { Ok(num(i)? != 0.0) };
+    let flag = |i: usize| -> Result<bool, &'static str> { Ok(int(i)? != 0) };
     Ok(TrainingPoint {
         system: SystemConfig {
-            device: match num(0)? as u8 {
+            device: match int(0)? {
                 0 => DeviceKind::Ebs,
                 1 => DeviceKind::Ephemeral,
                 2 => DeviceKind::Ssd,
@@ -969,21 +972,21 @@ pub(crate) fn point_from_fields(f: &[&str]) -> Result<TrainingPoint, &'static st
             } else {
                 InstanceType::Cc1_4xlarge
             },
-            io_servers: num(3)? as usize,
+            io_servers: int(3)? as usize,
             placement: if flag(4)? { Placement::Dedicated } else { Placement::PartTime },
             stripe_size: num(5)?,
         },
         app: AppPoint {
-            nprocs: num(6)? as usize,
-            io_procs: num(7)? as usize,
-            api: match num(8)? as u8 {
+            nprocs: int(6)? as usize,
+            io_procs: int(7)? as usize,
+            api: match int(8)? {
                 0 => IoApi::Posix,
                 1 => IoApi::MpiIo,
                 2 => IoApi::Hdf5,
                 3 => IoApi::NetCdf,
                 _ => return Err("bad api code"),
             },
-            iterations: num(9)? as usize,
+            iterations: int(9)? as usize,
             data_size: num(10)?,
             request_size: num(11)?,
             op: if flag(12)? { IoOp::Write } else { IoOp::Read },
@@ -1396,19 +1399,13 @@ pub(crate) mod oracle {
         )
     }
 
-    /// `p` moved into the domain the text codec round-trips exactly: its
-    /// integer fields parse through `f64`, so they are kept below 2^53,
-    /// and `{}` prints every NaN as `NaN`, so NaN configuration sizes
-    /// (which the key covers) become 0.  NaN improvements stay; they come
-    /// back as NaN.
+    /// `p` moved into the domain the text codec round-trips exactly:
+    /// `{}` prints every NaN as `NaN`, so NaN configuration sizes (which
+    /// the key covers, and which the store refuses) become 0.  NaN
+    /// improvements stay; they come back as NaN.
     pub(crate) fn lossless(mut p: TrainingPoint) -> TrainingPoint {
-        let int = |v: usize| v & ((1 << 53) - 1);
         let size = |x: f64| if x.is_nan() { 0.0 } else { x };
-        p.system.io_servers = int(p.system.io_servers);
         p.system.stripe_size = size(p.system.stripe_size);
-        p.app.nprocs = int(p.app.nprocs);
-        p.app.io_procs = int(p.app.io_procs);
-        p.app.iterations = int(p.app.iterations);
         p.app.data_size = size(p.app.data_size);
         p.app.request_size = size(p.app.request_size);
         p

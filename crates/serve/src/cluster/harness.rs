@@ -294,11 +294,12 @@ pub struct KillPlan {
     pub rejoin_at: usize,
 }
 
-/// Replay tuning and fault schedule.
+/// Maximum in-flight requests of a replay.
+const WINDOW: usize = 1024;
+
+/// Replay fault schedule and response collection.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayOptions {
-    /// Maximum in-flight requests (0 → [`ReplayOptions::DEFAULT_WINDOW`]).
-    pub window: usize,
     /// Trace indices to *not* submit — used to compare a faulted run
     /// against a clean run over exactly the requests both answered.
     pub skip: HashSet<usize>,
@@ -310,11 +311,6 @@ pub struct ReplayOptions {
     /// Collect every `(index, payload)` pair (memory ∝ trace length; keep
     /// off for million-request replays and compare digests instead).
     pub collect_responses: bool,
-}
-
-impl ReplayOptions {
-    /// Default in-flight window.
-    pub const DEFAULT_WINDOW: usize = 1024;
 }
 
 /// What a replay produced.
@@ -345,8 +341,7 @@ pub fn replay(
     opts: &ReplayOptions,
 ) -> Result<ReplayOutcome, AcicError> {
     let client = cluster.client();
-    let window = if opts.window == 0 { ReplayOptions::DEFAULT_WINDOW } else { opts.window };
-    let mut outstanding: VecDeque<(usize, Pending)> = VecDeque::with_capacity(window);
+    let mut outstanding: VecDeque<(usize, Pending)> = VecDeque::with_capacity(WINDOW);
     let mut digest = Digest::new();
     let mut outcome = ReplayOutcome {
         submitted: 0,
@@ -394,7 +389,7 @@ pub fn replay(
             Ok(pending) => {
                 outcome.submitted += 1;
                 outstanding.push_back((i, pending));
-                if outstanding.len() >= window {
+                if outstanding.len() >= WINDOW {
                     let (index, pending) = outstanding.pop_front().expect("window is nonempty");
                     let resp = pending.wait().map_err(|e| {
                         AcicError::Invalid(format!("replay request {index} lost to shutdown: {e}"))

@@ -44,77 +44,3 @@ pub use cluster::{Cluster, ClusterClient, ClusterConfig, ClusterError, NodeId, R
 pub use queue::{BoundedQueue, PushError};
 pub use server::{Pending, Request, Response, ServeConfig, ServeError, ServeHandle, Server};
 pub use snapshot::{ModelSnapshot, SnapshotStore};
-
-use acic::{Metrics, Predictor};
-
-/// Answer one query through the full serving path on a throwaway
-/// single-worker service — the CLI `recommend` path, so the CLI and the
-/// long-lived service can never diverge.
-///
-/// `request.k` follows `Predictor::top_k`'s clamp: `k = 0` is answered as
-/// `k = 1` (one best candidate, never an empty list), and the result-cache
-/// identity (`acic::CacheKey`) clamps identically, so the clamp is
-/// consistent from the CLI through the serve path down to the predictor.
-pub fn answer_single_shot(
-    predictor: &Predictor,
-    db_points: usize,
-    request: Request,
-    metrics: &Metrics,
-) -> Result<Response, ServeError> {
-    let server = Server::start(predictor.clone(), db_points, ServeConfig::single_shot(), metrics.clone())
-        .expect("single_shot config is valid");
-    let response = server.handle().query(request);
-    server.shutdown();
-    response
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use acic::space::SpacePoint;
-    use acic::{Objective, Trainer};
-    use acic_cloudsim::instance::InstanceType;
-
-    #[test]
-    fn single_shot_equals_direct_topk() {
-        let db = Trainer::with_paper_ranking(5).collect(3).unwrap();
-        let p = Predictor::train(&db, 5).unwrap();
-        let app = SpacePoint::default_point().app;
-        let req = Request { app, objective: Objective::Cost, k: 4 };
-        let resp =
-            answer_single_shot(&p, db.len(), req, &Metrics::new()).expect("single shot answers");
-        assert_eq!(*resp.top, p.top_k(&app, Objective::Cost, InstanceType::Cc2_8xlarge, 4));
-        assert_eq!(resp.snapshot_version, 1);
-        assert!(!resp.cache_hit);
-    }
-
-    #[test]
-    fn k_zero_clamps_to_one_through_the_serve_path() {
-        // Regression: a k = 0 request must answer with exactly the single
-        // best candidate (Predictor::top_k's documented clamp), not an
-        // empty list and not an error, and must agree with a k = 1 request.
-        let db = Trainer::with_paper_ranking(5).collect(3).unwrap();
-        let p = Predictor::train(&db, 5).unwrap();
-        let app = SpacePoint::default_point().app;
-        let zero = answer_single_shot(
-            &p,
-            db.len(),
-            Request { app, objective: Objective::Performance, k: 0 },
-            &Metrics::new(),
-        )
-        .expect("k = 0 answers");
-        assert_eq!(zero.top.len(), 1, "k = 0 clamps to the single best candidate");
-        let one = answer_single_shot(
-            &p,
-            db.len(),
-            Request { app, objective: Objective::Performance, k: 1 },
-            &Metrics::new(),
-        )
-        .expect("k = 1 answers");
-        assert_eq!(*zero.top, *one.top);
-        assert_eq!(
-            *zero.top,
-            p.top_k(&app, Objective::Performance, InstanceType::Cc2_8xlarge, 0)
-        );
-    }
-}

@@ -87,14 +87,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The one-worker, tiny-footprint configuration the CLI `recommend`
-    /// command answers through (single-shot service).
-    // The update fills `service_stall` under `test-support`.
-    #[allow(clippy::needless_update)]
-    pub fn single_shot() -> Self {
-        Self { workers: 1, queue_depth: 1, batch: 1, cache_capacity: 8, ..Self::default() }
-    }
-
     /// Reject configurations that cannot serve: a pool with no workers
     /// never answers, a zero-depth queue admits nothing, and a zero-size
     /// batch would make every worker spin on `pop_batch(0)` forever
